@@ -20,7 +20,7 @@ from .cdc import (
     instance_to_json,
     sos2_family,
 )
-from .encodings import exotic_code, gray_code, moment_code, zigzag_code
+from .encodings import EncodingError, exotic_code, gray_code, moment_code, zigzag_code
 from .formulation import (
     build_2d,
     build_annulus,
@@ -236,7 +236,8 @@ def cmd_bench(args):
             for enc_name in encodings:
                 try:
                     form = _build(family, obj, enc_name, "general")
-                except Exception:
+                except EncodingError as exc:
+                    sys.stderr.write("skipped: %s d=%s %s: %s\n" % (fam_name, d, enc_name, exc))
                     continue
                 for scheme_name in schemes:
                     scheme = make_scheme(scheme_name)
@@ -260,6 +261,8 @@ def cmd_bench(args):
                                 "micros": report.wall_micros,
                             }
                         )
+    if not rows_out:
+        raise CliError("bench produced no rows")
     fieldnames = [
         "family",
         "d",

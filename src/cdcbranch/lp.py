@@ -6,16 +6,19 @@ description method on the homogenization of the input system, which keeps
 the work proportional to the actual face structure instead of the number
 of basis subsets.
 
-The simplex works in Fraction.  Double description works in Python ints:
-its rows are scaled to integers and its starting basis is inverted on the
-way in, and its rays become Fraction only on the way out.  No float enters
-either.
+Both work in Python ints, with Fraction only at their boundary.  The
+simplex scales each standard-form row to coprime integers as it builds
+the tableau, prices out its objective rows in integers, and turns basic
+values into Fraction only when it reads them.  Double description scales
+its rows to integers and inverts its starting basis on the way in, and
+its rays become Fraction only on the way out.  No float enters either.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .numerics import (
+    _coprime,
     _integer_rows,
     dot,
     independent_rows,
@@ -82,13 +85,18 @@ class LpResult:
 
 
 def _pivot(T, basis, r, c):
-    piv = T[r][c]
-    T[r] = [x / piv for x in T[r]]
-    for i in range(len(T)):
-        if i != r and T[i][c] != 0:
-            f = T[i][c]
-            row, prow = T[i], T[r]
-            T[i] = [x - f * y for x, y in zip(row, prow)]
+    """Pivot the integer tableau on (r, c).  Row r keeps its scale, made
+    positive at c; every other row becomes row*p - f*prow, a positive
+    multiple of what the Fraction pivot gives, divided by its gcd."""
+    prow = T[r]
+    p = prow[c]
+    if p < 0:
+        prow = T[r] = [-x for x in prow]
+        p = -p
+    for i, row in enumerate(T):
+        f = row[c]
+        if i != r and f != 0:
+            T[i] = _coprime([x * p - f * y for x, y in zip(row, prow)])
     basis[r - 1] = c
 
 
@@ -96,7 +104,11 @@ def _run_simplex(T, basis, ncols):
     """Pivot until optimal or unbounded.  Row 0 holds reduced costs for a
     maximization; entering variable is the lowest index with a negative
     entry, leaving row breaks ratio ties on the lowest basic variable
-    (Bland's rule).  Returns 'optimal' or 'unbounded'."""
+    (Bland's rule).  Returns 'optimal' or 'unbounded'.
+
+    T holds Python ints: each row is a positive multiple of its Fraction
+    row, so every sign is the same, and the ratio rhs_i / a_i is compared
+    by cross-multiplication, where the row scale cancels."""
     m = len(T) - 1
     while True:
         enter = None
@@ -107,16 +119,15 @@ def _run_simplex(T, basis, ncols):
         if enter is None:
             return "optimal"
         leave = None
-        best = None
         for i in range(1, m + 1):
             a = T[i][enter]
             if a > 0:
-                ratio = T[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i - 1] < basis[leave - 1]
-                ):
-                    best = ratio
-                    leave = i
+                if leave is None:
+                    leave, best_rhs, best_a = i, T[i][-1], a
+                    continue
+                lhs, rhs = T[i][-1] * best_a, best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[i - 1] < basis[leave - 1]):
+                    leave, best_rhs, best_a = i, T[i][-1], a
         if leave is None:
             return "unbounded"
         _pivot(T, basis, leave, enter)
@@ -125,7 +136,6 @@ def _run_simplex(T, basis, ncols):
 def solve_lp(problem):
     """Exact two-phase simplex.  Returns an LpResult."""
     n = problem.n
-    sense_mult = Fraction(1) if problem.sense == "max" else Fraction(-1)
 
     # Map each original variable to nonnegative standard-form variables.
     # shift[j] holds (kind, data): ('lo', lb) x = lb + x', ('hi', ub)
@@ -157,79 +167,69 @@ def solve_lp(problem):
     all_rows = list(problem.rows) + extra_rows
 
     def to_standard(a, rhs):
-        out = [Fraction(0)] * ncols
+        # each variable has its own columns, so entries are set, not summed
+        out = [0] * ncols
         r = rhs
         for j in range(n):
             if a[j] == 0:
                 continue
             kind = shift[j][0]
             if kind == "lo":
-                out[col_of[j]] += a[j]
+                out[col_of[j]] = a[j]
                 r -= a[j] * shift[j][1]
             elif kind == "hi":
-                out[col_of[j]] -= a[j]
+                out[col_of[j]] = -a[j]
                 r -= a[j] * shift[j][1]
             else:
-                out[shift[j][1]] += a[j]
-                out[shift[j][2]] -= a[j]
+                out[shift[j][1]] = a[j]
+                out[shift[j][2]] = -a[j]
         return out, r
 
-    # Standard form rows with slack/surplus columns, rhs made nonnegative.
-    std = []
-    n_slack = sum(1 for _, rel, _ in all_rows if rel != EQ)
-    total = ncols + n_slack
-    slack_at = ncols
-    for a, rel, rhs in all_rows:
-        coeffs, r = to_standard(a, rhs)
-        coeffs = coeffs + [Fraction(0)] * n_slack
-        if rel == LE:
-            coeffs[slack_at] = Fraction(1)
-            slack_at += 1
-        elif rel == GE:
-            coeffs[slack_at] = Fraction(-1)
-            slack_at += 1
-        if r < 0:
-            coeffs = [-x for x in coeffs]
-            r = -r
-        std.append((coeffs, r))
-
+    # Standard form rows with slack/surplus columns, negated where needed
+    # so the rhs is nonnegative.  A row starts basic on its slack when the
+    # slack's entry is then +1, otherwise on an artificial with entry +1.
+    # Each row is scaled to coprime integers; its basic entry is its scale.
+    std = [to_standard(a, rhs) + (rel,) for a, rel, rhs in all_rows]
     m = len(std)
-    # Basis: reuse a slack column with +1 coefficient when available,
-    # otherwise add an artificial variable.
-    basis = [None] * m
-    n_art = 0
-    art_col = {}
-    for i, (coeffs, r) in enumerate(std):
-        found = None
-        for j in range(ncols, total):
-            if coeffs[j] == 1 and all(std[k][0][j] == 0 for k in range(m) if k != i):
-                # usable only if it can start basic, i.e. rhs stays feasible
-                found = j
-                break
-        if found is not None and r >= 0:
-            basis[i] = found
-        else:
-            art_col[i] = total + n_art
-            n_art += 1
+    n_slack = sum(1 for _, _, rel in std if rel != EQ)
+    total = ncols + n_slack
+    # one artificial per row whose slack, if any, is not +1 once the row's
+    # rhs is made nonnegative
+    width = total + sum(1 for _, r, rel in std if rel == EQ or (rel == LE) == (r < 0))
+    T = [None]
+    basis = []
+    slack_at, art_at = ncols, total
+    for coeffs, r, rel in std:
+        sign = -1 if r < 0 else 1
+        row = coeffs + [0] * (width - ncols) + [r]
+        col = None
+        if rel != EQ:
+            row[slack_at] = 1 if rel == LE else -1
+            if row[slack_at] == sign:
+                col = slack_at
+            slack_at += 1
+        if col is None:
+            row[art_at] = sign
+            col = art_at
+            art_at += 1
+        basis.append(col)
+        row = _coprime(_integer_rows([row])[0])
+        T.append([-x for x in row] if sign < 0 else row)
 
-    width = total + n_art
-    T = [[Fraction(0)] * (width + 1)]
-    for i, (coeffs, r) in enumerate(std):
-        row = list(coeffs) + [Fraction(0)] * n_art + [r]
-        if i in art_col:
-            row[art_col[i]] = Fraction(1)
-            basis[i] = art_col[i]
-        T.append(row)
+    def price_out(z, terms):
+        """z plus w * (row i over its basic entry) for each (i, w) in terms,
+        with every term multiplied by the lcm of those entries."""
+        scale = lcm(*(T[i][basis[i - 1]] for i, _ in terms))
+        z = [scale * x for x in z]
+        for i, w in terms:
+            f = w * (scale // T[i][basis[i - 1]])
+            z = [a + f * b for a, b in zip(z, T[i])]
+        return _coprime(z)
 
-    if n_art:
+    if width > total:
         # Phase 1: maximize -(sum of artificials); price out the basic ones.
-        z = [Fraction(0)] * (width + 1)
-        for i in range(m):
-            if basis[i] >= total:
-                z = [a - b for a, b in zip(z, T[i + 1])]
-        for j in range(total, width):
-            z[j] += 1
-        T[0] = z
+        arts = [(i, -1) for i in range(1, m + 1) if basis[i - 1] >= total]
+        T[0] = price_out([0] * total + [1] * (width - total) + [0], arts)
         if _run_simplex(T, basis, width) != "optimal" or T[0][-1] != 0:
             return LpResult("infeasible")
         # Drive leftover artificials out of the basis or drop their rows.
@@ -250,30 +250,25 @@ def solve_lp(problem):
             del basis[i - 1]
         m = len(T) - 1
 
-    # Phase 2 objective over the standard-form columns.
-    c_std = [Fraction(0)] * width
+    # Phase 2 objective over the standard-form columns (and a zero rhs),
+    # priced out on the basic ones.  Artificial columns never re-enter:
+    # phase 2 looks only at the first `total` columns.
+    c_std = [0] * (width + 1)
     for j in range(n):
-        cj = sense_mult * problem.objective[j]
+        cj = problem.objective[j] if problem.sense == "max" else -problem.objective[j]
         if cj == 0:
             continue
         kind = shift[j][0]
         if kind == "lo":
-            c_std[col_of[j]] += cj
+            c_std[col_of[j]] = cj
         elif kind == "hi":
-            c_std[col_of[j]] -= cj
+            c_std[col_of[j]] = -cj
         else:
-            c_std[shift[j][1]] += cj
-            c_std[shift[j][2]] -= cj
-    z = [-c for c in c_std] + [Fraction(0)]
-    for i in range(m):
-        b = basis[i]
-        if b < width and c_std[b] != 0:
-            f = c_std[b]
-            z = [a + f * b_ for a, b_ in zip(z, T[i + 1])]
-    # Artificial columns must never re-enter.
-    for j in range(total, width):
-        z[j] = Fraction(1)
-    T[0] = z
+            c_std[shift[j][1]] = cj
+            c_std[shift[j][2]] = -cj
+    c_int = _integer_rows([c_std])[0]
+    basic_costs = [(i, c_int[b]) for i, b in enumerate(basis, 1) if c_int[b] != 0]
+    T[0] = price_out([-c for c in c_int], basic_costs)
 
     status = _run_simplex(T, basis, total)
     if status == "unbounded":
@@ -281,7 +276,7 @@ def solve_lp(problem):
 
     xstd = [Fraction(0)] * width
     for i in range(m):
-        xstd[basis[i]] = T[i + 1][-1]
+        xstd[basis[i]] = Fraction(T[i + 1][-1], T[i + 1][basis[i]])
     x = []
     for j in range(n):
         kind = shift[j][0]
@@ -385,7 +380,8 @@ def _dd_extreme_rays(G):
         for p in pos:
             for q in neg:
                 meet = masks[p] & masks[q]
-                if any(
+                # adjacent rays of a pointed cone in R^k share k-2 tight rows
+                if meet.bit_count() < k - 2 or any(
                     (masks[t] & meet) == meet
                     for t in range(len(rays))
                     if t != p and t != q

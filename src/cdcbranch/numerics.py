@@ -6,7 +6,7 @@ that start from floating point must convert explicitly.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def rat(x):
@@ -52,21 +52,10 @@ def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_add(u, v):
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    c = Fraction(c)
-    return tuple(c * a for a in u)
 
 
 def is_zero_vector(u):
@@ -82,15 +71,19 @@ def transpose(M):
 
 
 def _integer_rows(M):
-    """Scale each row by the lcm of its denominators; rank is unchanged."""
+    """Scale each row of ints and Fractions by the lcm of its denominators;
+    rank is unchanged."""
     out = []
     for row in M:
-        scale = 1
-        for x in row:
-            x = Fraction(x)
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
+
+
+def _coprime(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _bareiss_echelon(rows):
@@ -271,14 +264,21 @@ def invert(M):
 
 
 def independent_rows(M):
-    """Indices of a maximal linearly independent subset of rows, greedy order."""
-    M = mat(M)
+    """Indices of a maximal linearly independent subset of rows, greedy order.
+
+    One pass of integer elimination.  Each chosen row is kept reduced: it
+    is zero at the pivot columns of the rows chosen before it.  A row is
+    chosen when reducing it against them in turn leaves something nonzero.
+    """
     chosen = []
-    chosen_rows = []
-    for i, row in enumerate(M):
-        if is_zero_vector(row):
-            continue
-        if rank(chosen_rows + [row]) > len(chosen_rows):
+    echelon = []  # (pivot column, reduced integer row)
+    for i, row in enumerate(_integer_rows(mat(M))):
+        for col, b in echelon:
+            f = row[col]
+            if f:
+                row = _coprime([x * b[col] - f * y for x, y in zip(row, b)])
+        piv = next((j for j, x in enumerate(row) if x), None)
+        if piv is not None:
             chosen.append(i)
-            chosen_rows.append(row)
+            echelon.append((piv, row))
     return chosen

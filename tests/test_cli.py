@@ -192,3 +192,20 @@ def test_bench_csv(tmp_path):
     by_enc = {row["encoding"]: int(row["rows"]) for row in rows}
     assert by_enc["exotic"] == 4
     assert by_enc["moment"] == 6
+
+
+def test_bench_reports_skipped_encodings(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--families", "sos2", "--sizes", "6",
+               "--encodings", "exotic", "--schemes", "exotic", "-o", str(out)) != 0
+    err = capsys.readouterr().err
+    assert "skipped: sos2 d=6 exotic: d must be a positive multiple of 4" in err
+    assert "error: bench produced no rows" in err
+    # a skip next to a row that is produced still succeeds
+    assert run("bench", "--families", "sos2", "--sizes", "6",
+               "--encodings", "moment,exotic", "--schemes", "moment",
+               "--seeds", "1", "-o", str(out)) == 0
+    assert "skipped: sos2 d=6 exotic:" in capsys.readouterr().err
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["encoding"], row["scheme"]) for row in rows] == [("moment", "moment")]

@@ -6,6 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
+from cdcbranch import lp as lp_module
 from cdcbranch.branching import psi
 from cdcbranch.lp import (
     EQ,
@@ -264,3 +265,95 @@ def test_facets_of_rational_points_are_coprime_and_match_scaled_points():
         c = next(y / x for x, y in zip(lhs_ray, rhs_ray) if x != 0)
         assert c > 0
         assert tuple(c * x for x in lhs_ray) == rhs_ray
+
+
+def _random_lp(rng):
+    n = rng.randint(2, 4)
+    rows = []
+    for _ in range(rng.randint(2, 5)):
+        a = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+        rows.append((a, rng.choice([EQ, LE, GE]), F(rng.randint(-4, 4), rng.randint(1, 3))))
+    bounds = [rng.choice([(0, None), (None, None), (-2, 3), (None, 5)]) for _ in range(n)]
+    c = [rng.randint(-3, 3) for _ in range(n)]
+    return n, c, rows, bounds
+
+
+def test_rows_scaled_by_positive_rationals_give_the_same_solution():
+    # the tableau scales each row to coprime integers, so a row given
+    # times 3/7 or 5/2 must pivot exactly as the row itself
+    rng = random.Random(5)
+    scales = (F(3, 7), F(5, 2), F(1, 9), F(11, 3))
+    statuses = []
+    for _ in range(60):
+        n, c, rows, bounds = _random_lp(rng)
+        scaled = [
+            (tuple(s * x for x in a), rel, s * rhs)
+            for a, rel, rhs in rows
+            for s in [rng.choice(scales)]
+        ]
+        base = solve_lp(LpProblem(n, c, rows, bounds=bounds))
+        res = solve_lp(LpProblem(n, c, scaled, bounds=bounds))
+        assert (res.status, res.x, res.value) == (base.status, base.x, base.value)
+        statuses.append(base.status)
+    assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
+
+
+def test_duplicated_equalities_drop_their_artificial_rows(monkeypatch):
+    # the three equalities are one row up to scale: after phase 1 two
+    # artificials stay basic on all-zero rows, and those rows are dropped
+    sizes = []
+    run = lp_module._run_simplex
+
+    def spy(T, basis, ncols):
+        sizes.append(len(T) - 1)
+        return run(T, basis, ncols)
+
+    monkeypatch.setattr(lp_module, "_run_simplex", spy)
+    rows = [
+        ((1, 1), EQ, 2),
+        ((2, 2), EQ, 4),
+        ((F(3, 7), F(3, 7)), EQ, F(6, 7)),
+        ((1, -1), LE, 1),
+    ]
+    res = solve_lp(LpProblem(2, [1, 0], rows, bounds=[(0, None)] * 2))
+    assert res.status == "optimal"
+    assert res.x == (F(3, 2), F(1, 2))
+    assert res.value == F(3, 2)
+    assert sizes == [4, 2]
+
+
+def test_drive_out_pivot_on_a_negative_entry(monkeypatch):
+    # an artificial left basic at zero is driven out on the first nonzero
+    # entry of its row, which here is negative
+    elements = []
+    pivot = lp_module._pivot
+
+    def spy(T, basis, r, c):
+        elements.append(T[r][c])
+        return pivot(T, basis, r, c)
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+    # the two inequalities meet in the equality -2x + y == -2; phase 2
+    # then pivots on the rows the drive-out rescaled
+    rows = [((-1, -2), EQ, 0), ((-2, 1), LE, -2), ((-2, 1), GE, -2)]
+    res = solve_lp(LpProblem(2, [0, 1], rows, bounds=[(0, None), (None, 3)]))
+    assert any(e < 0 for e in elements)
+    assert res.status == "optimal"
+    assert res.x == (F(4, 5), F(-2, 5))
+    assert res.value == F(-2, 5)
+
+
+def test_free_variables_with_rational_data_and_negative_optimum():
+    rows = [
+        ((F(3, 5), 0), LE, F(-7, 5)),
+        ((0, F(2, 7)), LE, F(-3, 7)),
+        ((1, 1), GE, -10),
+    ]
+    res = solve_lp(LpProblem(2, [F(1, 2), F(1, 3)], rows))
+    assert res.status == "optimal"
+    assert res.x == (F(-7, 3), F(-3, 2))
+    assert res.value == F(-5, 3)
+    low = solve_lp(LpProblem(2, [F(1, 2), F(1, 3)], rows, sense="min"))
+    assert low.status == "optimal"
+    assert low.x == (F(-17, 2), F(-3, 2))
+    assert low.value == F(-19, 4)

@@ -186,3 +186,38 @@ def test_affine_hull_equations_hold_at_inputs(points):
     for p in points:
         for a, b in eqs:
             assert dot(a, vec(p)) == b
+
+
+@st.composite
+def matrix_with_repeats(draw):
+    # small_matrix rows, with zero rows and copies of its rows, some
+    # rescaled, inserted anywhere
+    rows = list(draw(small_matrix()))
+    n = len(rows[0])
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=len(rows)))
+        if draw(st.booleans()):
+            row = tuple([F(0)] * n)
+        else:
+            src = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+            c = draw(st.sampled_from([F(1), F(-1), F(3, 7), F(-5, 2)]))
+            row = tuple(c * x for x in src)
+        rows.insert(at, row)
+    return rows
+
+
+def _independent_rows_by_rank(M):
+    chosen, rows = [], []
+    for i, row in enumerate(M):
+        if rank(rows + [row]) > len(rows):
+            chosen.append(i)
+            rows.append(row)
+    return chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_with_repeats())
+def test_independent_rows_match_rank_per_row(M):
+    chosen = independent_rows(M)
+    assert chosen == _independent_rows_by_rank(M)
+    assert len(chosen) == rank(M)
