@@ -103,6 +103,19 @@ def sos2_family(d):
     return CdcFamily(d + 1, [(i, i + 1) for i in range(1, d + 1)])
 
 
+def annulus_family(d):
+    """The sets of the d-piece annulus cover over n = 2d components.
+
+    Components 2i-1 and 2i are the inner and outer vertex at angle i;
+    piece i holds those at angles i-1 and i (wrapping).  Requires d > 4.
+    """
+    if d <= 4:
+        raise CdcError("d must exceed 4")
+    n = 2 * d
+    sets = [tuple(j % n + 1 for j in range(2 * i - 4, 2 * i)) for i in range(1, d + 1)]
+    return CdcFamily(n, sets)
+
+
 def annulus_instance(s, S, d):
     """Quadrilateral pieces covering the annulus of radii s <= S, d pieces.
 
@@ -111,8 +124,7 @@ def annulus_instance(s, S, d):
     computed in double precision and converted exactly to rationals.
     Requires d > 4 so the outer scaling stays positive and finite.
     """
-    if d <= 4:
-        raise CdcError("d must exceed 4")
+    family = annulus_family(d)
     s = parse_rational(s) if isinstance(s, str) else Fraction(s)
     S = parse_rational(S) if isinstance(S, str) else Fraction(S)
     if not 0 < s <= S:
@@ -124,12 +136,7 @@ def annulus_instance(s, S, d):
         c, sn = math.cos(ang), math.sin(ang)
         verts.append((Fraction(float(s) * c), Fraction(float(s) * sn)))
         verts.append((Fraction(outer * c), Fraction(outer * sn)))
-    n = 2 * d
-    sets = []
-    for i in range(1, d + 1):
-        T = tuple(((2 * i + t - 4 - 1) % n) + 1 for t in range(1, 5))
-        sets.append(T)
-    return CdcFamily(n, sets), VertexMap(verts)
+    return family, VertexMap(verts)
 
 
 def grid_triangulation_fixture():

@@ -14,6 +14,7 @@ import sys
 
 from .branching import make_scheme
 from .cdc import (
+    annulus_family,
     annulus_instance,
     grid_triangulation_fixture,
     instance_from_json,
@@ -225,7 +226,7 @@ def cmd_bench(args):
             elif fam_name == "annulus":
                 if d is None:
                     continue
-                family, _ = annulus_instance(1, 3, d)
+                family = annulus_family(d)
                 obj = {"meta": {"family": "annulus"}}
             elif fam_name == "grid":
                 family, _ = grid_triangulation_fixture()

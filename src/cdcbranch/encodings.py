@@ -7,7 +7,7 @@ Predicates for convex position and hole-freeness run exact rational LPs.
 
 from fractions import Fraction
 
-from .lp import EQ, LE, LpProblem, solve_lp
+from .lp import EQ, LpProblem, solve_lp
 from .numerics import format_rational, parse_rational, vec
 
 
@@ -124,21 +124,9 @@ def exotic_code(d):
 def is_convex_position(encoding):
     """True when no code lies in the convex hull of the others."""
     H = list(encoding)
-    d = len(H)
-    r = encoding.r
-    if d == 1:
-        return True
-    for i in range(d):
-        others = [H[j] for j in range(d) if j != i]
-        m = len(others)
-        rows = []
-        for k in range(r):
-            rows.append(([others[j][k] for j in range(m)], EQ, H[i][k]))
-        rows.append(([1] * m, EQ, 1))
-        prob = LpProblem(m, [0] * m, rows, bounds=[(0, None)] * m)
-        if solve_lp(prob).status == "optimal":
-            return False
-    return True
+    return len(H) == 1 or not any(
+        _in_hull(H[:i] + H[i + 1 :], h) for i, h in enumerate(H)
+    )
 
 
 def _in_hull(H, point):

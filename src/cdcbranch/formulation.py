@@ -1,25 +1,36 @@
 """Builders for ideal formulations of combinatorial disjunctive constraints.
 
-The general construction pairs each alternative with a code and, for every
-hyperplane spanned by code differences across overlapping alternatives,
-emits one two-sided row whose per-component coefficients are the extreme
-code values over the alternatives containing that component.  Specialized
-builders produce the same regions with closed-form row families.
+Every builder pairs each alternative with a code and lists hyperplane
+normals; each normal b gives one two-sided row whose coefficient for a
+component is the least and the greatest b . h over the codes h of the
+alternatives containing it.  The builders differ only in their normals:
+the general construction takes every hyperplane spanned by code
+differences across overlapping alternatives, the planar one the
+perpendicular of every code difference, and each closed form a fixed
+list: (t, -1) on the moment curve, the unit vectors for the exotic sos2
+codes, and the unit vectors plus a few more for the annulus.
 """
 
 import itertools
 import json
 import warnings
 from fractions import Fraction
+from math import lcm
 
 from . import branching
-from .cdc import CdcFamily, CdcError
-from .encodings import Encoding, is_convex_position
-from .lp import EQ, GE, LE, LpError, LpProblem, solve_lp
+from .cdc import CdcFamily, annulus_family, edge_set, sos2_family
+from .encodings import (
+    Encoding,
+    exotic_code,
+    gray_code,
+    is_convex_position,
+    moment_code,
+    zigzag_code,
+)
+from .lp import EQ, GE, LE, LpProblem, solve_lp
 from .numerics import (
     affine_hull,
     canonical_direction,
-    dot,
     format_rational,
     integer_direction,
     is_zero_vector,
@@ -323,19 +334,64 @@ def spanned_hyperplane_normals(C, ambient=None):
 
 
 def _rows_from_normals(family, codes, normals):
+    """One two-sided row per normal b: the coefficients of component v are
+    the least and the greatest b . h over the codes h of the alternatives
+    that hold v.
+
+    The products are taken in ints: the codes share one common
+    denominator, and each normal is scaled by the lcm of its own.
+    """
+    den = lcm(*(x.denominator for h in codes for x in h))
+    H = [[x.numerator * (den // x.denominator) for x in h] for h in codes]
+    members = [[s - 1 for s in family.members(v)] for v in range(1, family.n + 1)]
     rows = []
-    H = list(codes)
     for b in normals:
-        values = [dot(b, h) for h in H]
-        lower = []
-        upper = []
-        for v in range(1, family.n + 1):
-            members = family.members(v)
-            vals = [values[s - 1] for s in members]
-            lower.append(min(vals))
-            upper.append(max(vals))
+        scale = lcm(*(x.denominator for x in b))
+        ints = [x.numerator * (scale // x.denominator) for x in b]
+        values = [sum(p * q for p, q in zip(ints, h)) for h in H]
+        exact = [Fraction(x, scale * den) for x in values]
+        lower = [exact[min(ms, key=values.__getitem__)] for ms in members]
+        upper = [exact[max(ms, key=values.__getitem__)] for ms in members]
         rows.append(TwoSidedRow(b, lower, upper))
     return rows
+
+
+def _formulation(family, enc, normals, builder, meta, padded=None):
+    """The tail every builder returns through: one row per normal, the
+    affine hull of the codes, and the meta.
+
+    padded, when given, is family with an artificial component appended
+    to every alternative; the rows then run over it, and family stays
+    the formulation's.
+    """
+    work = padded or family
+    hull_eqs, _ = affine_hull(list(enc))
+    m = dict(meta or {})
+    m.setdefault("builder", builder)
+    m.setdefault("encoding", enc.kind)
+    return LinearFormulation(
+        work.n,
+        enc.r,
+        _rows_from_normals(work, enc, normals),
+        hull_equations=hull_eqs,
+        artificial=padded is not None,
+        family=family,
+        codes=enc,
+        meta=m,
+    )
+
+
+def _checked_codes(family, codes, planar=False):
+    """codes as an Encoding, 2-dimensional when planar, with one code per
+    alternative, in convex position."""
+    enc = codes if isinstance(codes, Encoding) else Encoding(codes)
+    if planar and enc.r != 2:
+        raise FormulationError("planar builder needs 2-dimensional codes")
+    if family.d != enc.d:
+        raise FormulationError("need exactly one code per alternative")
+    if not is_convex_position(enc):
+        raise FormulationError("codes must be in convex position")
+    return enc
 
 
 def build_general(family, codes, meta=None):
@@ -347,90 +403,31 @@ def build_general(family, codes, meta=None):
     every alternative so the construction applies; the formulation then
     carries one extra lam variable.
     """
-    if isinstance(codes, Encoding):
-        enc = codes
-    else:
-        enc = Encoding(codes)
-    if family.d != enc.d:
-        raise FormulationError("need exactly one code per alternative")
-    if not is_convex_position(enc):
-        raise FormulationError("codes must be in convex position")
-
-    from .cdc import edge_set
-
+    enc = _checked_codes(family, codes)
     edges, connected = edge_set(family)
-    work = family
-    artificial = False
+    padded = None
     if not connected:
-        augmented = [tuple(T) + (family.n + 1,) for T in family.sets]
-        work = CdcFamily(family.n + 1, augmented)
-        edges, connected = edge_set(work)
-        artificial = True
-
+        padded = CdcFamily(
+            family.n + 1, [tuple(T) + (family.n + 1,) for T in family.sets]
+        )
+        edges, _ = edge_set(padded)
     H = list(enc)
     C = [vec_sub(H[j - 1], H[i - 1]) for i, j in edges]
-    C = [c for c in C if not is_zero_vector(c)]
-    dim = rank(C) if C else 0
-    if dim == 0:
-        rows = []
-    else:
-        normals = spanned_hyperplane_normals(C, ambient=enc.r)
-        rows = _rows_from_normals(work, H, normals)
-    hull_eqs, _ = affine_hull(H)
-    m = dict(meta or {})
-    m.setdefault("builder", "general")
-    m.setdefault("encoding", enc.kind)
-    # family stays the caller's; the artificial component only widens rows
-    return LinearFormulation(
-        work.n,
-        enc.r,
-        rows,
-        hull_equations=hull_eqs,
-        artificial=artificial,
-        family=family,
-        codes=enc,
-        meta=m,
-    )
+    normals = spanned_hyperplane_normals(C, ambient=enc.r)
+    return _formulation(family, enc, normals, "general", meta, padded)
 
 
 def build_2d(family, codes, meta=None):
     """Planar specialization: one row per direction of a code difference,
     taken over every pair of alternatives."""
-    if isinstance(codes, Encoding):
-        enc = codes
-    else:
-        enc = Encoding(codes)
-    if enc.r != 2:
-        raise FormulationError("planar builder needs 2-dimensional codes")
-    if family.d != enc.d:
-        raise FormulationError("need exactly one code per alternative")
-    if not is_convex_position(enc):
-        raise FormulationError("codes must be in convex position")
-    H = list(enc)
-    normals = []
-    seen = set()
-    for i, j in itertools.combinations(range(enc.d), 2):
-        c = vec_sub(H[j], H[i])
-        if is_zero_vector(c):
-            continue
-        b = canonical_direction((c[1], -c[0]))
-        if b not in seen:
-            seen.add(b)
-            normals.append(b)
-    rows = _rows_from_normals(family, H, normals)
-    hull_eqs, _ = affine_hull(H)
-    m = dict(meta or {})
-    m.setdefault("builder", "2d")
-    m.setdefault("encoding", enc.kind)
-    return LinearFormulation(
-        family.n,
-        2,
-        rows,
-        hull_equations=hull_eqs,
-        family=family,
-        codes=enc,
-        meta=m,
+    enc = _checked_codes(family, codes, planar=True)
+    normals = list(
+        dict.fromkeys(
+            canonical_direction((k[1] - h[1], h[0] - k[0]))
+            for h, k in itertools.combinations(enc, 2)
+        )
     )
+    return _formulation(family, enc, normals, "2d", meta)
 
 
 def build_moment_curve(family, meta=None):
@@ -439,73 +436,19 @@ def build_moment_curve(family, meta=None):
     Pairs alternative i with code (i, i*i); rows run over t = 3..2d-1,
     covering every direction through two codes.  d >= 2.
     """
-    from .encodings import moment_code
-
     d = family.d
     if d < 2:
         raise FormulationError("need at least two alternatives")
-    enc = moment_code(d)
-    H = list(enc)
-    rows = []
-    for t in range(3, 2 * d):
-        b = (Fraction(t), Fraction(-1))
-        values = [s * (t - s) for s in range(1, d + 1)]
-        lower = []
-        upper = []
-        for v in range(1, family.n + 1):
-            vals = [values[s - 1] for s in family.members(v)]
-            lower.append(min(vals))
-            upper.append(max(vals))
-        rows.append(TwoSidedRow(b, lower, upper))
-    hull_eqs, _ = affine_hull(H)
-    m = dict(meta or {})
-    m.setdefault("builder", "moment")
-    m.setdefault("encoding", "moment")
-    return LinearFormulation(
-        family.n,
-        2,
-        rows,
-        hull_equations=hull_eqs,
-        family=family,
-        codes=enc,
-        meta=m,
-    )
+    normals = [(Fraction(t), Fraction(-1)) for t in range(3, 2 * d)]
+    return _formulation(family, moment_code(d), normals, "moment", meta)
 
 
 def build_sos2_exotic(d, meta=None):
     """Closed-form two-row formulation of consecutive-pair constraints
     using the exotic codes; d must be a positive multiple of 4."""
-    from .cdc import sos2_family
-    from .encodings import exotic_code
-
     family = sos2_family(d)
-    enc = exotic_code(d)
-    H = list(enc)
-    rows = []
-    for k in range(2):
-        lower = [H[0][k]]
-        upper = [H[0][k]]
-        for v in range(2, d + 1):
-            a, b = H[v - 2][k], H[v - 1][k]
-            lower.append(min(a, b))
-            upper.append(max(a, b))
-        lower.append(H[d - 1][k])
-        upper.append(H[d - 1][k])
-        direction = (Fraction(1), Fraction(0)) if k == 0 else (Fraction(0), Fraction(1))
-        rows.append(TwoSidedRow(direction, lower, upper))
-    hull_eqs, _ = affine_hull(H)
-    m = dict(meta or {})
-    m.setdefault("builder", "sos2_exotic")
-    m.setdefault("encoding", "exotic")
-    return LinearFormulation(
-        family.n,
-        2,
-        rows,
-        hull_equations=hull_eqs,
-        family=family,
-        codes=enc,
-        meta=m,
-    )
+    normals = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    return _formulation(family, exotic_code(d), normals, "sos2_exotic", meta)
 
 
 def build_annulus(d, kind, meta=None):
@@ -514,81 +457,34 @@ def build_annulus(d, kind, meta=None):
     kind selects the code family: 'gray' (d a power of two), 'zigzag'
     (same), or 'exotic' (d a multiple of 4).  Components 2i-1 and 2i
     belong to pieces i and i+1 (wrapping), so their coefficients take
-    extremes over that code pair.
+    extremes over that code pair.  The normals are the unit vectors, plus
+    one per pair of coordinates for 'zigzag' and one across the first and
+    last code for 'exotic'.
     """
-    from .encodings import exotic_code, gray_code, zigzag_code
-
     if d <= 4:
         raise FormulationError("d must exceed 4")
-    n = 2 * d
-    family = CdcFamily(
-        n,
-        [
-            tuple(((2 * i + t - 5) % n) + 1 for t in range(1, 5))
-            for i in range(1, d + 1)
-        ],
-    )
-
+    family = annulus_family(d)
     if kind in ("gray", "zigzag"):
         r = (d - 1).bit_length()
         if 2 ** r != d:
             raise FormulationError("%s codes need d to be a power of two" % kind)
         enc = gray_code(r) if kind == "gray" else zigzag_code(r)
-        if kind == "gray":
-            normals = [
-                tuple(Fraction(int(i == k)) for i in range(r)) for k in range(r)
-            ]
-        else:
-            normals = [
-                tuple(Fraction(int(i == k)) for i in range(r)) for k in range(r)
-            ]
-            for k in range(r):
-                for l in range(k + 1, r):
-                    b = [Fraction(0)] * r
-                    b[k] = Fraction(1, 2 ** (l + 1))
-                    b[l] = Fraction(-1, 2 ** (k + 1))
-                    normals.append(tuple(b))
+        extra = []
+        if kind == "zigzag":
+            for k, l in itertools.combinations(range(r), 2):
+                b = [Fraction(0)] * r
+                b[k] = Fraction(1, 2 ** (l + 1))
+                b[l] = Fraction(-1, 2 ** (k + 1))
+                extra.append(tuple(b))
     elif kind == "exotic":
         if d % 4 != 0:
             raise FormulationError("exotic codes need d divisible by 4")
         enc = exotic_code(d)
-        H = list(enc)
-        w = (H[d - 1][1] - H[0][1], H[0][0] - H[d - 1][0])
-        normals = [
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            vec(w),
-        ]
+        extra = [(enc[d - 1][1] - enc[0][1], enc[0][0] - enc[d - 1][0])]
     else:
         raise FormulationError("unknown annulus kind %r" % (kind,))
-
-    H = list(enc)
-    rows = []
-    for b in normals:
-        values = [dot(b, h) for h in H]
-        lower = [Fraction(0)] * family.n
-        upper = [Fraction(0)] * family.n
-        for i in range(1, d + 1):
-            nxt = i % d + 1
-            lo = min(values[i - 1], values[nxt - 1])
-            hi = max(values[i - 1], values[nxt - 1])
-            for v in (2 * i - 1, 2 * i):
-                lower[v - 1] = lo
-                upper[v - 1] = hi
-        rows.append(TwoSidedRow(b, lower, upper))
-    hull_eqs, _ = affine_hull(H)
-    m = dict(meta or {})
-    m.setdefault("builder", "annulus_%s" % kind)
-    m.setdefault("encoding", enc.kind)
-    return LinearFormulation(
-        family.n,
-        enc.r,
-        rows,
-        hull_equations=hull_eqs,
-        family=family,
-        codes=enc,
-        meta=m,
-    )
+    units = [tuple(Fraction(int(i == k)) for i in range(enc.r)) for k in range(enc.r)]
+    return _formulation(family, enc, units + extra, "annulus_%s" % kind, meta)
 
 
 def compute_bigm(pieces):

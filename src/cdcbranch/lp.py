@@ -10,8 +10,9 @@ Both work in Python ints, with Fraction only at their boundary.  The
 simplex scales each standard-form row to coprime integers as it builds
 the tableau, prices out its objective rows in integers, and turns basic
 values into Fraction only when it reads them.  Double description scales
-its rows to integers and inverts its starting basis on the way in, and
-its rays become Fraction only on the way out.  No float enters either.
+its rows to integers on the way in, takes its starting rays from an
+integer nullspace, and its rays become Fraction only on the way out.  No
+float enters either.
 """
 
 from fractions import Fraction
@@ -23,7 +24,6 @@ from .numerics import (
     dot,
     independent_rows,
     integer_direction,
-    invert,
     is_zero_vector,
     mat,
     nullspace_basis,
@@ -297,15 +297,6 @@ def lp_feasible(n, rows, bounds=None):
     return res.status == "optimal"
 
 
-def tight_rows(rows, x):
-    """Indices of rows satisfied with equality at x."""
-    out = []
-    for i, (a, rel, rhs) in enumerate(rows):
-        if dot(a, x) == rhs:
-            out.append(i)
-    return out
-
-
 def _dd_extreme_rays(G):
     """Extreme rays of {u : Gu <= 0} for G of full column rank.
 
@@ -316,8 +307,8 @@ def _dd_extreme_rays(G):
     same.  Each ray carries its values against all rows: a new ray is a
     positive combination of two old ones, divided by a gcd, and its values
     are the same combination of theirs, so no dot product is recomputed.
-    Fraction appears only in the one inversion of the starting basis and
-    in the result: rays are returned as coprime integer tuples of
+    The starting rays come from one nullspace_basis call, which also
+    eliminates in ints.  Rays are returned as coprime integer tuples of
     Fraction.  The zero cone yields [].
     """
     G = _integer_rows(mat(G))
@@ -328,14 +319,12 @@ def _dd_extreme_rays(G):
     base_idx = independent_rows(G)
     if len(base_idx) < k:
         raise LpError("cone is not pointed")
-    inv = invert([G[i] for i in base_idx])
-    if inv is None:
-        raise LpError("initial basis is singular")
-    # Columns of -inv(G_B) satisfy G_B r_j = -e_j <= 0.
-    rays = [
-        tuple(int(x) for x in integer_direction([-inv[i][j] for i in range(k)]))
-        for j in range(k)
-    ]
+    # The nullspace of [G_B | I] has one vector per column of I, and its
+    # first k entries are that column of -inv(G_B): G_B r_j = -e_j <= 0.
+    start = nullspace_basis(
+        [G[i] + [int(i == j) for j in base_idx] for i in base_idx]
+    )
+    rays = [tuple(int(x) for x in integer_direction(v[:k])) for v in start]
     # vals[j][i] is row i of G applied to ray j
     vals = [[sum(a * b for a, b in zip(g, r)) for g in G] for r in rays]
 

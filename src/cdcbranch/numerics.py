@@ -62,14 +62,6 @@ def is_zero_vector(u):
     return all(a == 0 for a in u)
 
 
-def mat_vec(M, v):
-    return tuple(dot(row, v) for row in M)
-
-
-def transpose(M):
-    return tuple(zip(*M)) if M else ()
-
-
 def _integer_rows(M):
     """Scale each row of ints and Fractions by the lcm of its denominators;
     rank is unchanged."""
@@ -135,6 +127,10 @@ def rank(M):
 def nullspace_basis(M, ncols=None):
     """Basis of {v : Mv = 0}, one vector per non-pivot column.
 
+    The vector of free column f is 1 at f and 0 at every other free
+    column, which makes the basis unique.  Its pivot entries come from
+    back-substitution on the fraction-free echelon form, in ints over one
+    common denominator; Fraction values are built only for the result.
     An empty matrix (no rows) yields the standard basis of dimension
     ncols, which must then be supplied.
     """
@@ -151,15 +147,22 @@ def nullspace_basis(M, ncols=None):
     free = [j for j in range(n) if j not in pivot_set]
     basis = []
     for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
+        # v / den is the basis vector; v stays integral
+        v = [0] * n
+        v[f] = den = 1
         # back-substitute pivot variables from the bottom row up
         for k in range(len(pivots) - 1, -1, -1):
             col = pivots[k]
             row = ech[k]
-            s = sum((Fraction(row[j]) * v[j] for j in range(col + 1, n)), Fraction(0))
-            v[col] = -s / row[col]
-        basis.append(tuple(v))
+            s = sum(row[j] * v[j] for j in range(col + 1, n))
+            p = row[col]
+            # scaling v and den by p/g > 0 makes v[col] = -s/p integral
+            g = gcd(s, p) if p > 0 else -gcd(s, p)
+            if p != g:
+                v = [x * (p // g) for x in v]
+                den *= p // g
+            v[col] = -s // g
+        basis.append(tuple(Fraction(x, den) for x in v))
     return basis
 
 
@@ -176,14 +179,9 @@ def affine_hull(points):
     base = pts[0]
     directions = [vec_sub(p, base) for p in pts[1:]]
     directions = [d for d in directions if not is_zero_vector(d)]
-    if not directions:
-        normals = nullspace_basis([], ncols=n)
-        dim = 0
-    else:
-        normals = nullspace_basis(directions)
-        dim = rank(directions)
+    normals = nullspace_basis(directions, ncols=n)
     equations = [(a, dot(a, base)) for a in normals]
-    return equations, dim
+    return equations, n - len(normals)
 
 
 def canonical_direction(v):
@@ -208,59 +206,6 @@ def integer_direction(v):
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(Fraction(x) for x in ints)
-
-
-def solve_square(M, b):
-    """Solve Mx = b for square nonsingular M; None when singular."""
-    M = mat(M)
-    b = vec(b)
-    n = len(M)
-    if n == 0:
-        return ()
-    if len(M[0]) != n or len(b) != n:
-        raise ValueError("shape mismatch")
-    A = [list(row) + [b[i]] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if A[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        p = A[col][col]
-        A[col] = [x / p for x in A[col]]
-        for i in range(n):
-            if i != col and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
-    return tuple(A[i][n] for i in range(n))
-
-
-def invert(M):
-    """Inverse of a square nonsingular rational matrix; None when singular."""
-    M = mat(M)
-    n = len(M)
-    if n == 0:
-        return ()
-    A = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if A[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        p = A[col][col]
-        A[col] = [x / p for x in A[col]]
-        for i in range(n):
-            if i != col and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
-    return tuple(tuple(A[i][n:]) for i in range(n))
 
 
 def independent_rows(M):

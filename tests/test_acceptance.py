@@ -1,5 +1,6 @@
 """Acceptance suite: one test per shipped guarantee, run with pytest -v."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction as F
@@ -29,6 +30,7 @@ from cdcbranch.formulation import (
     build_moment_curve,
     build_sos2_exotic,
     canonical_inequality,
+    export_formulation,
 )
 from cdcbranch.lp import LE, LpProblem, solve_lp
 from cdcbranch.numerics import dot
@@ -153,6 +155,64 @@ def builder_matrix():
     out.append(("grid 2d exotic", build_2d(fam, exotic_code(8))))
     out.append(("grid moment-curve", build_moment_curve(fam)))
     return out
+
+
+# sha256 of export_formulation(form) followed by form.to_text(), for each
+# builder_matrix() formulation: every coefficient, hull equation and meta
+# field of the shipped formulations, frozen.
+BUILDER_MATRIX_SHA256 = {
+    "sos2-4 general gray": "855dfe7eae4f95ba2c95d60ac85ac71981f1e19831f84e554d1dcca64dc2a1ff",
+    "sos2-4 general zigzag": "7a4f834e8dcc3440802e0a39664c28d5e938c4a5653119bd395d86f2bddc79e2",
+    "sos2-4 general moment": "c6807db8ff40a0e8c4529767745bf205cbedb86a91ab118f610081367beb53a1",
+    "sos2-4 general exotic": "fe1c2885f3a1d8056fecacc32dfac147c2ce01a3c7874cf9b2b9254d8524acf8",
+    "sos2-4 2d moment": "971f26d557d4fc3d113c2a2c4ff9abf64daac182e9bdd038a8ca124b7afec24f",
+    "sos2-4 2d exotic": "38558391cefa70539f1f5d62dad4f4c04a1327e606f4c7816f09165990e10c0e",
+    "sos2-4 moment-curve": "d042c0d973edadca151102fec4bdb9a3979c4ac192a71dc315a5ae9f5708619e",
+    "sos2-4 closed form": "8e5fe4adb4ab15067b07bc870e81dcbea6a5921935da862b43fd5aae6ffa2aea",
+    "sos2-8 general gray": "9294345d184068878b3940d57f20badee6a835891d84db24df8729c21223df64",
+    "sos2-8 general zigzag": "7f290961c46b4992feaa4b165b6bd118c955d62a3680b081648b4b9808b9de93",
+    "sos2-8 general moment": "1a15e8a7fcdd7c37bfdc80f60dd0f1d18f765ce28be731e2452ff93d7ec2a190",
+    "sos2-8 general exotic": "16eb6be219a281730b3d12ba01f844455eacf84e79439bded8ee16a754ab94f0",
+    "sos2-8 2d moment": "1e26bb660669561d44b1b38d7db876a54e1b31badfc84cadd8f6d69e81a514b4",
+    "sos2-8 2d exotic": "274fb4c36420c0dd19a7d5c4bcfa23b2e6aa31ce12bc2bbf966b53ed365b6d73",
+    "sos2-8 moment-curve": "660614bd9efcd9985a5e3b36f56325c4f6a87d8f25cf8edeb0476780e4de4ea8",
+    "sos2-8 closed form": "79e647f9110de1ace96b6e29b475bb511ac0a878e17f61c4e17113e1d21ce33b",
+    "sos2-16 general gray": "fa7b5b8f9f506db806b69f2c59de9dd635e82b2304a56772b364523e8d7cc84f",
+    "sos2-16 general zigzag": "f92403a0846e7401c98e9f70e27895bbae6673fb42f8ea75d698df1d4645371f",
+    "sos2-16 general moment": "e39bebedc9ff18be9e7fa43980d0b96b3d6104767650fcce09e8c8af10d850a6",
+    "sos2-16 general exotic": "edb7d612892a7c0714094ca716301bb5d400e417e71ad41df2f2f86a73e45821",
+    "sos2-16 2d moment": "8ce102b68711b3475dd2506937422a7a2b40460efab3fbb27894f19fa532293d",
+    "sos2-16 2d exotic": "6b0b9ded4b4168f87e31986d212a20351187ef48512641a6ffb53727bffe618a",
+    "sos2-16 moment-curve": "0d6eaf5b5db7b20e0bdeaceb1aee3e6e39b7696fdc9e36fe3c53a957b31cf785",
+    "sos2-16 closed form": "fb74551110bedf2d948f76d095ce30ad635e2d7d3469652607628f28d3f88f49",
+    "annulus general gray": "2580df8baf5cff1385536ed42df36a1839e538d0a84eae24fad061315c3ad601",
+    "annulus general zigzag": "4db67add3f08b216fb338ec423c50c4ed1368d9bd11e5b6420d8240585488993",
+    "annulus general moment": "d1631faf273561743d3f65c65fdd452b6240fbf81e93fa5cdd23374fb0125308",
+    "annulus general exotic": "c17841db963ce68f0115c6fefe034f65226e156def1e4bbf57317f6530edabbe",
+    "annulus closed form gray": "205993e4d98f0b30869650a93713694b488b50e0de75dd81dfbad1bf5c0b7707",
+    "annulus closed form zigzag": "b4093b45ea0ab23c1e4cabbe56844c5bc4cebc5ee4c601be2671c56b1240caea",
+    "annulus closed form exotic": "c4f7dba70a3388db586aec6770f010406351aad7c6d49e471e94d263e1d8bf58",
+    "annulus 2d moment": "e5b1f29bf371b34d7646fefbd80586b1463ba00dbc10163c26b7b5218b128647",
+    "annulus 2d exotic": "8cb6fb9aede680fcc86a9eca0f80d8bceeb2d307ab6609b258be2965791e7071",
+    "annulus moment-curve": "89c00520a21b4b4c4e524858cb0a947c422b901a081e16e400d2d7408612a3a8",
+    "grid general gray": "ce94b65b64117a44f8c34188103a29f3a2e33bf36b48e52458067698bc584495",
+    "grid general zigzag": "c557577a84a9d15d1c7f3710a039cbcdbb203c2f7574b53ed40cabc40ac15386",
+    "grid general moment": "5ba7aa4d2b5439b0840c28425fea34295f30b8e3ba32c689b29d7b81f345d4e7",
+    "grid general exotic": "57016d24421b290d4b2e62ff493bd35bcc5d36b71655425952dae6d1942bba69",
+    "grid 2d moment": "333ef64c6e7346e3e59d1692cc00f1d6c0d119daedad84e17dff6235aba3be34",
+    "grid 2d exotic": "f39b2c951c082a651308b364a7d68779b1f7311609e3164c7c40956d3741bb85",
+    "grid moment-curve": "aa0418b4fcda14d1e76651c8e753a2d017baa875bb2c5d7231cd405b55a5e93b",
+}
+
+
+def test_builder_matrix_artifacts_pinned():
+    got = {
+        label: hashlib.sha256(
+            (export_formulation(form) + form.to_text()).encode()
+        ).hexdigest()
+        for label, form in builder_matrix()
+    }
+    assert got == BUILDER_MATRIX_SHA256
 
 
 def test_every_builder_is_valid_ideal_and_sharp():

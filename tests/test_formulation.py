@@ -6,6 +6,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdcbranch.cdc import CdcFamily, HRepPiece, annulus_instance, grid_triangulation_fixture, sos2_family
 from cdcbranch.encodings import EncodingError, Encoding, exotic_code, gray_code, moment_code, zigzag_code
@@ -14,6 +16,7 @@ from cdcbranch.formulation import (
     FormulationError,
     LinearFormulation,
     TwoSidedRow,
+    _rows_from_normals,
     build_2d,
     build_annulus,
     build_bigm_moment,
@@ -27,7 +30,7 @@ from cdcbranch.formulation import (
     spanned_hyperplane_normals,
 )
 from cdcbranch.lp import enumerate_vertices
-from cdcbranch.numerics import vec
+from cdcbranch.numerics import dot, vec
 
 
 def canon_rows(form):
@@ -87,6 +90,41 @@ def test_normals_annihilate_members():
         assert hits >= 2
 
 
+small_rational = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def family_codes_normals(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=6))
+    r = draw(st.integers(min_value=1, max_value=3))
+    sets = [
+        set(draw(st.lists(st.integers(1, n), min_size=1, max_size=n)))
+        for _ in range(d)
+    ]
+    for v in range(1, n + 1):
+        sets[v % d].add(v)
+    assume(len({frozenset(T) for T in sets}) == d)
+    vector = st.tuples(*[small_rational] * r)
+    codes = draw(st.lists(vector, min_size=d, max_size=d))
+    normals = draw(st.lists(vector, min_size=1, max_size=4))
+    return CdcFamily(n, sets), codes, normals
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_codes_normals())
+def test_rows_from_normals_take_extremes_per_component(case):
+    fam, codes, normals = case
+    rows = _rows_from_normals(fam, codes, normals)
+    assert len(rows) == len(normals)
+    for row, b in zip(rows, normals):
+        values = [dot(b, h) for h in codes]
+        held = [[values[s - 1] for s in fam.members(v)] for v in range(1, fam.n + 1)]
+        assert row.direction == b
+        assert row.lower == tuple(min(vals) for vals in held)
+        assert row.upper == tuple(max(vals) for vals in held)
+
+
 def test_general_sos2_16_golden_row():
     form = build_general(sos2_family(16), exotic_code(16))
     assert len(form.rows) == 2
@@ -143,6 +181,10 @@ def test_2d_two_codes():
     form = build_2d(fam, Encoding([(0, 0), (1, 0)]))
     assert len(form.rows) == 1
     assert form.rows[0].direction == (0, 1)
+    # build_2d is not build_general over all pairs: there the two codes
+    # span a line, which has no hyperplane family
+    with pytest.raises(FormulationError, match="span a line"):
+        build_general(fam, Encoding([(0, 0), (1, 0)]))
 
 
 def test_2d_rejects_higher_dim():

@@ -18,7 +18,6 @@ from cdcbranch.lp import (
     facets_of_hull,
     lp_feasible,
     solve_lp,
-    tight_rows,
 )
 from cdcbranch.numerics import dot, vec
 
@@ -112,11 +111,6 @@ def test_rational_data_stays_exact():
 def test_lp_feasible():
     assert lp_feasible(1, [((1,), LE, 1), ((1,), GE, 0)])
     assert not lp_feasible(1, [((1,), LE, 0), ((1,), GE, 1)])
-
-
-def test_tight_rows():
-    rows = [((1, 0), LE, 1), ((0, 1), LE, 1)]
-    assert tight_rows(rows, vec((1, 0))) == [0]
 
 
 def test_enumerate_vertices_simplex():
