@@ -6,6 +6,7 @@ that lose no codes.  Regions are tracked as explicit inequality lists so
 every split can be audited.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .lp import EQ, GE, LE, facets_of_hull
@@ -38,8 +39,8 @@ class CodeRelaxation:
                 return False
         return True
 
-    def with_cuts(self, cuts, interval=None):
-        return CodeRelaxation(self.rows + list(cuts), interval=interval)
+    def with_cuts(self, cuts):
+        return CodeRelaxation(self.rows + list(cuts))
 
     def ineq_rows(self):
         """All rows in <= form."""
@@ -55,17 +56,17 @@ class CodeRelaxation:
         return out
 
 
+@dataclass
 class BranchOutcome:
     """Either a verification of zhat or a two-way split."""
 
-    def __init__(self, verified, tag=None, children=None):
-        self.verified = verified
-        self.tag = tag
-        self.children = children  # ((cuts1, state1), (cuts2, state2))
+    verified: bool
+    tag: str = None
+    children: tuple = None  # ((cuts1, state1), (cuts2, state2))
 
     @staticmethod
-    def verify(tag="verified"):
-        return BranchOutcome(True, tag=tag)
+    def verify():
+        return BranchOutcome(True, tag="verified")
 
     @staticmethod
     def split(tag, cuts1, state1, cuts2, state2):

@@ -2,8 +2,9 @@
 
 A constraint is a family of index sets over components 1..n; the feasible
 region is the union of the faces of the unit simplex supported on each
-set.  Instances may carry a vertex map sending each component to a point,
-or an explicit list of H-representation pieces.
+set.  Instances may carry a vertex map sending each component to a point.
+A union of polyhedra given by H-representation pieces is the input of the
+big-M formulation instead.
 """
 
 import json
@@ -205,47 +206,30 @@ def edge_set(family):
     return edges, connected
 
 
-def instance_to_json(family, vertex_map=None, pieces=None):
+def instance_to_json(family, vertex_map=None):
     """Serialize an instance; rationals become 'p/q' strings."""
     obj = {"n": family.n, "sets": [list(T) for T in family.sets]}
     if vertex_map is not None:
         obj["vertices"] = [
             [format_rational(x) for x in p] for p in vertex_map.vertices
         ]
-    if pieces is not None:
-        obj["hrep"] = [
-            {
-                "A": [[format_rational(x) for x in row] for row in p.A],
-                "b": [format_rational(x) for x in p.b],
-            }
-            for p in pieces
-        ]
     return obj
 
 
 def instance_from_json(obj):
-    """Inverse of instance_to_json; returns (family, vertex_map, pieces)."""
+    """Inverse of instance_to_json; returns (family, vertex_map)."""
     family = CdcFamily(obj["n"], [tuple(T) for T in obj["sets"]])
     vertex_map = None
     if "vertices" in obj:
         vertex_map = VertexMap(
             [[parse_rational(x) for x in p] for p in obj["vertices"]]
         )
-    pieces = None
-    if "hrep" in obj:
-        pieces = [
-            HRepPiece(
-                [[parse_rational(x) for x in row] for row in p["A"]],
-                [parse_rational(x) for x in p["b"]],
-            )
-            for p in obj["hrep"]
-        ]
-    return family, vertex_map, pieces
+    return family, vertex_map
 
 
-def write_instance(path, family, vertex_map=None, pieces=None):
+def write_instance(path, family, vertex_map=None):
     with open(path, "w") as fh:
-        json.dump(instance_to_json(family, vertex_map, pieces), fh, indent=2)
+        json.dump(instance_to_json(family, vertex_map), fh, indent=2)
         fh.write("\n")
 
 

@@ -37,6 +37,7 @@ from .oracle import (
     check_projection,
     check_valid,
     classify_rows,
+    objective_from_vertex_map,
 )
 from .solver import solve as bb_solve
 
@@ -45,11 +46,32 @@ class CliError(Exception):
     pass
 
 
+# family name -> its family with d alternatives; the grid is one fixed
+# instance and ignores d
+FAMILIES = {
+    "sos2": sos2_family,
+    "annulus": annulus_family,
+    "grid": lambda d: grid_triangulation_fixture()[0],
+}
+
+
+def _family(name, d):
+    """The named family and the meta its instance file records, or
+    (None, None) when the family needs a d and d is None."""
+    if name not in FAMILIES:
+        raise CliError("unknown family %r" % (name,))
+    if d is None and name != "grid":
+        return None, None
+    family = FAMILIES[name](d)
+    return family, {"family": name, "d": family.d}
+
+
 def _load_instance(path):
+    """(family, vertex map, meta) of an instance file."""
     with open(path) as fh:
         obj = json.load(fh)
-    family, vm, pieces = instance_from_json(obj)
-    return obj, family, vm, pieces
+    family, vm = instance_from_json(obj)
+    return family, vm, obj.get("meta", {})
 
 
 def _encoding_for(name, d):
@@ -66,7 +88,7 @@ def _encoding_for(name, d):
     raise CliError("unknown encoding %r" % (name,))
 
 
-def _build(family, obj, encoding_name, builder):
+def _build(family, meta, encoding_name, builder):
     d = family.d
     enc = _encoding_for(encoding_name, d)
     if builder == "general":
@@ -84,7 +106,7 @@ def _build(family, obj, encoding_name, builder):
             raise CliError("the sos2-exotic builder pairs with the exotic encoding")
         return build_sos2_exotic(d)
     if builder == "annulus":
-        if obj.get("meta", {}).get("family") != "annulus":
+        if meta.get("family") != "annulus":
             raise CliError("the annulus builder needs an annulus instance")
         return build_annulus(d, encoding_name)
     raise CliError("unknown builder %r" % (builder,))
@@ -100,36 +122,24 @@ def _write_json(path, obj):
 
 
 def cmd_gen(args):
-    if args.family == "sos2":
-        if args.d is None:
-            raise CliError("--d is required for sos2")
-        family = sos2_family(args.d)
-        obj = instance_to_json(family)
-        obj["meta"] = {"family": "sos2", "d": args.d}
-    elif args.family == "annulus":
-        if args.d is None:
-            raise CliError("--d is required for annulus")
-        family, vm = annulus_instance(args.inner, args.outer, args.d)
-        obj = instance_to_json(family, vm)
-        obj["meta"] = {
-            "family": "annulus",
-            "d": args.d,
-            "inner": args.inner,
-            "outer": args.outer,
-        }
+    family, meta = _family(args.family, args.d)
+    if family is None:
+        raise CliError("--d is required for %s" % args.family)
+    vm = None
+    if args.family == "annulus":
+        _, vm = annulus_instance(args.inner, args.outer, args.d)
+        meta.update(inner=args.inner, outer=args.outer)
     elif args.family == "grid":
-        family, vm = grid_triangulation_fixture()
-        obj = instance_to_json(family, vm)
-        obj["meta"] = {"family": "grid", "d": family.d}
-    else:
-        raise CliError("unknown family %r" % (args.family,))
+        _, vm = grid_triangulation_fixture()
+    obj = instance_to_json(family, vm)
+    obj["meta"] = meta
     _write_json(args.output, obj)
     return 0
 
 
 def cmd_build(args):
-    obj, family, _, _ = _load_instance(args.instance)
-    form = _build(family, obj, args.encoding, args.builder)
+    family, _, meta = _load_instance(args.instance)
+    form = _build(family, meta, args.encoding, args.builder)
     _write_json(args.output, form.to_json())
     if args.text:
         text = export_formulation(form, "text")
@@ -150,8 +160,6 @@ def _objective_for(args, family, vm):
         if "x" in spec:
             if vm is None:
                 raise CliError("an x objective needs instance vertices")
-            from .oracle import objective_from_vertex_map
-
             c_x = [parse_rational(x) for x in spec["x"]]
             return list(objective_from_vertex_map(vm, c_x)), c_x
         raise CliError("objective file needs a 'lam' or 'x' entry")
@@ -160,8 +168,8 @@ def _objective_for(args, family, vm):
 
 
 def cmd_solve(args):
-    obj, family, vm, _ = _load_instance(args.instance)
-    form = _build(family, obj, args.encoding, args.builder)
+    family, vm, meta = _load_instance(args.instance)
+    form = _build(family, meta, args.encoding, args.builder)
     scheme = make_scheme(args.scheme)
     ok, why = scheme.compatible(form.codes)
     if not ok:
@@ -190,8 +198,8 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    obj, family, _, _ = _load_instance(args.instance)
-    form = _build(family, obj, args.encoding, args.builder)
+    family, _, meta = _load_instance(args.instance)
+    form = _build(family, meta, args.encoding, args.builder)
     valid = check_valid(form)
     ideal = check_ideal(form)
     proj = check_projection(form)
@@ -218,27 +226,16 @@ def cmd_bench(args):
     rows_out = []
     for fam_name in families:
         for d in sizes:
-            if fam_name == "sos2":
-                if d is None:
-                    continue
-                family = sos2_family(d)
-                obj = {"meta": {"family": "sos2"}}
-            elif fam_name == "annulus":
-                if d is None:
-                    continue
-                family = annulus_family(d)
-                obj = {"meta": {"family": "annulus"}}
-            elif fam_name == "grid":
-                family, _ = grid_triangulation_fixture()
-                obj = {"meta": {"family": "grid"}}
-                d = family.d
-            else:
-                raise CliError("unknown family %r" % (fam_name,))
+            family, meta = _family(fam_name, d)
+            if family is None:
+                continue
             for enc_name in encodings:
                 try:
-                    form = _build(family, obj, enc_name, "general")
+                    form = _build(family, meta, enc_name, "general")
                 except EncodingError as exc:
-                    sys.stderr.write("skipped: %s d=%s %s: %s\n" % (fam_name, d, enc_name, exc))
+                    sys.stderr.write(
+                        "skipped: %s d=%s %s: %s\n" % (fam_name, family.d, enc_name, exc)
+                    )
                     continue
                 for scheme_name in schemes:
                     scheme = make_scheme(scheme_name)
@@ -252,7 +249,7 @@ def cmd_bench(args):
                         rows_out.append(
                             {
                                 "family": fam_name,
-                                "d": d,
+                                "d": family.d,
                                 "n": family.n,
                                 "encoding": enc_name,
                                 "scheme": scheme_name,
@@ -264,23 +261,11 @@ def cmd_bench(args):
                         )
     if not rows_out:
         raise CliError("bench produced no rows")
-    fieldnames = [
-        "family",
-        "d",
-        "n",
-        "encoding",
-        "scheme",
-        "rows",
-        "nodes",
-        "value",
-        "micros",
-    ]
     out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
+        writer = csv.DictWriter(out, fieldnames=list(rows_out[0]))
         writer.writeheader()
-        for row in rows_out:
-            writer.writerow(row)
+        writer.writerows(rows_out)
     finally:
         if out is not sys.stdout:
             out.close()

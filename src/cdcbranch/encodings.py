@@ -8,7 +8,7 @@ Predicates for convex position and hole-freeness run exact rational LPs.
 from fractions import Fraction
 
 from .lp import EQ, LpProblem, solve_lp
-from .numerics import format_rational, parse_rational, vec
+from .numerics import vec
 
 
 class EncodingError(Exception):
@@ -44,19 +44,6 @@ class Encoding:
 
     def __eq__(self, other):
         return isinstance(other, Encoding) and self.codes == other.codes
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "codes": [[format_rational(x) for x in c] for c in self.codes],
-        }
-
-    @staticmethod
-    def from_json(obj):
-        return Encoding(
-            [[parse_rational(x) for x in c] for c in obj["codes"]],
-            kind=obj.get("kind", "custom"),
-        )
 
 
 def gray_code(r, d=None):

@@ -14,6 +14,7 @@ codes, and the unit vectors plus a few more for the annulus.
 import itertools
 import json
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -35,7 +36,6 @@ from .numerics import (
     integer_direction,
     is_zero_vector,
     nullspace_basis,
-    parse_rational,
     rank,
     vec,
     vec_sub,
@@ -65,16 +65,16 @@ class TwoSidedRow:
         )
 
 
+@dataclass
 class AssembledSystem:
     """A flat inequality system over (lam, z) or (x, z) variables."""
 
-    def __init__(self, nvars, ineqs, eqs, bounds, z_offset, r):
-        self.nvars = nvars
-        self.ineqs = ineqs  # (a, rhs) meaning a . vars <= rhs
-        self.eqs = eqs  # (a, rhs) meaning a . vars == rhs
-        self.bounds = bounds
-        self.z_offset = z_offset
-        self.r = r
+    nvars: int
+    ineqs: list  # (a, rhs) meaning a . vars <= rhs
+    eqs: list  # (a, rhs) meaning a . vars == rhs
+    bounds: list
+    z_offset: int
+    r: int
 
     def with_cuts(self, cuts):
         """New system with z-space rows (a_z, rel, rhs) appended."""
@@ -110,8 +110,9 @@ class AssembledSystem:
 class LinearFormulation:
     """Rows over (lam, z) plus the affine hull of the codes.
 
-    n counts lam components including a trailing artificial one when
-    artificial is set; that component is fixed to zero.
+    The weights lam lie on the unit simplex and z is free.  n counts lam
+    components including a trailing artificial one when artificial is
+    set; that component is fixed to zero.
     """
 
     def __init__(
@@ -120,8 +121,6 @@ class LinearFormulation:
         r,
         rows,
         hull_equations=(),
-        has_simplex=True,
-        z_bounds=None,
         artificial=False,
         family=None,
         codes=None,
@@ -134,8 +133,6 @@ class LinearFormulation:
             if len(row.direction) != r or len(row.lower) != n:
                 raise FormulationError("row shape disagrees with n, r")
         self.hull_equations = [(vec(a), Fraction(b)) for a, b in hull_equations]
-        self.has_simplex = has_simplex
-        self.z_bounds = z_bounds
         self.artificial = artificial
         self.family = family
         self.codes = codes
@@ -158,15 +155,13 @@ class LinearFormulation:
         eqs = []
         for a, b in self.hull_equations:
             eqs.append((tuple([Fraction(0)] * self.n) + tuple(a), Fraction(b)))
-        if self.has_simplex:
-            eqs.append(
-                (tuple([Fraction(1)] * self.n) + tuple([Fraction(0)] * self.r), Fraction(1))
-            )
+        eqs.append(
+            (tuple([Fraction(1)] * self.n) + tuple([Fraction(0)] * self.r), Fraction(1))
+        )
         bounds = [(Fraction(0), None)] * self.n
         if self.artificial:
             bounds[self.n - 1] = (Fraction(0), Fraction(0))
-        zb = self.z_bounds or [(None, None)] * self.r
-        bounds += list(zb)
+        bounds += [(None, None)] * self.r
         return AssembledSystem(nvars, ineqs, eqs, bounds, self.n, self.r)
 
     def to_json(self):
@@ -188,52 +183,13 @@ class LinearFormulation:
                 }
                 for a, b in self.hull_equations
             ],
-            "has_simplex": self.has_simplex,
-            "z_bounds": None
-            if self.z_bounds is None
-            else [
-                [
-                    None if lb is None else format_rational(lb),
-                    None if ub is None else format_rational(ub),
-                ]
-                for lb, ub in self.z_bounds
-            ],
+            # every formulation has the simplex row and free z; the keys
+            # stay so that the file format does not change
+            "has_simplex": True,
+            "z_bounds": None,
             "artificial": self.artificial,
             "meta": self.meta,
         }
-
-    @staticmethod
-    def from_json(obj):
-        rows = [
-            TwoSidedRow(
-                [parse_rational(x) for x in row["direction"]],
-                [parse_rational(x) for x in row["lower"]],
-                [parse_rational(x) for x in row["upper"]],
-            )
-            for row in obj["rows"]
-        ]
-        z_bounds = None
-        if obj.get("z_bounds") is not None:
-            z_bounds = [
-                (
-                    None if lb is None else parse_rational(lb),
-                    None if ub is None else parse_rational(ub),
-                )
-                for lb, ub in obj["z_bounds"]
-            ]
-        return LinearFormulation(
-            obj["n"],
-            obj["r"],
-            rows,
-            hull_equations=[
-                ([parse_rational(x) for x in e["a"]], parse_rational(e["b"]))
-                for e in obj["hull_equations"]
-            ],
-            has_simplex=obj.get("has_simplex", True),
-            z_bounds=z_bounds,
-            artificial=obj.get("artificial", False),
-            meta=obj.get("meta"),
-        )
 
     def to_text(self):
         lines = []
@@ -269,8 +225,7 @@ class LinearFormulation:
             )
         for a, b in self.hull_equations:
             lines.append("%s == %s" % (combo(a, "z"), format_rational(b)))
-        if self.has_simplex:
-            lines.append("sum(lam) == 1, lam >= 0")
+        lines.append("sum(lam) == 1, lam >= 0")
         if self.artificial:
             lines.append("lam%d == 0 (artificial)" % self.n)
         return "\n".join(lines) + "\n"
@@ -356,9 +311,9 @@ def _rows_from_normals(family, codes, normals):
     return rows
 
 
-def _formulation(family, enc, normals, builder, meta, padded=None):
+def _formulation(family, enc, normals, builder, padded=None):
     """The tail every builder returns through: one row per normal, the
-    affine hull of the codes, and the meta.
+    affine hull of the codes, and the meta naming builder and encoding.
 
     padded, when given, is family with an artificial component appended
     to every alternative; the rows then run over it, and family stays
@@ -366,9 +321,6 @@ def _formulation(family, enc, normals, builder, meta, padded=None):
     """
     work = padded or family
     hull_eqs, _ = affine_hull(list(enc))
-    m = dict(meta or {})
-    m.setdefault("builder", builder)
-    m.setdefault("encoding", enc.kind)
     return LinearFormulation(
         work.n,
         enc.r,
@@ -377,7 +329,7 @@ def _formulation(family, enc, normals, builder, meta, padded=None):
         artificial=padded is not None,
         family=family,
         codes=enc,
-        meta=m,
+        meta={"builder": builder, "encoding": enc.kind},
     )
 
 
@@ -394,7 +346,7 @@ def _checked_codes(family, codes, planar=False):
     return enc
 
 
-def build_general(family, codes, meta=None):
+def build_general(family, codes):
     """The geometric construction for any family paired with convex-position
     codes, one code per alternative.
 
@@ -414,10 +366,10 @@ def build_general(family, codes, meta=None):
     H = list(enc)
     C = [vec_sub(H[j - 1], H[i - 1]) for i, j in edges]
     normals = spanned_hyperplane_normals(C, ambient=enc.r)
-    return _formulation(family, enc, normals, "general", meta, padded)
+    return _formulation(family, enc, normals, "general", padded)
 
 
-def build_2d(family, codes, meta=None):
+def build_2d(family, codes):
     """Planar specialization: one row per direction of a code difference,
     taken over every pair of alternatives."""
     enc = _checked_codes(family, codes, planar=True)
@@ -427,10 +379,10 @@ def build_2d(family, codes, meta=None):
             for h, k in itertools.combinations(enc, 2)
         )
     )
-    return _formulation(family, enc, normals, "2d", meta)
+    return _formulation(family, enc, normals, "2d")
 
 
-def build_moment_curve(family, meta=None):
+def build_moment_curve(family):
     """Parabola codes with the integer fan of directions (t, -1).
 
     Pairs alternative i with code (i, i*i); rows run over t = 3..2d-1,
@@ -440,18 +392,18 @@ def build_moment_curve(family, meta=None):
     if d < 2:
         raise FormulationError("need at least two alternatives")
     normals = [(Fraction(t), Fraction(-1)) for t in range(3, 2 * d)]
-    return _formulation(family, moment_code(d), normals, "moment", meta)
+    return _formulation(family, moment_code(d), normals, "moment")
 
 
-def build_sos2_exotic(d, meta=None):
+def build_sos2_exotic(d):
     """Closed-form two-row formulation of consecutive-pair constraints
     using the exotic codes; d must be a positive multiple of 4."""
     family = sos2_family(d)
     normals = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    return _formulation(family, exotic_code(d), normals, "sos2_exotic", meta)
+    return _formulation(family, exotic_code(d), normals, "sos2_exotic")
 
 
-def build_annulus(d, kind, meta=None):
+def build_annulus(d, kind):
     """Closed-form formulations for the d-piece annulus cover.
 
     kind selects the code family: 'gray' (d a power of two), 'zigzag'
@@ -484,7 +436,7 @@ def build_annulus(d, kind, meta=None):
     else:
         raise FormulationError("unknown annulus kind %r" % (kind,))
     units = [tuple(Fraction(int(i == k)) for i in range(enc.r)) for k in range(enc.r)]
-    return _formulation(family, enc, units + extra, "annulus_%s" % kind, meta)
+    return _formulation(family, enc, units + extra, "annulus_%s" % kind)
 
 
 def compute_bigm(pieces):
@@ -552,7 +504,7 @@ class BigMSystem:
         return AssembledSystem(nvars, ineqs, [], bounds, self.m, 2)
 
 
-def build_bigm_moment(pieces, M=None):
+def build_bigm_moment(pieces):
     """Assemble the relaxation system with parabola codes for d pieces.
 
     The activation weight at code (i, i*i) is i*i - 2*i*z1 + z2, which is
@@ -561,8 +513,7 @@ def build_bigm_moment(pieces, M=None):
     d = len(pieces)
     if d < 1:
         raise FormulationError("no pieces")
-    if M is None:
-        M = compute_bigm(pieces)
+    M = compute_bigm(pieces)
     m = pieces[0].m
     if any(p.m != m for p in pieces):
         raise FormulationError("pieces live in different spaces")
@@ -600,7 +551,3 @@ def export_formulation(form, fmt="json"):
     if fmt == "text":
         return form.to_text()
     raise FormulationError("unknown export format %r" % (fmt,))
-
-
-def import_formulation(text):
-    return LinearFormulation.from_json(json.loads(text))

@@ -10,18 +10,18 @@ Both work in Python ints, with Fraction only at their boundary.  The
 simplex scales each standard-form row to coprime integers as it builds
 the tableau, prices out its objective rows in integers, and turns basic
 values into Fraction only when it reads them.  Double description scales
-its rows to integers on the way in, takes its starting rays from an
-integer nullspace, and its rays become Fraction only on the way out.  No
-float enters either.
+its rows to integers on the way in and takes its starting rays from an
+integer nullspace; vertices and facets become Fraction only on the way
+out.  No float enters either.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .numerics import (
     _coprime,
     _integer_rows,
-    dot,
     independent_rows,
     integer_direction,
     is_zero_vector,
@@ -72,16 +72,13 @@ class LpProblem:
         self.sense = sense
 
 
+@dataclass
 class LpResult:
     """status is 'optimal', 'infeasible', or 'unbounded'."""
 
-    def __init__(self, status, x=None, value=None):
-        self.status = status
-        self.x = x
-        self.value = value
-
-    def __repr__(self):
-        return "LpResult(%r, x=%r, value=%r)" % (self.status, self.x, self.value)
+    status: str
+    x: tuple = None
+    value: Fraction = None
 
 
 def _pivot(T, basis, r, c):
@@ -308,8 +305,8 @@ def _dd_extreme_rays(G):
     positive combination of two old ones, divided by a gcd, and its values
     are the same combination of theirs, so no dot product is recomputed.
     The starting rays come from one nullspace_basis call, which also
-    eliminates in ints.  Rays are returned as coprime integer tuples of
-    Fraction.  The zero cone yields [].
+    eliminates in ints.  Rays are returned as coprime tuples of ints.  The
+    zero cone yields [].
     """
     G = _integer_rows(mat(G))
     m = len(G)
@@ -391,7 +388,7 @@ def _dd_extreme_rays(G):
         masks = [masks[j] for j in neg] + [
             masks[j] | bit[row_i] for j in zero
         ] + new_masks
-    return [tuple(Fraction(x) for x in r) for r in rays]
+    return rays
 
 
 def enumerate_vertices(n, ineqs, eqs=(), bounds=None):
@@ -423,8 +420,16 @@ def enumerate_vertices(n, ineqs, eqs=(), bounds=None):
         N = nullspace_basis([], ncols=n + 1)
     if not N:
         return []
+    # Each basis vector is scaled to integers.  A positive scale per vector
+    # changes neither the rays nor their order, and y = sum of ray entry
+    # times basis vector keeps its direction, so every vertex y/t is the
+    # same; the rows are projected and the rays combined in ints.
+    N = _integer_rows(N)
     k = len(N)
-    G = [tuple(dot(row, b) for b in N) for row in hom_ineq]
+    G = [
+        [sum(a * b for a, b in zip(row, v)) for v in N]
+        for row in _integer_rows(hom_ineq)
+    ]
     G = [row for row in G if not is_zero_vector(row)]
     if not G or rank(G) < k:
         # Lineality present: the set is empty or contains a line.
@@ -437,13 +442,10 @@ def enumerate_vertices(n, ineqs, eqs=(), bounds=None):
     vertices = []
     unbounded_dir = False
     for r in rays:
-        y = [Fraction(0)] * (n + 1)
-        for coef, basis_vec in zip(r, N):
-            for i in range(n + 1):
-                y[i] += coef * basis_vec[i]
+        y = [sum(c * v[i] for c, v in zip(r, N)) for i in range(n + 1)]
         t = y[n]
         if t > 0:
-            vertices.append(tuple(y[i] / t for i in range(n)))
+            vertices.append(tuple(Fraction(y[i], t) for i in range(n)))
         elif t < 0:
             raise LpError("homogenization produced a negative-t ray")
         else:
@@ -485,5 +487,5 @@ def facets_of_hull(points):
         a, gamma = ray[:r], ray[r]
         if is_zero_vector(a):
             continue
-        facets.append((tuple(a), gamma))
+        facets.append((tuple(Fraction(x) for x in a), Fraction(gamma)))
     return facets

@@ -7,38 +7,27 @@ referees the rest of the package answers to.
 """
 
 import warnings
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .lp import EQ, LE, LpError, LpProblem, enumerate_vertices, solve_lp
 from .numerics import affine_hull, dot, vec
 
 
+@dataclass
 class VerificationReport:
     """Outcome of one check: ok flag, failure descriptions, statistics."""
 
-    def __init__(self, kind, ok, failures=None, stats=None):
-        self.kind = kind
-        self.ok = ok
-        self.failures = list(failures or [])
-        self.stats = dict(stats or {})
+    kind: str
+    ok: bool
+    failures: list = field(default_factory=list)
+    stats: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.ok
 
-    def __repr__(self):
-        return "VerificationReport(%r, ok=%r, failures=%d)" % (
-            self.kind,
-            self.ok,
-            len(self.failures),
-        )
-
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "ok": self.ok,
-            "failures": self.failures,
-            "stats": self.stats,
-        }
+        return asdict(self)
 
 
 def embedding_points(family, codes, total_n=None):
@@ -61,17 +50,18 @@ def embedding_points(family, codes, total_n=None):
     return points
 
 
-def check_valid(form, family=None, codes=None):
-    """Every embedding point must satisfy every row of the formulation."""
-    family = family or form.family
-    codes = codes or form.codes
+def check_valid(form):
+    """Every embedding point must satisfy every row of the formulation.
+
+    The weight part of a point is the unit vector of its component v, so a
+    row's value there is a[v-1] plus the row's z part applied to the code.
+    """
     failures = []
-    pts = embedding_points(family, codes, total_n=form.n)
-    one_sided = form.one_sided()
-    for lam, z, i, v in pts:
-        full = lam + z
-        for tag, a, rhs in one_sided:
-            if dot(a, full) > rhs:
+    pts = embedding_points(form.family, form.codes, total_n=form.n)
+    one_sided = [(tag, a, a[form.n :], rhs) for tag, a, rhs in form.one_sided()]
+    for _, z, i, v in pts:
+        for tag, a, a_z, rhs in one_sided:
+            if a[v - 1] + dot(a_z, z) > rhs:
                 failures.append(
                     {
                         "where": "row %d %s" % tag,
@@ -89,10 +79,9 @@ def check_valid(form, family=None, codes=None):
     )
 
 
-def check_ideal(form, codes=None):
+def check_ideal(form):
     """Every vertex of the relaxation must carry a code in its z part."""
-    codes = codes or form.codes
-    code_set = set(tuple(h) for h in codes)
+    code_set = set(tuple(h) for h in form.codes)
     sys = form.assemble()
     try:
         verts = enumerate_vertices(
@@ -115,11 +104,10 @@ def check_ideal(form, codes=None):
     )
 
 
-def check_projection(form, family=None, codes=None):
+def check_projection(form):
     """Fixing z at code i must slice out exactly the face of alternative i."""
-    family = family or form.family
-    codes = codes or form.codes
-    H = list(codes)
+    family = form.family
+    H = list(form.codes)
     sys = form.assemble()
     rows = sys.lp_rows()
     failures = []

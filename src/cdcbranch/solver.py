@@ -9,6 +9,7 @@ be a true feasible point.
 
 import heapq
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .branching import BranchError, make_scheme
@@ -22,28 +23,17 @@ class SolveError(Exception):
     pass
 
 
+@dataclass
 class SolveReport:
-    def __init__(
-        self,
-        status,
-        value=None,
-        lam=None,
-        z=None,
-        x=None,
-        nodes=0,
-        histogram=None,
-        wall_micros=0,
-        remaining_bound=None,
-    ):
-        self.status = status
-        self.value = value
-        self.lam = lam
-        self.z = z
-        self.x = x
-        self.nodes = nodes
-        self.histogram = dict(histogram or {})
-        self.wall_micros = wall_micros
-        self.remaining_bound = remaining_bound
+    status: str
+    value: Fraction = None
+    lam: tuple = None
+    z: tuple = None
+    x: tuple = None
+    nodes: int = 0
+    histogram: dict = field(default_factory=dict)
+    wall_micros: int = 0
+    remaining_bound: Fraction = None
 
     def to_json(self):
         def fmt(v):
@@ -70,7 +60,6 @@ def solve(
     source,
     objective,
     scheme,
-    encoding=None,
     sense="max",
     node_cap=10 ** 6,
     vertex_map=None,
@@ -88,7 +77,7 @@ def solve(
         raise SolveError("sense must be 'max' or 'min'")
 
     if isinstance(source, LinearFormulation):
-        encoding = encoding or source.codes
+        encoding = source.codes
         if encoding is None:
             raise SolveError("an encoding is required")
         base = source.assemble()
@@ -101,7 +90,7 @@ def solve(
     elif isinstance(source, BigMSystem):
         from .encodings import moment_code
 
-        encoding = encoding or moment_code(source.d)
+        encoding = moment_code(source.d)
         base = source.assemble()
         c = vec(objective)
         if len(c) != source.m:

@@ -147,19 +147,17 @@ def test_edge_set_cycle():
 
 def test_instance_json_round_trip(tmp_path):
     fam, vm = grid_triangulation_fixture()
-    pieces = [HRepPiece([(1, 0), (-1, 0)], (F(1, 3), 0))]
-    obj = instance_to_json(fam, vm, pieces)
-    fam2, vm2, pieces2 = instance_from_json(obj)
+    vm = VertexMap([(x + F(1, 3), y) for x, y in vm])
+    obj = instance_to_json(fam, vm)
+    fam2, vm2 = instance_from_json(obj)
     assert fam2 == fam
     assert list(vm2) == list(vm)
-    assert pieces2[0].A == pieces[0].A and pieces2[0].b == pieces[0].b
 
     path = tmp_path / "inst.json"
-    write_instance(str(path), fam, vm, pieces)
-    fam3, vm3, pieces3 = read_instance(str(path))
+    write_instance(str(path), fam, vm)
+    fam3, vm3 = read_instance(str(path))
     assert fam3 == fam
     assert list(vm3) == list(vm)
-    assert pieces3[0].b == pieces[0].b
 
 
 def test_vertex_map_rejects_ragged():

@@ -105,13 +105,6 @@ def test_encoding_rejects_duplicates():
         Encoding([(0, 0), (0, 0)])
 
 
-def test_encoding_json_round_trip():
-    enc = exotic_code(8)
-    back = Encoding.from_json(enc.to_json())
-    assert back == enc
-    assert back.kind == "exotic"
-
-
 def test_gray_steps_single_coordinate():
     for r in range(1, 5):
         H = list(gray_code(r))

@@ -1,10 +1,13 @@
 """Unit tests for the rational simplex and vertex enumeration."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdcbranch import lp as lp_module
 from cdcbranch.branching import psi
@@ -351,3 +354,60 @@ def test_free_variables_with_rational_data_and_negative_optimum():
     assert low.status == "optimal"
     assert low.x == (F(-17, 2), F(-3, 2))
     assert low.value == F(-19, 4)
+
+
+def _det(M):
+    if len(M) == 1:
+        return M[0][0]
+    return sum(
+        (-1) ** j * M[0][j] * _det([row[:j] + row[j + 1 :] for row in M[1:]])
+        for j in range(len(M))
+    )
+
+
+def _brute_force_vertices(n, ineqs, eq):
+    """Every point of {ineqs, eq} where eq and n - 1 of ineqs are tight and
+    independent, by Cramer's rule on each subset.  eq is tight at every
+    point of the set, so each vertex has such a subset."""
+    found = set()
+    for subset in itertools.combinations(ineqs, n - 1):
+        A = [list(a) for a, _ in (eq,) + subset]
+        b = [rhs for _, rhs in (eq,) + subset]
+        D = _det(A)
+        if D == 0:
+            continue
+        x = tuple(
+            _det([row[:k] + [b[i]] + row[k + 1 :] for i, row in enumerate(A)]) / D
+            for k in range(n)
+        )
+        if all(dot(a, x) <= rhs for a, rhs in ineqs):
+            found.add(x)
+    return found
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def bounded_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    row = st.tuples(st.lists(rationals, min_size=n, max_size=n).map(tuple), rationals)
+    ineqs = draw(st.lists(row, max_size=4))
+    eq = draw(row)
+    lo = [draw(rationals) - 3 for _ in range(n)]
+    hi = [draw(rationals) + 3 for _ in range(n)]
+    return n, ineqs, eq, list(zip(lo, hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_systems())
+def test_enumerate_vertices_matches_cramer_oracle(system):
+    n, ineqs, eq, bounds = system
+    assume(any(eq[0]))
+    verts = enumerate_vertices(n, ineqs, eqs=[eq], bounds=bounds)
+    assert len(set(verts)) == len(verts)
+    box = []
+    for k, (lb, ub) in enumerate(bounds):
+        e = tuple(F(int(i == k)) for i in range(n))
+        box += [(tuple(-x for x in e), -lb), (e, ub)]
+    assert set(verts) == _brute_force_vertices(n, list(ineqs) + box, eq)

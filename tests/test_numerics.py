@@ -26,8 +26,9 @@ F = Fraction
 
 
 def test_rat_accepts_ints_fractions_strings():
-    assert rat(3) == F(3)
-    assert rat(F(2, 7)) == F(2, 7)
+    assert rat(3) == F(3) and type(rat(3)) is F
+    q = F(2, 7)
+    assert rat(q) is q
     assert rat("-5/9") == F(-5, 9)
 
 

@@ -61,7 +61,9 @@ def test_check_valid_catches_perturbed_coefficient():
     form.rows[0] = TwoSidedRow(row.direction, low, row.upper)
     rep = check_valid(form)
     assert not rep.ok
-    assert rep.failures[0]["alternative"] == 1
+    # component 1 lies only in alternative 1, so only its point breaks the
+    # lower side of row 0
+    assert rep.failures == [{"where": "row 0 lower", "alternative": 1, "component": 1}]
 
 
 def test_check_ideal_passes():
