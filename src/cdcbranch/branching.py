@@ -106,7 +106,7 @@ def _is_integral(z):
     return all(x.denominator == 1 for x in z)
 
 
-def branch_variable(Q, H, zhat):
+def branch_variable(Q, zhat):
     """Split on the lowest fractional coordinate of zhat.
 
     Sound when the codes tile every integer point of their hull, so an
@@ -265,8 +265,8 @@ class VariableScheme:
             [(a, LE, rhs) for a, rhs in facets_of_hull(list(encoding))]
         )
 
-    def step(self, state, zhat, encoding):
-        return branch_variable(state, encoding, zhat)
+    def step(self, state, zhat, _encoding):
+        return branch_variable(state, zhat)
 
 
 class MomentScheme:

@@ -170,15 +170,11 @@ def _objective_for(args, family, vm):
 def cmd_solve(args):
     family, vm, meta = _load_instance(args.instance)
     form = _build(family, meta, args.encoding, args.builder)
-    scheme = make_scheme(args.scheme)
-    ok, why = scheme.compatible(form.codes)
-    if not ok:
-        raise CliError("scheme %s incompatible: %s" % (args.scheme, why))
     c_lam, _ = _objective_for(args, family, vm)
     report = bb_solve(
         form,
         c_lam,
-        scheme,
+        args.scheme,
         sense=args.sense,
         node_cap=args.node_cap,
         vertex_map=vm,
@@ -225,7 +221,8 @@ def cmd_bench(args):
     schemes = args.schemes.split(",")
     rows_out = []
     for fam_name in families:
-        for d in sizes:
+        # the grid takes no size, so it runs once whatever --sizes holds
+        for d in [None] if fam_name == "grid" else sizes:
             family, meta = _family(fam_name, d)
             if family is None:
                 continue

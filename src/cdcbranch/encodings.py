@@ -2,13 +2,15 @@
 
 Each constructor returns an Encoding whose codes are rational points in
 convex position (a requirement for the geometric construction to apply).
-Predicates for convex position and hole-freeness run exact rational LPs.
+The predicates for convex position and hole-freeness both read one
+facet description of the codes' hull, from lp.facets_of_hull.
 """
 
 from fractions import Fraction
+from itertools import product
 
-from .lp import EQ, LpProblem, solve_lp
-from .numerics import vec
+from .lp import facets_of_hull
+from .numerics import affine_hull, dot, rank, vec
 
 
 class EncodingError(Exception):
@@ -109,50 +111,41 @@ def exotic_code(d):
 
 
 def is_convex_position(encoding):
-    """True when no code lies in the convex hull of the others."""
+    """True when no code lies in the convex hull of the others.
+
+    The codes are distinct, so this holds when each code is a vertex of
+    their hull: the facets tight at it have the rank of all the facets.
+    """
     H = list(encoding)
-    return len(H) == 1 or not any(
-        _in_hull(H[:i] + H[i + 1 :], h) for i, h in enumerate(H)
+    facets = facets_of_hull(H)
+    full = rank([a for a, _ in facets])
+    return all(
+        rank([a for a, rhs in facets if dot(a, h) == rhs]) == full for h in H
     )
-
-
-def _in_hull(H, point):
-    d = len(H)
-    r = len(point)
-    rows = []
-    for k in range(r):
-        rows.append(([h[k] for h in H], EQ, point[k]))
-    rows.append(([1] * d, EQ, 1))
-    prob = LpProblem(d, [0] * d, rows, bounds=[(0, None)] * d)
-    return solve_lp(prob).status == "optimal"
 
 
 def is_hole_free(encoding):
     """True when every integer point of Conv(codes) is itself a code.
 
-    Only defined for integer codes; rejects anything else.
+    Only defined for integer codes; rejects anything else.  The hull is
+    taken only once the codes' bounding box shows a non-code point.
     """
     H = list(encoding)
     for h in H:
         if any(x.denominator != 1 for x in h):
             raise EncodingError("hole-freeness is only defined for integer codes")
-    r = encoding.r
-    lo = [min(int(h[k]) for h in H) for k in range(r)]
-    hi = [max(int(h[k]) for h in H) for k in range(r)]
+    box = [range(int(min(c)), int(max(c)) + 1) for c in zip(*H)]
     code_set = set(H)
-
-    def boxes(k):
-        if k == r:
-            yield ()
-            return
-        for rest in boxes(k + 1):
-            for v in range(lo[k], hi[k] + 1):
-                yield (Fraction(v),) + rest
-
-    for point in boxes(0):
+    hull = None
+    for point in product(*box):
         if point in code_set:
             continue
-        if _in_hull(H, point):
+        if hull is None:
+            hull = affine_hull(H)[0], facets_of_hull(H)
+        eqs, facets = hull
+        if all(dot(a, point) == b for a, b in eqs) and all(
+            dot(a, point) <= b for a, b in facets
+        ):
             return False
     return True
 

@@ -533,14 +533,8 @@ def build_bigm_moment(pieces):
             a_z = (Fraction(2 * i) * gap, -gap)
             rhs = piece.b[s] + gap * i * i
             rows.append((piece.A[s], a_z, rhs))
-    for a_z, rel, rhs in branching.psi(d, 1, d).rows:
-        if rel == LE:
-            rows.append(((Fraction(0),) * m, a_z, rhs))
-        elif rel == GE:
-            rows.append(((Fraction(0),) * m, tuple(-x for x in a_z), -rhs))
-        else:
-            rows.append(((Fraction(0),) * m, a_z, rhs))
-            rows.append(((Fraction(0),) * m, tuple(-x for x in a_z), -rhs))
+    for a_z, rhs in branching.psi(d, 1, d).ineq_rows():
+        rows.append(((Fraction(0),) * m, a_z, rhs))
     return BigMSystem(pieces, M, rows, m, d)
 
 

@@ -22,6 +22,7 @@ from math import gcd, lcm
 from .numerics import (
     _coprime,
     _integer_rows,
+    affine_hull,
     independent_rows,
     integer_direction,
     is_zero_vector,
@@ -465,22 +466,23 @@ def enumerate_vertices(n, ineqs, eqs=(), bounds=None):
 
 
 def facets_of_hull(points):
-    """Facet inequalities (a, rhs) of the convex hull of full-dimensional points.
+    """Facet inequalities (a, rhs) of the convex hull of points.
 
     Every returned inequality satisfies a . p <= rhs for all input points
-    and is tight on a facet.  Requires the points to affinely span their
-    ambient space.
+    and is tight on a facet of the hull relative to its affine hull; a
+    lies in the hull's direction space.  Points that affinely span their
+    ambient space give its ordinary facets, and a single point gives [].
     """
     pts = [vec(p) for p in points]
     if not pts:
         raise ValueError("no points")
     r = len(pts[0])
-    # Cone over (a, gamma) with p.a - gamma <= 0 per point; pointed iff
-    # the points affinely span, and its extreme rays are the facets plus
-    # the trivial ray (0, 1).
+    # Cone over (a, gamma) with p.a - gamma <= 0 per point, and n.a == 0,
+    # as two rows, per normal n of the affine hull.  The cone is then
+    # pointed, and its extreme rays with a != 0 are the relative facets.
     G = [tuple(p) + (Fraction(-1),) for p in pts]
-    if rank([tuple(p) + (Fraction(1),) for p in pts]) < r + 1:
-        raise LpError("points are not full-dimensional")
+    for n, _ in affine_hull(pts)[0]:
+        G += [tuple(n) + (Fraction(0),), tuple(-x for x in n) + (Fraction(0),)]
     rays = _dd_extreme_rays(G)
     facets = []
     for ray in rays:

@@ -119,17 +119,14 @@ def check_projection(form):
             a = [Fraction(0)] * sys.nvars
             a[sys.z_offset + k] = Fraction(1)
             fixed.append((tuple(a), EQ, h[k]))
-        # the face's own unit vectors must lie in the slice
+        # the face's own unit vectors must lie in the slice; a row's value
+        # at one is a[v-1] plus its z part applied to h, and the rows that
+        # fix z hold there outright
+        z_parts = [dot(a[form.n :], h) for a, _, _ in rows]
         for v in T:
-            lam = tuple(Fraction(int(j == v - 1)) for j in range(form.n))
-            full = lam + tuple(h)
-            for a, rel, rhs in fixed:
-                val = dot(a, full)
-                bad = (
-                    (rel == LE and val > rhs)
-                    or (rel == EQ and val != rhs)
-                )
-                if bad:
+            for (a, rel, rhs), z_part in zip(rows, z_parts):
+                val = a[v - 1] + z_part
+                if val > rhs or (rel == EQ and val != rhs):
                     failures.append(
                         {"where": "missing unit vector", "alternative": i + 1, "component": v}
                     )

@@ -209,3 +209,17 @@ def test_bench_reports_skipped_encodings(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [(row["encoding"], row["scheme"]) for row in rows] == [("moment", "moment")]
+
+
+def test_bench_runs_the_grid_once(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--families", "sos2,grid", "--sizes", "4,8",
+               "--encodings", "moment", "--schemes", "moment",
+               "--seeds", "2", "-o", str(out)) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    # two sos2 sizes and the one grid instance, two seeds each
+    assert [(row["family"], row["d"]) for row in rows] == [
+        ("sos2", "4"), ("sos2", "4"), ("sos2", "8"), ("sos2", "8"),
+        ("grid", "8"), ("grid", "8"),
+    ]

@@ -1,6 +1,7 @@
 """Unit tests for the code families and their structural predicates."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from cdcbranch.encodings import (
     separation_certificates_exotic,
     zigzag_code,
 )
+from cdcbranch.lp import EQ, lp_feasible
 from cdcbranch.numerics import vec, vec_sub
 
 F = Fraction
@@ -200,3 +202,57 @@ def test_truncations_stay_distinct(r, d):
 def test_moment_codes_on_curve(d):
     for i, h in enumerate(moment_code(d), start=1):
         assert h == (F(i), F(i * i))
+
+
+def in_hull_lp(H, point):
+    """The LP oracle: point is a convex combination of the codes H."""
+    d = len(H)
+    rows = [([h[k] for h in H], EQ, point[k]) for k in range(len(point))]
+    rows.append(([1] * d, EQ, 1))
+    return lp_feasible(d, rows, bounds=[(0, None)] * d)
+
+
+@st.composite
+def random_codes(draw):
+    """One to six distinct codes in r <= 3 dimensions, integer or rational.
+
+    About a third are lower-dimensional: only `free` coordinates are
+    drawn, and each other one is s * (a free coordinate) + c.
+    """
+    r = draw(st.integers(1, 3))
+    value = draw(
+        st.sampled_from(
+            [st.integers(0, 2), st.builds(F, st.integers(-6, 6), st.integers(1, 3))]
+        )
+    )
+    free = r if draw(st.integers(0, 2)) else draw(st.integers(0, r - 1))
+    maps = [
+        (
+            draw(st.integers(0, max(free - 1, 0))),
+            draw(st.sampled_from([-1, 0, 1])),
+            draw(value),
+        )
+        for _ in range(r - free)
+    ]
+    H = {}
+    for y in draw(st.lists(st.tuples(*[value] * free), min_size=1, max_size=6)):
+        z = list(y) + [s * y[j] + c if free else c for j, s, c in maps]
+        H[tuple(F(x) for x in z)] = None
+    return list(H)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(random_codes())
+def test_predicates_match_lp_oracle(H):
+    enc = Encoding(H)
+    convex = len(H) == 1 or not any(
+        in_hull_lp(H[:i] + H[i + 1 :], h) for i, h in enumerate(H)
+    )
+    assert is_convex_position(enc) == convex
+    if any(x.denominator != 1 for h in H for x in h):
+        with pytest.raises(EncodingError):
+            is_hole_free(enc)
+        return
+    box = product(*(range(int(min(c)), int(max(c)) + 1) for c in zip(*H)))
+    holes = [p for p in box if p not in H and in_hull_lp(H, p)]
+    assert is_hole_free(enc) == (not holes)

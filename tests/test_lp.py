@@ -185,9 +185,31 @@ def test_facets_of_square_interior_point_strict():
         assert dot(a, vec((1, 1))) < rhs
 
 
-def test_facets_need_full_dimension():
-    with pytest.raises(LpError):
-        facets_of_hull([(0, 0), (1, 1), (2, 2)])
+def test_facets_relative_to_affine_hull():
+    def ints(facets):
+        return sorted((tuple(int(x) for x in a), int(rhs)) for a, rhs in facets)
+
+    # normals lie in the hull's direction space, rhs tight on each facet
+    assert ints(facets_of_hull([(0, 0), (1, 1), (2, 2)])) == [
+        ((-1, -1), 0),
+        ((1, 1), 4),
+    ]
+    assert facets_of_hull([(5, 7)]) == []
+    square = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    assert ints(facets_of_hull(square)) == [
+        ((-1, 0, 0), 0),
+        ((0, -1, 0), 0),
+        ((0, 1, 0), 1),
+        ((1, 0, 0), 1),
+    ]
+    # the unit square lifted into the plane z2 == z3 by (x, y) -> (x, y, y)
+    tilted = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1)]
+    assert ints(facets_of_hull(tilted)) == [
+        ((-1, 0, 0), 0),
+        ((0, -1, -1), 0),
+        ((0, 1, 1), 2),
+        ((1, 0, 0), 1),
+    ]
 
 
 def test_optimum_matches_vertex_enumeration_on_random_polytopes():

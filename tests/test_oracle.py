@@ -97,6 +97,23 @@ def test_check_projection_passes_on_grid():
     assert check_projection(build_moment_curve(fam)).ok
 
 
+def test_check_projection_names_each_missing_unit_vector():
+    fam, _ = grid()
+    form = build_moment_curve(fam)
+    row = form.rows[0]
+    low = list(row.lower)
+    low[0] += 1
+    low[4] += 1
+    form.rows[0] = TwoSidedRow(row.direction, low, row.upper)
+    rep = check_projection(form)
+    # component 1 lies only in alternative 1; component 5 lies in six
+    # alternatives, and its lower coefficient is attained at alternative 7
+    assert rep.failures == [
+        {"where": "missing unit vector", "alternative": 1, "component": 1},
+        {"where": "missing unit vector", "alternative": 7, "component": 5},
+    ]
+
+
 def test_check_projection_catches_weak_relaxation():
     fam, _ = grid()
     base = build_moment_curve(fam)
