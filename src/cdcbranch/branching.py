@@ -9,6 +9,7 @@ every split can be audited.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .encodings import EncodingError, exotic_code, is_hole_free, moment_code
 from .lp import EQ, GE, LE, facets_of_hull
 from .numerics import dot, vec
 
@@ -244,14 +245,21 @@ def branch_exotic(Q, H, zhat):
     )
 
 
+def hull_root(self, encoding):
+    """The facets of the codes' hull, the root region of each scheme that
+    cuts its regions from that hull.  Those classes assign it as `root` in
+    their own bodies, so every scheme class holds its `root` itself."""
+    return CodeRelaxation(
+        [(a, LE, rhs) for a, rhs in facets_of_hull(list(encoding))]
+    )
+
+
 class VariableScheme:
     """Coordinate splitting; needs integer codes tiling their hull."""
 
     name = "variable"
 
     def compatible(self, encoding):
-        from .encodings import EncodingError, is_hole_free
-
         try:
             ok = is_hole_free(encoding)
         except EncodingError as exc:
@@ -260,10 +268,7 @@ class VariableScheme:
             return False, "codes leave integer holes in their hull"
         return True, ""
 
-    def root(self, encoding):
-        return CodeRelaxation(
-            [(a, LE, rhs) for a, rhs in facets_of_hull(list(encoding))]
-        )
+    root = hull_root
 
     def step(self, state, zhat, _encoding):
         return branch_variable(state, zhat)
@@ -275,8 +280,6 @@ class MomentScheme:
     name = "moment"
 
     def compatible(self, encoding):
-        from .encodings import moment_code
-
         if encoding != moment_code(len(encoding)):
             return False, "codes are not the parabola family"
         return True, ""
@@ -294,17 +297,12 @@ class ExoticScheme:
     name = "exotic"
 
     def compatible(self, encoding):
-        from .encodings import exotic_code
-
         d = len(encoding)
         if d % 4 != 0 or encoding != exotic_code(d):
             return False, "codes are not the two-per-level planar family"
         return True, ""
 
-    def root(self, encoding):
-        return CodeRelaxation(
-            [(a, LE, rhs) for a, rhs in facets_of_hull(list(encoding))]
-        )
+    root = hull_root
 
     def step(self, state, zhat, encoding):
         return branch_exotic(state, encoding, zhat)

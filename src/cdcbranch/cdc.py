@@ -7,7 +7,6 @@ A union of polyhedra given by H-representation pieces is the input of the
 big-M formulation instead.
 """
 
-import json
 import math
 from fractions import Fraction
 
@@ -226,13 +225,3 @@ def instance_from_json(obj):
         )
     return family, vertex_map
 
-
-def write_instance(path, family, vertex_map=None):
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(family, vertex_map), fh, indent=2)
-        fh.write("\n")
-
-
-def read_instance(path):
-    with open(path) as fh:
-        return instance_from_json(json.load(fh))

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 from .lp import facets_of_hull
-from .numerics import affine_hull, dot, rank, vec
+from .numerics import _integer_rows, affine_hull, dot, rank, vec
 
 
 class EncodingError(Exception):
@@ -128,7 +128,9 @@ def is_hole_free(encoding):
     """True when every integer point of Conv(codes) is itself a code.
 
     Only defined for integer codes; rejects anything else.  The hull is
-    taken only once the codes' bounding box shows a non-code point.
+    taken only once the codes' bounding box shows a non-code point; its
+    equations and facets are then scaled to integer rows [a | b], so each
+    box point is tested in ints.
     """
     H = list(encoding)
     for h in H:
@@ -136,46 +138,19 @@ def is_hole_free(encoding):
             raise EncodingError("hole-freeness is only defined for integer codes")
     box = [range(int(min(c)), int(max(c)) + 1) for c in zip(*H)]
     code_set = set(H)
-    hull = None
+    eqs = None
     for point in product(*box):
         if point in code_set:
             continue
-        if hull is None:
-            hull = affine_hull(H)[0], facets_of_hull(H)
-        eqs, facets = hull
-        if all(dot(a, point) == b for a, b in eqs) and all(
-            dot(a, point) <= b for a, b in facets
+        if eqs is None:
+            eqs = _integer_rows([a + (b,) for a, b in affine_hull(H)[0]])
+            facets = _integer_rows([a + (b,) for a, b in facets_of_hull(H)])
+        # zip stops at the point's end, so a row's last entry b is left out
+        on_hull = all(
+            sum(x * y for x, y in zip(row, point)) == row[-1] for row in eqs
+        )
+        if on_hull and all(
+            sum(x * y for x, y in zip(row, point)) <= row[-1] for row in facets
         ):
             return False
     return True
-
-
-def separation_certificates_exotic(r):
-    """Per-code separating inequalities for the exotic family of size 4r.
-
-    Returns one (c, b) per code with c . h > b at that code and
-    c . h <= b at every other, verified before returning.  r >= 2.
-    """
-    if r < 2:
-        raise EncodingError("certificates need r >= 2")
-    H = list(exotic_code(4 * r))
-    d = 4 * r
-    cs = []
-    for k in range(1, r + 1):
-        cs.append((Fraction(-(2 * (r - k) + 3)), Fraction(-2)))
-        cs.append((Fraction(2 * (r - k) + 3), Fraction(-2)))
-        cs.append((Fraction(2 * (r - k) + 1), Fraction(2)))
-        cs.append((Fraction(-(2 * (r - k) + 1)), Fraction(2)))
-    certs = []
-    for i in range(d):
-        c = cs[i]
-        # anchor the threshold at the neighbor four positions away
-        j = i + 4 if i < 4 else i - 4
-        b = c[0] * H[j][0] + c[1] * H[j][1]
-        if not c[0] * H[i][0] + c[1] * H[i][1] > b:
-            raise EncodingError("certificate fails to cut off its own code")
-        for t in range(d):
-            if t != i and c[0] * H[t][0] + c[1] * H[t][1] > b:
-                raise EncodingError("certificate cuts off a foreign code")
-        certs.append((c, b))
-    return certs

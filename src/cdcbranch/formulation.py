@@ -33,7 +33,6 @@ from .numerics import (
     affine_hull,
     canonical_direction,
     format_rational,
-    integer_direction,
     is_zero_vector,
     nullspace_basis,
     rank,
@@ -229,14 +228,6 @@ class LinearFormulation:
         if self.artificial:
             lines.append("lam%d == 0 (artificial)" % self.n)
         return "\n".join(lines) + "\n"
-
-
-def canonical_inequality(a, rhs):
-    """Scale a . x <= rhs by a positive factor to coprime integers."""
-    full = tuple(a) + (rhs,)
-    scaled = integer_direction(full)
-    # integer_direction preserves orientation, so the scale was positive
-    return scaled[:-1], scaled[-1]
 
 
 def spanned_hyperplane_normals(C, ambient=None):

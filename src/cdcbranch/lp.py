@@ -24,7 +24,6 @@ from .numerics import (
     _integer_rows,
     affine_hull,
     independent_rows,
-    integer_direction,
     is_zero_vector,
     mat,
     nullspace_basis,
@@ -135,31 +134,32 @@ def solve_lp(problem):
     """Exact two-phase simplex.  Returns an LpResult."""
     n = problem.n
 
-    # Map each original variable to nonnegative standard-form variables.
-    # shift[j] holds (kind, data): ('lo', lb) x = lb + x', ('hi', ub)
-    # x = ub - x', ('free', pos_idx, neg_idx) x = x+ - x-.
-    col_of = []
-    shift = []
+    # Map each original variable to nonnegative standard-form columns: one
+    # entry (offset, pos, neg) per variable means x = offset + x[pos] -
+    # x[neg], where either column may be absent (None).  A lower bound gives
+    # (lb, col, None), an upper bound alone (ub, None, col), and a free
+    # variable (0, col, col + 1), its 0 one shared Fraction so that x is a
+    # Fraction even when both columns are nonbasic.  An upper bound next to
+    # a lower one becomes an extra row.
+    zero = Fraction(0)
+    cols = []
     ncols = 0
     extra_rows = []
     for j, (lb, ub) in enumerate(problem.bounds):
         if lb is not None:
-            col_of.append(ncols)
-            shift.append(("lo", lb))
-            ncols += 1
             if ub is not None:
                 if ub < lb:
                     return LpResult("infeasible")
                 coeff = [Fraction(0)] * n
                 coeff[j] = Fraction(1)
                 extra_rows.append((vec(coeff), LE, ub))
+            cols.append((lb, ncols, None))
+            ncols += 1
         elif ub is not None:
-            col_of.append(ncols)
-            shift.append(("hi", ub))
+            cols.append((ub, None, ncols))
             ncols += 1
         else:
-            col_of.append(ncols)
-            shift.append(("free", ncols, ncols + 1))
+            cols.append((zero, ncols, ncols + 1))
             ncols += 2
 
     all_rows = list(problem.rows) + extra_rows
@@ -168,19 +168,15 @@ def solve_lp(problem):
         # each variable has its own columns, so entries are set, not summed
         out = [0] * ncols
         r = rhs
-        for j in range(n):
-            if a[j] == 0:
+        for aj, (offset, pos, neg) in zip(a, cols):
+            if aj == 0:
                 continue
-            kind = shift[j][0]
-            if kind == "lo":
-                out[col_of[j]] = a[j]
-                r -= a[j] * shift[j][1]
-            elif kind == "hi":
-                out[col_of[j]] = -a[j]
-                r -= a[j] * shift[j][1]
-            else:
-                out[shift[j][1]] = a[j]
-                out[shift[j][2]] = -a[j]
+            if pos is not None:
+                out[pos] = aj
+            if neg is not None:
+                out[neg] = -aj
+            if offset:
+                r -= aj * offset
         return out, r
 
     # Standard form rows with slack/surplus columns, negated where needed
@@ -248,23 +244,13 @@ def solve_lp(problem):
             del basis[i - 1]
         m = len(T) - 1
 
-    # Phase 2 objective over the standard-form columns (and a zero rhs),
-    # priced out on the basic ones.  Artificial columns never re-enter:
-    # phase 2 looks only at the first `total` columns.
-    c_std = [0] * (width + 1)
-    for j in range(n):
-        cj = problem.objective[j] if problem.sense == "max" else -problem.objective[j]
-        if cj == 0:
-            continue
-        kind = shift[j][0]
-        if kind == "lo":
-            c_std[col_of[j]] = cj
-        elif kind == "hi":
-            c_std[col_of[j]] = -cj
-        else:
-            c_std[shift[j][1]] = cj
-            c_std[shift[j][2]] = -cj
-    c_int = _integer_rows([c_std])[0]
+    # Phase 2 objective: the objective row in standard form (its rhs part
+    # unread), padded to the tableau width and priced out on the basic
+    # columns.  Artificial columns never re-enter: phase 2 looks only at
+    # the first `total` columns.
+    obj = problem.objective
+    c_std = to_standard(obj if problem.sense == "max" else [-x for x in obj], 0)[0]
+    c_int = _integer_rows([c_std + [0] * (width + 1 - ncols)])[0]
     basic_costs = [(i, c_int[b]) for i, b in enumerate(basis, 1) if c_int[b] != 0]
     T[0] = price_out([-c for c in c_int], basic_costs)
 
@@ -272,18 +258,17 @@ def solve_lp(problem):
     if status == "unbounded":
         return LpResult("unbounded")
 
-    xstd = [Fraction(0)] * width
-    for i in range(m):
-        xstd[basis[i]] = Fraction(T[i + 1][-1], T[i + 1][basis[i]])
+    # a nonbasic column is zero, so only basic columns enter x, and a zero
+    # offset is skipped as in to_standard
+    basic = {b: Fraction(T[i][-1], T[i][b]) for i, b in enumerate(basis, 1)}
     x = []
-    for j in range(n):
-        kind = shift[j][0]
-        if kind == "lo":
-            x.append(shift[j][1] + xstd[col_of[j]])
-        elif kind == "hi":
-            x.append(shift[j][1] - xstd[col_of[j]])
-        else:
-            x.append(xstd[shift[j][1]] - xstd[shift[j][2]])
+    for offset, pos, neg in cols:
+        v = offset
+        if pos in basic:
+            v = v + basic[pos] if v else basic[pos]
+        if neg in basic:
+            v = v - basic[neg] if v else -basic[neg]
+        x.append(v)
     x = tuple(x)
     value = sum((problem.objective[j] * x[j] for j in range(n)), Fraction(0))
     return LpResult("optimal", x=x, value=value)
@@ -322,7 +307,7 @@ def _dd_extreme_rays(G):
     start = nullspace_basis(
         [G[i] + [int(i == j) for j in base_idx] for i in base_idx]
     )
-    rays = [tuple(int(x) for x in integer_direction(v[:k])) for v in start]
+    rays = [tuple(_coprime(r)) for r in _integer_rows([v[:k] for v in start])]
     # vals[j][i] is row i of G applied to ray j
     vals = [[sum(a * b for a, b in zip(g, r)) for g in G] for r in rays]
 

@@ -196,37 +196,12 @@ def canonical_direction(v):
     raise ValueError("zero vector has no canonical direction")
 
 
-def integer_direction(v):
-    """Scale a vector to coprime integers, keeping its orientation."""
-    v = vec(v)
-    scale = 1
-    for x in v:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints)
-
-
 def independent_rows(M):
     """Indices of a maximal linearly independent subset of rows, greedy order.
 
-    One pass of integer elimination.  Each chosen row is kept reduced: it
-    is zero at the pivot columns of the rows chosen before it.  A row is
-    chosen when reducing it against them in turn leaves something nonzero.
+    Row i is chosen when it is not in the span of the rows before it.  Row
+    operations keep every linear relation among columns, so these are the
+    pivot columns of the fraction-free echelon form of the transpose.
     """
-    chosen = []
-    echelon = []  # (pivot column, reduced integer row)
-    for i, row in enumerate(_integer_rows(mat(M))):
-        for col, b in echelon:
-            f = row[col]
-            if f:
-                row = _coprime([x * b[col] - f * y for x, y in zip(row, b)])
-        piv = next((j for j, x in enumerate(row) if x), None)
-        if piv is not None:
-            chosen.append(i)
-            echelon.append((piv, row))
-    return chosen
+    rows = _integer_rows(mat(M))
+    return _bareiss_echelon([list(col) for col in zip(*rows)])[1]

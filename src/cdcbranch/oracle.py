@@ -9,9 +9,10 @@ referees the rest of the package answers to.
 import warnings
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .lp import EQ, LE, LpError, LpProblem, enumerate_vertices, solve_lp
-from .numerics import affine_hull, dot, vec
+from .numerics import _bareiss_echelon, _integer_rows, dot, vec
 
 
 @dataclass
@@ -179,16 +180,30 @@ def classify_rows(form):
     verts = enumerate_vertices(sys.nvars, sys.ineqs, eqs=sys.eqs, bounds=sys.bounds)
     if not verts:
         raise LpError("empty relaxation cannot be classified")
-    _, dim = affine_hull(verts)
+    # the vertices over one common denominator: V holds den * v in ints,
+    # and a row [a | rhs] scaled to integers is tight at v when
+    # a . (den * v) == rhs * den
+    den = lcm(*(x.denominator for v in verts for x in v))
+    V = [[x.numerator * (den // x.denominator) for x in v] for v in verts]
+
+    def dim(points):
+        # the rank of the differences from the first point; they are ints
+        # already, so the rank is read straight off the elimination kernel
+        diffs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+        return len(_bareiss_echelon(diffs)[1])
+
+    full = dim(V)
     out = []
     for tag, a, rhs in form.one_sided():
-        tight = [v for v in verts if dot(a, v) == rhs]
+        *a_int, r_int = _integer_rows([a + (rhs,)])[0]
+        rhs_int = r_int * den
+        tight = [v for v in V if sum(x * y for x, y in zip(a_int, v)) == rhs_int]
         if not tight:
             cls = "never-tight"
             tdim = -1
         else:
-            _, tdim = affine_hull(tight)
-            cls = "facet" if tdim == dim - 1 else "tight-nonfacet"
+            tdim = dim(tight)
+            cls = "facet" if tdim == full - 1 else "tight-nonfacet"
         out.append(
             {
                 "row": tag[0],

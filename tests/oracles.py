@@ -1,0 +1,42 @@
+"""Reference helpers that several test modules share as oracles.
+
+They restate a fact in the simplest way, independently of the package
+code it checks.
+"""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from cdcbranch.encodings import EncodingError, exotic_code
+
+
+def canonical_inequality(a, rhs):
+    """Scale a . x <= rhs by a positive factor to coprime integers."""
+    full = [Fraction(x) for x in (*a, rhs)]
+    scale = lcm(*(x.denominator for x in full))
+    ints = [x.numerator * (scale // x.denominator) for x in full]
+    g = gcd(*ints) or 1
+    return tuple(Fraction(x // g) for x in ints[:-1]), Fraction(ints[-1] // g)
+
+
+def separation_certificates_exotic(r):
+    """Per-code separating inequalities for the exotic family of size 4r.
+
+    Returns one (c, b) per code, meant to hold c . h > b at that code and
+    c . h <= b at every other.  Each threshold b is anchored at the code
+    four positions away.  r >= 2.
+    """
+    if r < 2:
+        raise EncodingError("certificates need r >= 2")
+    cs = []
+    for k in range(1, r + 1):
+        cs.append((Fraction(-(2 * (r - k) + 3)), Fraction(-2)))
+        cs.append((Fraction(2 * (r - k) + 3), Fraction(-2)))
+        cs.append((Fraction(2 * (r - k) + 1), Fraction(2)))
+        cs.append((Fraction(-(2 * (r - k) + 1)), Fraction(2)))
+    H = list(exotic_code(4 * r))
+    certs = []
+    for i, c in enumerate(cs):
+        j = i + 4 if i < 4 else i - 4
+        certs.append((c, c[0] * H[j][0] + c[1] * H[j][1]))
+    return certs

@@ -19,7 +19,6 @@ from cdcbranch.encodings import (
     gray_code,
     is_convex_position,
     moment_code,
-    separation_certificates_exotic,
     zigzag_code,
 )
 from cdcbranch.formulation import (
@@ -29,7 +28,6 @@ from cdcbranch.formulation import (
     build_general,
     build_moment_curve,
     build_sos2_exotic,
-    canonical_inequality,
     export_formulation,
 )
 from cdcbranch.lp import LE, LpProblem, solve_lp
@@ -43,6 +41,7 @@ from cdcbranch.oracle import (
     classify_rows,
 )
 from cdcbranch.solver import check_branch_soundness, solve
+from oracles import canonical_inequality, separation_certificates_exotic
 
 
 # The eight facet rows of the 3x3-grid fixture, frozen by hand.  Each entry

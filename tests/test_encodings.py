@@ -15,11 +15,11 @@ from cdcbranch.encodings import (
     is_convex_position,
     is_hole_free,
     moment_code,
-    separation_certificates_exotic,
     zigzag_code,
 )
 from cdcbranch.lp import EQ, lp_feasible
 from cdcbranch.numerics import vec, vec_sub
+from oracles import separation_certificates_exotic
 
 F = Fraction
 

@@ -23,13 +23,13 @@ from cdcbranch.formulation import (
     build_general,
     build_moment_curve,
     build_sos2_exotic,
-    canonical_inequality,
     compute_bigm,
     export_formulation,
     spanned_hyperplane_normals,
 )
 from cdcbranch.lp import enumerate_vertices
 from cdcbranch.numerics import dot, parse_rational, vec
+from oracles import canonical_inequality
 
 
 def canon_rows(form):

@@ -433,3 +433,62 @@ def test_enumerate_vertices_matches_cramer_oracle(system):
         e = tuple(F(int(i == k)) for i in range(n))
         box += [(tuple(-x for x in e), -lb), (e, ub)]
     assert set(verts) == _brute_force_vertices(n, list(ineqs) + box, eq)
+
+
+BOUND_KINDS = ("free", "lower", "upper only", "two-sided", "fixed")
+
+
+@st.composite
+def bounded_lps(draw):
+    """A bounded LP with one of the five bound kinds per variable.  A side
+    that the bounds leave open is closed by a row, so the feasible set is a
+    polytope (maybe empty) and its best vertex is the optimum."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    bounds, rows = [], []
+    for j in range(n):
+        e = tuple(F(int(i == j)) for i in range(n))
+        lo, hi = draw(rationals) - 3, draw(rationals) + 3
+        kind = draw(st.sampled_from(BOUND_KINDS))
+        if kind == "free":
+            bounds.append((None, None))
+            rows += [(e, LE, hi), (e, GE, lo)]
+        elif kind == "lower":
+            bounds.append((lo, None))
+            rows.append((e, LE, hi))
+        elif kind == "upper only":
+            bounds.append((None, hi))
+            rows.append((e, GE, lo))
+        elif kind == "two-sided":
+            bounds.append((lo, hi))
+        else:
+            v = draw(rationals)
+            bounds.append((v, v))
+    coeffs = st.lists(rationals, min_size=n, max_size=n).map(tuple)
+    rows += draw(st.lists(st.tuples(coeffs, st.sampled_from((LE, GE, EQ)), rationals), max_size=3))
+    return n, draw(coeffs), rows, bounds, draw(st.sampled_from(("max", "min")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_lps())
+def test_solve_lp_matches_vertex_enumeration_on_every_bound_kind(lp):
+    n, c, rows, bounds, sense = lp
+    res = solve_lp(LpProblem(n, c, rows, bounds=bounds, sense=sense))
+    ineqs = [(a, rhs) for a, rel, rhs in rows if rel == LE]
+    ineqs += [(tuple(-x for x in a), -rhs) for a, rel, rhs in rows if rel == GE]
+    eqs = [(a, rhs) for a, rel, rhs in rows if rel == EQ]
+    verts = enumerate_vertices(n, ineqs, eqs=eqs, bounds=bounds)
+    if not verts:
+        assert res.status == "infeasible"
+        return
+    assert res.status == "optimal"
+    x = res.x
+    assert len(x) == n and all(type(v) is F for v in x)
+    assert type(res.value) is F
+    for a, rel, rhs in rows:
+        v = dot(vec(a), x)
+        assert v <= rhs if rel == LE else v >= rhs if rel == GE else v == rhs
+    for v, (lb, ub) in zip(x, bounds):
+        assert (lb is None or v >= lb) and (ub is None or v <= ub)
+    assert res.value == dot(vec(c), x)
+    best = max if sense == "max" else min
+    assert res.value == best(dot(vec(c), v) for v in verts)

@@ -13,7 +13,6 @@ from cdcbranch.numerics import (
     dot,
     format_rational,
     independent_rows,
-    integer_direction,
     nullspace_basis,
     parse_rational,
     rank,
@@ -120,12 +119,6 @@ def test_canonical_direction_examples():
 def test_canonical_direction_rejects_zero():
     with pytest.raises(ValueError):
         canonical_direction((0, 0))
-
-
-def test_integer_direction_scales_to_coprime():
-    assert integer_direction((F(1, 2), F(-1, 3))) == (F(3), F(-2))
-    # orientation is preserved, unlike canonical_direction
-    assert integer_direction((-2, 4)) == (F(-1), F(2))
 
 
 def test_independent_rows_greedy():
