@@ -1,31 +1,38 @@
 """Exact rational linear programming and vertex/facet enumeration.
 
-The simplex solver runs two phases with Bland's rule, so it cannot cycle
-and every reported optimum is exact.  Vertex enumeration runs the double
-description method on the homogenization of the input system, which keeps
-the work proportional to the actual face structure instead of the number
-of basis subsets.
+The simplex gives each variable one column.  A free variable is pivoted
+out before phase 1 on the first row that holds it, and that row is set
+aside and back-substituted when x is read, so every optimum is a basic
+solution: a vertex whenever the feasible set is a polytope.  The two
+phases use Bland's rule, so they cannot cycle, and the artificial columns
+are dropped once phase 1 ends.  An optimal result keeps its tableau;
+solve_lp given that result adds rows to its LP and re-optimizes by dual
+simplex with the lowest-index rule, which is how branch and bound solves
+every node below the root.  Vertex enumeration runs the double
+description method on the homogenization of the input system, which
+keeps the work proportional to the actual face structure instead of the
+number of basis subsets.
 
 Both work in Python ints, with Fraction only at their boundary.  The
 simplex scales each standard-form row to coprime integers as it builds
-the tableau, prices out its objective rows in integers, and turns basic
+the tableau, prices out its objective rows in integers, and turns column
 values into Fraction only when it reads them.  Double description scales
 its rows to integers on the way in and takes its starting rays from an
 integer nullspace; vertices and facets become Fraction only on the way
 out.  No float enters either.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from .numerics import (
     _coprime,
     _integer_rows,
+    _nullspace,
     affine_hull,
     independent_rows,
     is_zero_vector,
-    mat,
     nullspace_basis,
     rat,
     rank,
@@ -73,12 +80,33 @@ class LpProblem:
 
 
 @dataclass
+class _Tableau:
+    """An optimal tableau, kept so that rows can be added to its LP.
+
+    T and basis are the integer tableau, row 0 the reduced costs.  aside
+    lists (column, row) for each eliminated free variable, in elimination
+    order.  cols maps variable j to column j as (offset, sign), and problem
+    is the LP whose rows T holds, for its n, objective, bounds and sense.
+    """
+
+    T: list
+    basis: list
+    aside: list
+    cols: list
+    problem: LpProblem
+
+
+@dataclass
 class LpResult:
-    """status is 'optimal', 'infeasible', or 'unbounded'."""
+    """status is 'optimal', 'infeasible', or 'unbounded'; pivots counts
+    the pivots of this solve.  An optimal result keeps its tableau, from
+    which solve_lp re-optimizes the LP with rows added."""
 
     status: str
     x: tuple = None
     value: Fraction = None
+    pivots: int = 0
+    tableau: _Tableau = field(default=None, repr=False, compare=False)
 
 
 def _pivot(T, basis, r, c):
@@ -97,16 +125,28 @@ def _pivot(T, basis, r, c):
     basis[r - 1] = c
 
 
+def _reduce(row, pivots):
+    """row with column c eliminated by prow, for each (c, prow) in turn,
+    as _pivot eliminates it; prow[c] must be positive."""
+    for c, prow in pivots:
+        f = row[c]
+        if f != 0:
+            p = prow[c]
+            row = _coprime([x * p - f * y for x, y in zip(row, prow)])
+    return row
+
+
 def _run_simplex(T, basis, ncols):
     """Pivot until optimal or unbounded.  Row 0 holds reduced costs for a
     maximization; entering variable is the lowest index with a negative
     entry, leaving row breaks ratio ties on the lowest basic variable
-    (Bland's rule).  Returns 'optimal' or 'unbounded'.
+    (Bland's rule).  Returns ('optimal' or 'unbounded', pivots).
 
     T holds Python ints: each row is a positive multiple of its Fraction
     row, so every sign is the same, and the ratio rhs_i / a_i is compared
     by cross-multiplication, where the row scale cancels."""
     m = len(T) - 1
+    pivots = 0
     while True:
         enter = None
         for j in range(ncols):
@@ -114,7 +154,7 @@ def _run_simplex(T, basis, ncols):
                 enter = j
                 break
         if enter is None:
-            return "optimal"
+            return "optimal", pivots
         leave = None
         for i in range(1, m + 1):
             a = T[i][enter]
@@ -126,24 +166,72 @@ def _run_simplex(T, basis, ncols):
                 if lhs < rhs or (lhs == rhs and basis[i - 1] < basis[leave - 1]):
                     leave, best_rhs, best_a = i, T[i][-1], a
         if leave is None:
-            return "unbounded"
+            return "unbounded", pivots
         _pivot(T, basis, leave, enter)
+        pivots += 1
 
 
-def solve_lp(problem):
-    """Exact two-phase simplex.  Returns an LpResult."""
+def _run_dual(T, basis, ncols):
+    """Dual simplex from a tableau with no negative reduced cost, until
+    every basic value is nonnegative.  The leaving row is the negative one
+    with the lowest basic variable; the entering column has the least
+    ratio T[0][j] / -T[r][j] over the row's negative entries, the lowest
+    column on ties.  Returns ('optimal' or 'infeasible', pivots): with no
+    negative entry, the row sums nonnegative terms to a negative value."""
+    pivots = 0
+    while True:
+        leave = None
+        for i in range(1, len(T)):
+            if T[i][-1] < 0 and (leave is None or basis[i - 1] < basis[leave - 1]):
+                leave = i
+        if leave is None:
+            return "optimal", pivots
+        row, cost = T[leave], T[0]
+        enter = None
+        for j in range(ncols):
+            a = row[j]
+            # d / -a < best_d / -best_a, both denominators positive
+            if a < 0 and (enter is None or cost[j] * best_a > best_d * a):
+                enter, best_d, best_a = j, cost[j], a
+        if enter is None:
+            return "infeasible", pivots
+        _pivot(T, basis, leave, enter)
+        pivots += 1
+
+
+def _standard(a, rhs, cols):
+    """Row a . x (rel) rhs over the columns: column j is sign * (x_j -
+    offset), so its entry is sign * a_j and a_j * offset moves to rhs."""
+    out = []
+    for aj, (offset, sign) in zip(a, cols):
+        out.append(aj if sign > 0 else -aj)
+        if offset and aj:
+            rhs -= aj * offset
+    return out, rhs
+
+
+def solve_lp(problem, parent=None):
+    """Exact simplex.  Returns an LpResult.
+
+    Without parent the LP is solved cold, in two phases.  parent is an
+    optimal LpResult of an LP with problem's n, objective, bounds and
+    sense; problem.rows are then added to that LP, which is re-optimized
+    by dual simplex from parent's tableau.
+    """
+    if parent is not None:
+        if parent.tableau is None:
+            raise ValueError("rows can be added only to an optimal LpResult")
+        return _add_rows(problem, parent.tableau)
     n = problem.n
 
-    # Map each original variable to nonnegative standard-form columns: one
-    # entry (offset, pos, neg) per variable means x = offset + x[pos] -
-    # x[neg], where either column may be absent (None).  A lower bound gives
-    # (lb, col, None), an upper bound alone (ub, None, col), and a free
-    # variable (0, col, col + 1), its 0 one shared Fraction so that x is a
-    # Fraction even when both columns are nonbasic.  An upper bound next to
-    # a lower one becomes an extra row.
+    # Variable j is column j: x_j = offset + sign * column.  A lower bound
+    # gives (lb, 1), an upper bound alone (ub, -1), and a free variable
+    # (0, 1), its 0 one shared Fraction so that x is a Fraction even when
+    # the variable is held by no row.  An upper bound next to a lower one
+    # becomes an extra row.
     zero = Fraction(0)
     cols = []
-    ncols = 0
+    free = []
     extra_rows = []
     for j, (lb, ub) in enumerate(problem.bounds):
         if lb is not None:
@@ -153,79 +241,76 @@ def solve_lp(problem):
                 coeff = [Fraction(0)] * n
                 coeff[j] = Fraction(1)
                 extra_rows.append((vec(coeff), LE, ub))
-            cols.append((lb, ncols, None))
-            ncols += 1
+            cols.append((lb, 1))
         elif ub is not None:
-            cols.append((ub, None, ncols))
-            ncols += 1
+            cols.append((ub, -1))
         else:
-            cols.append((zero, ncols, ncols + 1))
-            ncols += 2
+            cols.append((zero, 1))
+            free.append(j)
 
+    # Standard form: one slack column per inequality, every row scaled to
+    # coprime integers, basis[i] holding row i's slack column (or None)
+    # until the basis is chosen.
     all_rows = list(problem.rows) + extra_rows
-
-    def to_standard(a, rhs):
-        # each variable has its own columns, so entries are set, not summed
-        out = [0] * ncols
-        r = rhs
-        for aj, (offset, pos, neg) in zip(a, cols):
-            if aj == 0:
-                continue
-            if pos is not None:
-                out[pos] = aj
-            if neg is not None:
-                out[neg] = -aj
-            if offset:
-                r -= aj * offset
-        return out, r
-
-    # Standard form rows with slack/surplus columns, negated where needed
-    # so the rhs is nonnegative.  A row starts basic on its slack when the
-    # slack's entry is then +1, otherwise on an artificial with entry +1.
-    # Each row is scaled to coprime integers; its basic entry is its scale.
-    std = [to_standard(a, rhs) + (rel,) for a, rel, rhs in all_rows]
-    m = len(std)
-    n_slack = sum(1 for _, _, rel in std if rel != EQ)
-    total = ncols + n_slack
-    # one artificial per row whose slack, if any, is not +1 once the row's
-    # rhs is made nonnegative
-    width = total + sum(1 for _, r, rel in std if rel == EQ or (rel == LE) == (r < 0))
-    T = [None]
+    total = n + sum(1 for _, rel, _ in all_rows if rel != EQ)
+    T = [[0] * (total + 1)]
     basis = []
-    slack_at, art_at = ncols, total
-    for coeffs, r, rel in std:
-        sign = -1 if r < 0 else 1
-        row = coeffs + [0] * (width - ncols) + [r]
-        col = None
+    slack_at = n
+    for a, rel, rhs in all_rows:
+        coeffs, r = _standard(a, rhs, cols)
+        row = coeffs + [0] * (total - n) + [r]
+        slack = None
         if rel != EQ:
             row[slack_at] = 1 if rel == LE else -1
-            if row[slack_at] == sign:
-                col = slack_at
-            slack_at += 1
-        if col is None:
-            row[art_at] = sign
-            col = art_at
-            art_at += 1
-        basis.append(col)
-        row = _coprime(_integer_rows([row])[0])
-        T.append([-x for x in row] if sign < 0 else row)
+            slack, slack_at = slack_at, slack_at + 1
+        T.append(_coprime(_integer_rows([row])[0]))
+        basis.append(slack)
 
-    def price_out(z, terms):
-        """z plus w * (row i over its basic entry) for each (i, w) in terms,
-        with every term multiplied by the lcm of those entries."""
-        scale = lcm(*(T[i][basis[i - 1]] for i, _ in terms))
-        z = [scale * x for x in z]
-        for i, w in terms:
-            f = w * (scale // T[i][basis[i - 1]])
-            z = [a + f * b for a, b in zip(z, T[i])]
-        return _coprime(z)
+    # Each free variable is pivoted on the first row that holds it, and
+    # that row is set aside: no other row holds the variable, and x_j is
+    # read off the set-aside row.  Row k then holds no earlier free column,
+    # so the set-aside rows are triangular.
+    pivots = 0
+    aside = []
+    unheld = []
+    for j in free:
+        i = next((i for i in range(1, len(T)) if T[i][j] != 0), None)
+        if i is None:
+            unheld.append(j)
+            continue
+        _pivot(T, basis, i, j)
+        pivots += 1
+        aside.append((j, T.pop(i)))
+        del basis[i - 1]
+    m = len(T) - 1
 
-    if width > total:
+    # A row starts basic on its slack when the slack's entry is positive
+    # once the row's rhs is made nonnegative, otherwise on an artificial
+    # with entry 1.
+    arts = []
+    for i in range(1, m + 1):
+        row, s = T[i], basis[i - 1]
+        if row[-1] < 0 or (row[-1] == 0 and s is not None and row[s] < 0):
+            row = T[i] = [-x for x in row]
+        if s is None or row[s] < 0:
+            arts.append(i)
+    if arts:
+        width = total + len(arts)
+        pad = [0] * len(arts)
+        for i in range(1, m + 1):
+            T[i] = T[i][:-1] + pad + T[i][-1:]
+        for k, i in enumerate(arts, total):
+            T[i][k] = 1
+            basis[i - 1] = k
         # Phase 1: maximize -(sum of artificials); price out the basic ones.
-        arts = [(i, -1) for i in range(1, m + 1) if basis[i - 1] >= total]
-        T[0] = price_out([0] * total + [1] * (width - total) + [0], arts)
-        if _run_simplex(T, basis, width) != "optimal" or T[0][-1] != 0:
-            return LpResult("infeasible")
+        T[0] = _reduce(
+            [0] * total + [1] * len(arts) + [0],
+            [(basis[i - 1], T[i]) for i in arts],
+        )
+        status, done = _run_simplex(T, basis, width)
+        pivots += done
+        if status != "optimal" or T[0][-1] != 0:
+            return LpResult("infeasible", pivots=pivots)
         # Drive leftover artificials out of the basis or drop their rows.
         drop = []
         for i in range(m):
@@ -239,39 +324,102 @@ def solve_lp(problem):
                     drop.append(i + 1)
                 else:
                     _pivot(T, basis, i + 1, piv)
+                    pivots += 1
         for i in sorted(drop, reverse=True):
             del T[i]
             del basis[i - 1]
-        m = len(T) - 1
+        # Phase 2 never reads the artificial columns; drop them.
+        T = [T[0]] + [_coprime(row[:total] + row[-1:]) for row in T[1:]]
 
-    # Phase 2 objective: the objective row in standard form (its rhs part
-    # unread), padded to the tableau width and priced out on the basic
-    # columns.  Artificial columns never re-enter: phase 2 looks only at
-    # the first `total` columns.
+    # Phase 2 objective: the objective row in standard form, priced out on
+    # the set-aside rows, in their order, and then on the basic columns.
     obj = problem.objective
-    c_std = to_standard(obj if problem.sense == "max" else [-x for x in obj], 0)[0]
-    c_int = _integer_rows([c_std + [0] * (width + 1 - ncols)])[0]
-    basic_costs = [(i, c_int[b]) for i, b in enumerate(basis, 1) if c_int[b] != 0]
-    T[0] = price_out([-c for c in c_int], basic_costs)
+    c_std = _standard(obj if problem.sense == "max" else [-x for x in obj], 0, cols)[0]
+    z = [-c for c in _integer_rows([c_std + [0] * (total + 1 - n)])[0]]
+    z = _reduce(z, aside)
+    T[0] = _reduce(z, [(b, T[i]) for i, b in enumerate(basis, 1)])
+    # a free column that no row holds moves the objective both ways
+    if any(T[0][j] != 0 for j in unheld):
+        return LpResult("unbounded", pivots=pivots)
 
-    status = _run_simplex(T, basis, total)
+    status, done = _run_simplex(T, basis, total)
+    pivots += done
     if status == "unbounded":
-        return LpResult("unbounded")
+        return LpResult("unbounded", pivots=pivots)
+    return _optimum(_Tableau(T, basis, aside, cols, problem), pivots)
 
-    # a nonbasic column is zero, so only basic columns enter x, and a zero
-    # offset is skipped as in to_standard
-    basic = {b: Fraction(T[i][-1], T[i][b]) for i, b in enumerate(basis, 1)}
+
+def _add_rows(problem, tab):
+    """solve_lp of tab's LP with problem.rows added, by dual simplex.
+
+    Each added row gets a new slack column, basic with entry 1, and an
+    equality gets two rows, one per side.  The row is reduced on the
+    set-aside rows and then on the basic columns, so the tableau keeps its
+    form and its reduced costs stay nonnegative; a basic value is negative
+    only on the new rows.
+    """
+    base = tab.problem
+    if (problem.n, problem.objective, problem.bounds, problem.sense) != (
+        base.n, base.objective, base.bounds, base.sense,
+    ):
+        raise ValueError("added rows need the parent's n, objective, bounds and sense")
+    new = []
+    for a, rel, rhs in problem.rows:
+        coeffs, r = _standard(a, rhs, tab.cols)
+        if rel != GE:
+            new.append((coeffs, r))
+        if rel != LE:
+            new.append(([-x for x in coeffs], -r))
+    total = len(tab.T[0]) - 1
+    pad = [0] * len(new)
+    T = [row[:-1] + pad + row[-1:] for row in tab.T]
+    aside = [(j, row[:-1] + pad + row[-1:]) for j, row in tab.aside]
+    basis = list(tab.basis)
+    basic = [(b, T[i]) for i, b in enumerate(basis, 1)]
+    for s, (coeffs, r) in enumerate(new, total):
+        row = coeffs + [0] * (total - base.n) + pad + [r]
+        row[s] = 1
+        row = _coprime(_integer_rows([row])[0])
+        T.append(_reduce(_reduce(row, aside), basic))
+        basis.append(s)
+    status, pivots = _run_dual(T, basis, total + len(new))
+    if status == "infeasible":
+        return LpResult("infeasible", pivots=pivots)
+    return _optimum(_Tableau(T, basis, aside, tab.cols, base), pivots)
+
+
+def _optimum(tab, pivots):
+    """The optimal LpResult of a tableau: basic columns take their rhs,
+    free variables are back-substituted from the set-aside rows, last
+    first, and every other column is zero.  Column values are kept in ints
+    over one common denominator, as numerics._nullspace keeps its vectors."""
+    T = tab.T
+    basic = [(b, T[i]) for i, b in enumerate(tab.basis, 1) if T[i][-1]]
+    den = lcm(*(row[b] for b, row in basic))
+    num = {b: row[-1] * (den // row[b]) for b, row in basic}
+    for j, row in reversed(tab.aside):
+        s = row[-1] * den - sum(row[k] * v for k, v in num.items())
+        if s:
+            # x_j = s / (den * p); scaling den by p / g keeps it integral
+            p = row[j]
+            g = gcd(s, p)
+            if p != g:
+                num = {k: v * (p // g) for k, v in num.items()}
+                den *= p // g
+            num[j] = s // g
+    # a zero offset is skipped as in _standard
     x = []
-    for offset, pos, neg in cols:
-        v = offset
-        if pos in basic:
-            v = v + basic[pos] if v else basic[pos]
-        if neg in basic:
-            v = v - basic[neg] if v else -basic[neg]
-        x.append(v)
+    for j, (offset, sign) in enumerate(tab.cols):
+        v = num.get(j)
+        if v is None:
+            x.append(offset)
+            continue
+        v = Fraction(v if sign > 0 else -v, den)
+        x.append(offset + v if offset else v)
     x = tuple(x)
-    value = sum((problem.objective[j] * x[j] for j in range(n)), Fraction(0))
-    return LpResult("optimal", x=x, value=value)
+    problem = tab.problem
+    value = sum((problem.objective[j] * x[j] for j in range(problem.n)), Fraction(0))
+    return LpResult("optimal", x=x, value=value, pivots=pivots, tableau=tab)
 
 
 def lp_feasible(n, rows, bounds=None):
@@ -290,11 +438,12 @@ def _dd_extreme_rays(G):
     same.  Each ray carries its values against all rows: a new ray is a
     positive combination of two old ones, divided by a gcd, and its values
     are the same combination of theirs, so no dot product is recomputed.
-    The starting rays come from one nullspace_basis call, which also
-    eliminates in ints.  Rays are returned as coprime tuples of ints.  The
-    zero cone yields [].
+    G may hold ints or Fractions; its integer rows reach rank and
+    independent_rows as ints, and the starting rays come from one integer
+    nullspace (numerics._nullspace), so no row becomes Fraction.  Rays are returned as coprime tuples of ints.
+    The zero cone yields [].
     """
-    G = _integer_rows(mat(G))
+    G = _integer_rows(G)
     m = len(G)
     k = len(G[0]) if G else 0
     if k == 0:
@@ -304,10 +453,8 @@ def _dd_extreme_rays(G):
         raise LpError("cone is not pointed")
     # The nullspace of [G_B | I] has one vector per column of I, and its
     # first k entries are that column of -inv(G_B): G_B r_j = -e_j <= 0.
-    start = nullspace_basis(
-        [G[i] + [int(i == j) for j in base_idx] for i in base_idx]
-    )
-    rays = [tuple(_coprime(r)) for r in _integer_rows([v[:k] for v in start])]
+    start = _nullspace([G[i] + [int(i == j) for j in base_idx] for i in base_idx])
+    rays = [tuple(_coprime(v[:k])) for v, _ in start]
     # vals[j][i] is row i of G applied to ray j
     vals = [[sum(a * b for a, b in zip(g, r)) for g in G] for r in rays]
 

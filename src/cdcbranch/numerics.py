@@ -41,9 +41,16 @@ def vec(values):
     return tuple(rat(x) for x in values)
 
 
-def mat(rows):
-    """Build a rational matrix (tuple of equal-length tuples)."""
-    out = tuple(vec(r) for r in rows)
+def _int_matrix(M):
+    """M as integer rows, each scaled by the lcm of its denominators.  A
+    row of ints is kept as it is, so int input never becomes Fraction;
+    other entries go through rat, which rejects floats."""
+    out = []
+    for row in M:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+        else:
+            out += _integer_rows([[rat(x) for x in row]])
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
@@ -120,37 +127,41 @@ def _bareiss_echelon(rows):
 
 def rank(M):
     """Rank of a rational matrix via fraction-free elimination."""
-    M = mat(M)
-    if not M or not M[0]:
+    rows = _int_matrix(M)
+    if not rows or not rows[0]:
         return 0
-    _, pivots = _bareiss_echelon(_integer_rows(M))
-    return len(pivots)
+    return len(_bareiss_echelon(rows)[1])
 
 
 def nullspace_basis(M, ncols=None):
     """Basis of {v : Mv = 0}, one vector per non-pivot column.
 
     The vector of free column f is 1 at f and 0 at every other free
-    column, which makes the basis unique.  Its pivot entries come from
-    back-substitution on the fraction-free echelon form, in ints over one
-    common denominator; Fraction values are built only for the result.
-    An empty matrix (no rows) yields the standard basis of dimension
-    ncols, which must then be supplied.
+    column, which makes the basis unique.  An empty matrix (no rows)
+    yields the standard basis of dimension ncols, which must then be
+    supplied.
     """
-    M = mat(M)
-    if not M:
+    rows = _int_matrix(M)
+    if not rows:
         if ncols is None:
             raise ValueError("ncols required for a matrix with no rows")
         return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    n = len(M[0])
-    if ncols is not None and ncols != n:
+    if ncols is not None and ncols != len(rows[0]):
         raise ValueError("ncols disagrees with matrix width")
-    ech, pivots = _bareiss_echelon(_integer_rows(M))
+    return [tuple(Fraction(x, den) for x in v) for v, den in _nullspace(rows)]
+
+
+def _nullspace(rows):
+    """nullspace_basis of integer rows, each vector as (v, den) with v
+    integral and v / den the vector.  Pivot entries come from
+    back-substitution on the fraction-free echelon form, in ints over one
+    common denominator."""
+    n = len(rows[0])
+    ech, pivots = _bareiss_echelon(rows)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     basis = []
     for f in free:
-        # v / den is the basis vector; v stays integral
         v = [0] * n
         v[f] = den = 1
         # back-substitute pivot variables from the bottom row up
@@ -165,7 +176,7 @@ def nullspace_basis(M, ncols=None):
                 v = [x * (p // g) for x in v]
                 den *= p // g
             v[col] = -s // g
-        basis.append(tuple(Fraction(x, den) for x in v))
+        basis.append((v, den))
     return basis
 
 
@@ -203,5 +214,4 @@ def independent_rows(M):
     operations keep every linear relation among columns, so these are the
     pivot columns of the fraction-free echelon form of the transpose.
     """
-    rows = _integer_rows(mat(M))
-    return _bareiss_echelon([list(col) for col in zip(*rows)])[1]
+    return _bareiss_echelon([list(col) for col in zip(*_int_matrix(M))])[1]

@@ -1,15 +1,17 @@
 """Exact branch-and-bound driven by code-space branching schemes.
 
-Nodes carry a region of code space plus the cuts that carved it.  Node
-selection is best bound with FIFO tie-breaking, all arithmetic is
-rational, and an incumbent is only ever accepted when the relaxation
-optimum lands exactly on a code, which a valid formulation guarantees to
-be a true feasible point.
+Nodes carry a region of code space, the cuts that carved it from its
+parent's region and the parent's optimal LP, which the node's own LP
+extends by those cuts and re-optimizes by dual simplex.  Node selection
+is best bound with FIFO tie-breaking, all arithmetic is rational, and an
+incumbent is only ever accepted when the relaxation optimum lands
+exactly on a code, which a valid formulation guarantees to be a true
+feasible point.
 """
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .branching import BranchError, make_scheme
@@ -31,6 +33,7 @@ class SolveReport:
     z: tuple = None
     x: tuple = None
     nodes: int = 0
+    pivots: int = 0
     histogram: dict = field(default_factory=dict)
     wall_micros: int = 0
     remaining_bound: Fraction = None
@@ -50,6 +53,7 @@ class SolveReport:
             "z": fmt(self.z),
             "x": fmt(self.x),
             "nodes": self.nodes,
+            "pivots": self.pivots,
             "histogram": self.histogram,
             "wall_micros": self.wall_micros,
             "remaining_bound": fmt(self.remaining_bound),
@@ -107,25 +111,30 @@ def solve(
     c_int = tuple(mult * x for x in c_full)
     code_set = set(tuple(h) for h in encoding)
 
+    # A heap entry holds its parent's optimal LpResult and its own cuts:
+    # the root is solved cold, and every child adds its cuts to its
+    # parent's LP.  with_cuts on a system with no rows of its own gives
+    # the cuts alone, as rows over all variables.
+    bare = replace(base, ineqs=[], eqs=[])
     root = scheme.root(encoding)
     counter = 0
-    heap = [((0, Fraction(0), counter), (), root)]
+    heap = [((0, Fraction(0), counter), None, (), root)]
     incumbent = None
     nodes = 0
+    pivots = 0
     histogram = {}
     pruned_infeasible = 0
     pruned_bound = 0
 
     while heap and nodes < node_cap:
-        key, cuts, state = heapq.heappop(heap)
+        key, parent, cuts, state = heapq.heappop(heap)
         nodes += 1
         if key[0] == 1 and incumbent is not None and -key[1] <= incumbent[0]:
             pruned_bound += 1
             continue
-        sys = base.with_cuts(list(cuts))
-        res = solve_lp(
-            LpProblem(sys.nvars, c_int, sys.lp_rows(), bounds=sys.bounds)
-        )
+        rows = (base if parent is None else bare.with_cuts(cuts)).lp_rows()
+        res = solve_lp(LpProblem(base.nvars, c_int, rows, bounds=base.bounds), parent)
+        pivots += res.pivots
         if res.status == "infeasible":
             pruned_infeasible += 1
             continue
@@ -159,7 +168,7 @@ def solve(
             counter += 1
             heapq.heappush(
                 heap,
-                ((1, -val, counter), tuple(cuts) + tuple(child_cuts), child_state),
+                ((1, -val, counter), res, child_cuts, child_state),
             )
 
     wall = (time.perf_counter_ns() - t0) // 1000
@@ -183,6 +192,7 @@ def solve(
         return SolveReport(
             status,
             nodes=nodes,
+            pivots=pivots,
             histogram=histogram,
             wall_micros=wall,
             remaining_bound=remaining,
@@ -211,6 +221,7 @@ def solve(
         z=z,
         x=x,
         nodes=nodes,
+        pivots=pivots,
         histogram=histogram,
         wall_micros=wall,
         remaining_bound=remaining,

@@ -400,6 +400,27 @@ def lp_max(c, rows):
     return res.value
 
 
+def test_ideal_pairs_close_at_the_root():
+    # every vertex of an ideal formulation has z at a code, and the LP
+    # optimum is a vertex, so no compatible scheme ever branches
+    pairs = 0
+    for label, form in builder_matrix():
+        fam = form.family
+        for name in ("variable", "moment", "exotic"):
+            if not make_scheme(name).compatible(form.codes)[0]:
+                continue
+            pairs += 1
+            rng = random.Random(label + name)
+            for _ in range(5):
+                w = [F(rng.randint(-9, 9)) for _ in range(fam.n)]
+                rep = solve(form, w, name)
+                assert rep.status == "optimal", (label, name, rep.status)
+                assert rep.value == brute_force_optimum(fam, w)[0], (label, name, w)
+                assert rep.nodes == 1, (label, name, w, rep.histogram)
+    assert pairs == 41
+    print("ideal pairs: %d, every solve closed at the root" % pairs)
+
+
 def test_union_relaxation_slices_and_solves():
     directions = [(F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1))]
     rng_dir = random.Random(424242)

@@ -492,3 +492,76 @@ def test_solve_lp_matches_vertex_enumeration_on_every_bound_kind(lp):
     assert res.value == dot(vec(c), x)
     best = max if sense == "max" else min
     assert res.value == best(dot(vec(c), v) for v in verts)
+    # a free variable has one column, eliminated on a row, so the optimum
+    # is a basic solution: a vertex of the polytope
+    assert x in verts
+
+
+def _vertices(n, rows, bounds):
+    ineqs = [(a, rhs) for a, rel, rhs in rows if rel == LE]
+    ineqs += [(tuple(-x for x in a), -rhs) for a, rel, rhs in rows if rel == GE]
+    eqs = [(a, rhs) for a, rel, rhs in rows if rel == EQ]
+    return enumerate_vertices(n, ineqs, eqs=eqs, bounds=bounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_lps(), st.data())
+def test_warm_rows_match_a_cold_solve_of_the_full_list(lp, data):
+    # rows added to an optimal LP twice over, by dual simplex from the
+    # parent's tableau, against one cold solve of every row
+    n, c, rows, bounds, sense = lp
+    res = solve_lp(LpProblem(n, c, rows, bounds=bounds, sense=sense))
+    assume(res.status == "optimal")
+    coeffs = st.lists(rationals, min_size=n, max_size=n).map(tuple)
+    cut = st.tuples(coeffs, st.sampled_from((LE, GE, EQ)), rationals)
+    for _ in range(2):
+        extra = data.draw(st.lists(cut, min_size=1, max_size=3))
+        rows = rows + extra
+        res = solve_lp(LpProblem(n, c, extra, bounds=bounds, sense=sense), res)
+        cold = solve_lp(LpProblem(n, c, rows, bounds=bounds, sense=sense))
+        assert (res.status, res.value) == (cold.status, cold.value)
+        if res.status != "optimal":
+            assert res.status == "infeasible" and not _vertices(n, rows, bounds)
+            return
+        assert res.x in _vertices(n, rows, bounds)
+        assert res.value == dot(vec(c), res.x)
+
+
+def test_warm_rows_cover_equalities_and_infeasible_children():
+    # max x + y over the box [0, 4]^2, then x == y as two rows, then a row
+    # that the equality leaves no room for
+    box = [(0, 4), (0, 4)]
+    root = solve_lp(LpProblem(2, [1, 1], [((1, 2), LE, 9)], bounds=box))
+    assert (root.x, root.value) == ((F(4), F(5, 2)), F(13, 2))
+    eq = solve_lp(LpProblem(2, [1, 1], [((1, -1), EQ, 0)], bounds=box), root)
+    assert (eq.status, eq.x, eq.value) == ("optimal", (F(3), F(3)), F(6))
+    gone = solve_lp(LpProblem(2, [1, 1], [((1, 0), GE, F(7, 2))], bounds=box), eq)
+    assert gone.status == "infeasible"
+    # the parent is not changed by its children
+    again = solve_lp(LpProblem(2, [1, 1], [((1, 0), LE, 1)], bounds=box), root)
+    assert (again.x, again.value) == ((F(1), F(4)), F(5))
+    with pytest.raises(ValueError):
+        solve_lp(LpProblem(2, [1, 0], [((1, 0), LE, 1)], bounds=box), root)
+    with pytest.raises(ValueError):
+        solve_lp(LpProblem(2, [1, 1], [((1, 0), LE, 1)], bounds=box), gone)
+
+
+def test_pivots_count_every_pivot(monkeypatch):
+    calls = []
+    pivot = lp_module._pivot
+
+    def spy(T, basis, r, c):
+        calls.append((r, c))
+        return pivot(T, basis, r, c)
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+    # x is free and eliminated on the first row; then y enters in phase 2
+    rows = [((1, 1), LE, 4), ((1, -1), GE, -2), ((1, 0), GE, 1)]
+    bounds = [(None, None), (0, None)]
+    res = solve_lp(LpProblem(2, [1, 2], rows, bounds=bounds))
+    assert res.status == "optimal" and res.x == (F(1), F(3))
+    assert res.pivots == len(calls) == 2
+    calls.clear()
+    child = solve_lp(LpProblem(2, [1, 2], [((0, 1), LE, 2)], bounds=bounds), res)
+    assert child.x == (F(2), F(2))
+    assert child.pivots == len(calls) == 1

@@ -92,6 +92,21 @@ def test_bigm_branches_before_settling():
     assert rep.histogram.get("moment", 0) >= 1
 
 
+def test_pivot_total_is_reported_next_to_nodes_and_stable():
+    pieces = [HRepPiece([[1], [-1]], [i + 1, -i]) for i in range(0, 8, 2)]
+    system = build_bigm_moment(pieces)
+    docs = []
+    for _ in range(2):
+        rep = solve(system, [F(1)], "moment")
+        assert rep.pivots > 0
+        doc = rep.to_json()
+        del doc["wall_micros"]
+        docs.append(json.dumps(doc))
+    assert docs[0] == docs[1]
+    keys = list(json.loads(docs[0]))
+    assert keys.index("pivots") == keys.index("nodes") + 1
+
+
 def test_node_cap_reports_bound():
     pieces = [HRepPiece([[1], [-1]], [i + 1, -i]) for i in range(0, 8, 2)]
     system = build_bigm_moment(pieces)
