@@ -10,7 +10,7 @@ big-M formulation instead.
 import math
 from fractions import Fraction
 
-from .numerics import format_rational, parse_rational, vec
+from .numerics import format_rational, parse_rational, rat, vec
 
 
 class CdcError(Exception):
@@ -125,8 +125,7 @@ def annulus_instance(s, S, d):
     Requires d > 4 so the outer scaling stays positive and finite.
     """
     family = annulus_family(d)
-    s = parse_rational(s) if isinstance(s, str) else Fraction(s)
-    S = parse_rational(S) if isinstance(S, str) else Fraction(S)
+    s, S = rat(s), rat(S)
     if not 0 < s <= S:
         raise CdcError("radii must satisfy 0 < s <= S")
     outer = float(S) / math.cos(2 * math.pi / d)

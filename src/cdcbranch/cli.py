@@ -156,21 +156,21 @@ def _objective_for(args, family, vm):
         with open(args.objective) as fh:
             spec = json.load(fh)
         if "lam" in spec:
-            return [parse_rational(x) for x in spec["lam"]], None
+            return [parse_rational(x) for x in spec["lam"]]
         if "x" in spec:
             if vm is None:
                 raise CliError("an x objective needs instance vertices")
             c_x = [parse_rational(x) for x in spec["x"]]
-            return list(objective_from_vertex_map(vm, c_x)), c_x
+            return list(objective_from_vertex_map(vm, c_x))
         raise CliError("objective file needs a 'lam' or 'x' entry")
     rng = random.Random(args.seed)
-    return [rng.randint(-9, 9) for _ in range(family.n)], None
+    return [rng.randint(-9, 9) for _ in range(family.n)]
 
 
 def cmd_solve(args):
     family, vm, meta = _load_instance(args.instance)
     form = _build(family, meta, args.encoding, args.builder)
-    c_lam, _ = _objective_for(args, family, vm)
+    c_lam = _objective_for(args, family, vm)
     report = bb_solve(
         form,
         c_lam,

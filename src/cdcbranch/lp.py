@@ -1,17 +1,19 @@
 """Exact rational linear programming and vertex/facet enumeration.
 
-The simplex gives each variable one column.  A free variable is pivoted
-out before phase 1 on the first row that holds it, and that row is set
-aside and back-substituted when x is read, so every optimum is a basic
-solution: a vertex whenever the feasible set is a polytope.  The two
-phases use Bland's rule, so they cannot cycle, and the artificial columns
-are dropped once phase 1 ends.  An optimal result keeps its tableau;
-solve_lp given that result adds rows to its LP and re-optimizes by dual
-simplex with the lowest-index rule, which is how branch and bound solves
-every node below the root.  Vertex enumeration runs the double
-description method on the homogenization of the input system, which
-keeps the work proportional to the actual face structure instead of the
-number of basis subsets.
+The simplex gives each variable one column and each row one slack column,
+on which the row starts basic: a GE row is negated, and an equality is
+two rows, one per side.  A free variable is pivoted out on the first row
+that holds it, and that row is set aside and back-substituted when x is
+read, so every optimum is a basic solution: a vertex whenever the
+feasible set is a polytope.  Phase 1 is the dual simplex on an all-zero
+objective row, for which the slack basis is dual feasible; phase 2 is the
+primal simplex.  Both use the lowest-index rule, so they cannot cycle.  An
+optimal result keeps its tableau; solve_lp given that result adds rows
+to its LP the same way and re-optimizes by the same dual simplex, which
+is how branch and bound solves every node below the root.  Vertex
+enumeration runs the double description method on the homogenization of
+the input system, which keeps the work proportional to the actual face
+structure instead of the number of basis subsets.
 
 Both work in Python ints, with Fraction only at their boundary.  The
 simplex scales each standard-form row to coprime integers as it builds
@@ -136,7 +138,7 @@ def _reduce(row, pivots):
     return row
 
 
-def _run_simplex(T, basis, ncols):
+def _run_simplex(T, basis):
     """Pivot until optimal or unbounded.  Row 0 holds reduced costs for a
     maximization; entering variable is the lowest index with a negative
     entry, leaving row breaks ratio ties on the lowest basic variable
@@ -149,7 +151,7 @@ def _run_simplex(T, basis, ncols):
     pivots = 0
     while True:
         enter = None
-        for j in range(ncols):
+        for j in range(len(T[0]) - 1):
             if T[0][j] < 0:
                 enter = j
                 break
@@ -171,13 +173,15 @@ def _run_simplex(T, basis, ncols):
         pivots += 1
 
 
-def _run_dual(T, basis, ncols):
+def _run_dual(T, basis):
     """Dual simplex from a tableau with no negative reduced cost, until
     every basic value is nonnegative.  The leaving row is the negative one
     with the lowest basic variable; the entering column has the least
     ratio T[0][j] / -T[r][j] over the row's negative entries, the lowest
-    column on ties.  Returns ('optimal' or 'infeasible', pivots): with no
-    negative entry, the row sums nonnegative terms to a negative value."""
+    column on ties: Bland's rule on the dual, so it cannot cycle even when
+    row 0 is all zero and every ratio ties.  Returns ('optimal' or
+    'infeasible', pivots): with no negative entry, the row sums
+    nonnegative terms to a negative value."""
     pivots = 0
     while True:
         leave = None
@@ -188,7 +192,7 @@ def _run_dual(T, basis, ncols):
             return "optimal", pivots
         row, cost = T[leave], T[0]
         enter = None
-        for j in range(ncols):
+        for j in range(len(row) - 1):
             a = row[j]
             # d / -a < best_d / -best_a, both denominators positive
             if a < 0 and (enter is None or cost[j] * best_a > best_d * a):
@@ -213,15 +217,28 @@ def _standard(a, rhs, cols):
 def solve_lp(problem, parent=None):
     """Exact simplex.  Returns an LpResult.
 
-    Without parent the LP is solved cold, in two phases.  parent is an
-    optimal LpResult of an LP with problem's n, objective, bounds and
-    sense; problem.rows are then added to that LP, which is re-optimized
-    by dual simplex from parent's tableau.
+    Without parent the LP is solved cold: its rows enter an empty tableau
+    by _add_rows, free variables are eliminated, and phase 1 is _run_dual
+    on an all-zero row 0, which ends on a feasible basis or on a row that
+    proves the LP infeasible.  The objective is then priced out for phase
+    2.  parent is an optimal LpResult of an LP with problem's n, objective,
+    bounds and sense; problem.rows are then added to parent's tableau by
+    _add_rows, and _run_dual re-optimizes it.
     """
     if parent is not None:
-        if parent.tableau is None:
+        tab = parent.tableau
+        if tab is None:
             raise ValueError("rows can be added only to an optimal LpResult")
-        return _add_rows(problem, parent.tableau)
+        base = tab.problem
+        if (problem.n, problem.objective, problem.bounds, problem.sense) != (
+            base.n, base.objective, base.bounds, base.sense,
+        ):
+            raise ValueError("added rows need the parent's n, objective, bounds and sense")
+        T, basis, aside = _add_rows(tab.T, tab.basis, tab.aside, problem.rows, tab.cols)
+        status, pivots = _run_dual(T, basis)
+        if status == "infeasible":
+            return LpResult("infeasible", pivots=pivots)
+        return _optimum(_Tableau(T, basis, aside, tab.cols, base), pivots)
     n = problem.n
 
     # Variable j is column j: x_j = offset + sign * column.  A lower bound
@@ -238,33 +255,14 @@ def solve_lp(problem, parent=None):
             if ub is not None:
                 if ub < lb:
                     return LpResult("infeasible")
-                coeff = [Fraction(0)] * n
-                coeff[j] = Fraction(1)
-                extra_rows.append((vec(coeff), LE, ub))
+                extra_rows.append(([int(k == j) for k in range(n)], LE, ub))
             cols.append((lb, 1))
         elif ub is not None:
             cols.append((ub, -1))
         else:
             cols.append((zero, 1))
             free.append(j)
-
-    # Standard form: one slack column per inequality, every row scaled to
-    # coprime integers, basis[i] holding row i's slack column (or None)
-    # until the basis is chosen.
-    all_rows = list(problem.rows) + extra_rows
-    total = n + sum(1 for _, rel, _ in all_rows if rel != EQ)
-    T = [[0] * (total + 1)]
-    basis = []
-    slack_at = n
-    for a, rel, rhs in all_rows:
-        coeffs, r = _standard(a, rhs, cols)
-        row = coeffs + [0] * (total - n) + [r]
-        slack = None
-        if rel != EQ:
-            row[slack_at] = 1 if rel == LE else -1
-            slack, slack_at = slack_at, slack_at + 1
-        T.append(_coprime(_integer_rows([row])[0]))
-        basis.append(slack)
+    T, basis, _ = _add_rows([[0] * (n + 1)], [], [], problem.rows + extra_rows, cols)
 
     # Each free variable is pivoted on the first row that holds it, and
     # that row is set aside: no other row holds the variable, and x_j is
@@ -282,110 +280,62 @@ def solve_lp(problem, parent=None):
         pivots += 1
         aside.append((j, T.pop(i)))
         del basis[i - 1]
-    m = len(T) - 1
 
-    # A row starts basic on its slack when the slack's entry is positive
-    # once the row's rhs is made nonnegative, otherwise on an artificial
-    # with entry 1.
-    arts = []
-    for i in range(1, m + 1):
-        row, s = T[i], basis[i - 1]
-        if row[-1] < 0 or (row[-1] == 0 and s is not None and row[s] < 0):
-            row = T[i] = [-x for x in row]
-        if s is None or row[s] < 0:
-            arts.append(i)
-    if arts:
-        width = total + len(arts)
-        pad = [0] * len(arts)
-        for i in range(1, m + 1):
-            T[i] = T[i][:-1] + pad + T[i][-1:]
-        for k, i in enumerate(arts, total):
-            T[i][k] = 1
-            basis[i - 1] = k
-        # Phase 1: maximize -(sum of artificials); price out the basic ones.
-        T[0] = _reduce(
-            [0] * total + [1] * len(arts) + [0],
-            [(basis[i - 1], T[i]) for i in arts],
-        )
-        status, done = _run_simplex(T, basis, width)
-        pivots += done
-        if status != "optimal" or T[0][-1] != 0:
-            return LpResult("infeasible", pivots=pivots)
-        # Drive leftover artificials out of the basis or drop their rows.
-        drop = []
-        for i in range(m):
-            if basis[i] >= total:
-                piv = None
-                for j in range(total):
-                    if T[i + 1][j] != 0:
-                        piv = j
-                        break
-                if piv is None:
-                    drop.append(i + 1)
-                else:
-                    _pivot(T, basis, i + 1, piv)
-                    pivots += 1
-        for i in sorted(drop, reverse=True):
-            del T[i]
-            del basis[i - 1]
-        # Phase 2 never reads the artificial columns; drop them.
-        T = [T[0]] + [_coprime(row[:total] + row[-1:]) for row in T[1:]]
+    # Phase 1: row 0 is all zero, so every reduced cost is nonnegative.
+    status, done = _run_dual(T, basis)
+    pivots += done
+    if status == "infeasible":
+        return LpResult("infeasible", pivots=pivots)
 
     # Phase 2 objective: the objective row in standard form, priced out on
     # the set-aside rows, in their order, and then on the basic columns.
     obj = problem.objective
     c_std = _standard(obj if problem.sense == "max" else [-x for x in obj], 0, cols)[0]
-    z = [-c for c in _integer_rows([c_std + [0] * (total + 1 - n)])[0]]
+    z = [-c for c in _integer_rows([c_std + [0] * (len(T[0]) - n)])[0]]
     z = _reduce(z, aside)
     T[0] = _reduce(z, [(b, T[i]) for i, b in enumerate(basis, 1)])
     # a free column that no row holds moves the objective both ways
     if any(T[0][j] != 0 for j in unheld):
         return LpResult("unbounded", pivots=pivots)
 
-    status, done = _run_simplex(T, basis, total)
+    status, done = _run_simplex(T, basis)
     pivots += done
     if status == "unbounded":
         return LpResult("unbounded", pivots=pivots)
     return _optimum(_Tableau(T, basis, aside, cols, problem), pivots)
 
 
-def _add_rows(problem, tab):
-    """solve_lp of tab's LP with problem.rows added, by dual simplex.
+def _add_rows(T, basis, aside, rows, cols):
+    """The tableau T, basis and aside with rows (a, rel, rhs) added, as new
+    lists; the ones given are not changed.
 
-    Each added row gets a new slack column, basic with entry 1, and an
-    equality gets two rows, one per side.  The row is reduced on the
-    set-aside rows and then on the basic columns, so the tableau keeps its
-    form and its reduced costs stay nonnegative; a basic value is negative
-    only on the new rows.
+    Each row gets a new slack column with entry 1 and starts basic on it:
+    a GE row is negated, and an EQ row becomes two rows, one per side.  The
+    row is scaled to coprime integers and reduced on the set-aside rows and
+    then on the basic columns, so the tableau keeps its form and its
+    reduced costs; a basic value can be negative, which _run_dual mends.
     """
-    base = tab.problem
-    if (problem.n, problem.objective, problem.bounds, problem.sense) != (
-        base.n, base.objective, base.bounds, base.sense,
-    ):
-        raise ValueError("added rows need the parent's n, objective, bounds and sense")
     new = []
-    for a, rel, rhs in problem.rows:
-        coeffs, r = _standard(a, rhs, tab.cols)
+    for a, rel, rhs in rows:
+        coeffs, r = _standard(a, rhs, cols)
         if rel != GE:
             new.append((coeffs, r))
         if rel != LE:
             new.append(([-x for x in coeffs], -r))
-    total = len(tab.T[0]) - 1
+    total = len(T[0]) - 1
     pad = [0] * len(new)
-    T = [row[:-1] + pad + row[-1:] for row in tab.T]
-    aside = [(j, row[:-1] + pad + row[-1:]) for j, row in tab.aside]
-    basis = list(tab.basis)
+    T = [row[:-1] + pad + row[-1:] for row in T]
+    aside = [(j, row[:-1] + pad + row[-1:]) for j, row in aside]
+    basis = list(basis)
     basic = [(b, T[i]) for i, b in enumerate(basis, 1)]
     for s, (coeffs, r) in enumerate(new, total):
-        row = coeffs + [0] * (total - base.n) + pad + [r]
-        row[s] = 1
-        row = _coprime(_integer_rows([row])[0])
+        # scaled before the zeros go in, which change no lcm or gcd
+        head = _coprime(_integer_rows([coeffs + [1, r]])[0])
+        row = head[:-2] + [0] * (total - len(coeffs)) + pad + head[-1:]
+        row[s] = head[-2]
         T.append(_reduce(_reduce(row, aside), basic))
         basis.append(s)
-    status, pivots = _run_dual(T, basis, total + len(new))
-    if status == "infeasible":
-        return LpResult("infeasible", pivots=pivots)
-    return _optimum(_Tableau(T, basis, aside, tab.cols, base), pivots)
+    return T, basis, aside
 
 
 def _optimum(tab, pivots):

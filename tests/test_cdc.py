@@ -78,6 +78,12 @@ def test_annulus_radii():
     assert vm[15][0] == F(3.0 / math.cos(2 * math.pi / 8))
 
 
+def test_annulus_rejects_float_radii():
+    for s, S in ((1.5, 3), (1, 3.0)):
+        with pytest.raises(TypeError):
+            annulus_instance(s, S, 8)
+
+
 def test_annulus_rejects_degenerate_piece_counts():
     for d in (3, 4):
         with pytest.raises(CdcError):

@@ -17,6 +17,11 @@ UNREAD_ALLOWED = {
     ("oracle", "brute_force_optimum_hrep"): "a reference oracle for union solves",
 }
 
+# Top-level definitions that hold a float, each kept for a stated reason.
+FLOAT_ALLOWED = {
+    ("cdc", "annulus_instance"): "ROADMAP item 4: rational annulus geometry",
+}
+
 
 def unused_imports(source):
     """Names bound by an import anywhere in source and never read there."""
@@ -79,6 +84,27 @@ def unread_public_names(modules, readers):
     ]
 
 
+def float_uses(source):
+    """(definition, use) for each float(...) call, float literal and math.
+    attribute in source; definition is the name of the top-level function
+    or class that holds it, or "<module>"."""
+    out = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        for n in ast.walk(top):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "float":
+                out.append((name, "float()"))
+            elif isinstance(n, ast.Constant) and isinstance(n.value, float):
+                out.append((name, repr(n.value)))
+            elif (
+                isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name)
+                and n.value.id == "math"
+            ):
+                out.append((name, "math." + n.attr))
+    return out
+
+
 def test_hygiene_checks_every_module():
     assert len(MODULES) >= 9
 
@@ -130,3 +156,26 @@ def test_unread_public_name_is_reported():
     }
     readers = modules["m"], "called()\nsetattr(m, 'patched', 1)\nx = m.Used\n"
     assert unread_public_names(modules, readers) == [("m", "unread"), ("m", "Unread")]
+
+
+def test_floats_enter_only_where_allowed():
+    uses = {
+        (p.stem, name) for p in MODULES for name, _ in float_uses(p.read_text())
+    }
+    assert uses == set(FLOAT_ALLOWED)
+
+
+def test_float_use_is_reported():
+    source = (
+        "import math\n"
+        "HALF = 0.5\n"
+        "def exact(x):\n    return isinstance(x, float) or 2 * x\n"
+        "def rounded(x):\n    return float(x) * math.pi\n"
+        "class K:\n    def m(self):\n        return math.cos(1)\n"
+    )
+    assert float_uses(source) == [
+        ("<module>", "0.5"),
+        ("rounded", "float()"),
+        ("rounded", "math.pi"),
+        ("K", "math.cos"),
+    ]

@@ -317,17 +317,9 @@ def test_rows_scaled_by_positive_rationals_give_the_same_solution():
     assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
 
 
-def test_duplicated_equalities_drop_their_artificial_rows(monkeypatch):
-    # the three equalities are one row up to scale: after phase 1 two
-    # artificials stay basic on all-zero rows, and those rows are dropped
-    sizes = []
-    run = lp_module._run_simplex
-
-    def spy(T, basis, ncols):
-        sizes.append(len(T) - 1)
-        return run(T, basis, ncols)
-
-    monkeypatch.setattr(lp_module, "_run_simplex", spy)
+def test_duplicated_equalities_at_rational_scales():
+    # the three equalities are one row up to scale, so phase 1 ends with
+    # their other rows basic at zero; they stay in the tableau
     rows = [
         ((1, 1), EQ, 2),
         ((2, 2), EQ, 4),
@@ -338,28 +330,46 @@ def test_duplicated_equalities_drop_their_artificial_rows(monkeypatch):
     assert res.status == "optimal"
     assert res.x == (F(3, 2), F(1, 2))
     assert res.value == F(3, 2)
-    assert sizes == [4, 2]
 
 
-def test_drive_out_pivot_on_a_negative_entry(monkeypatch):
-    # an artificial left basic at zero is driven out on the first nonzero
-    # entry of its row, which here is negative
-    elements = []
-    pivot = lp_module._pivot
-
-    def spy(T, basis, r, c):
-        elements.append(T[r][c])
-        return pivot(T, basis, r, c)
-
-    monkeypatch.setattr(lp_module, "_pivot", spy)
-    # the two inequalities meet in the equality -2x + y == -2; phase 2
-    # then pivots on the rows the drive-out rescaled
+def test_equality_next_to_a_matching_inequality_pair():
+    # the two inequalities meet in the equality -2x + y == -2, which an
+    # upper-bounded y and the first equality pin to one point
     rows = [((-1, -2), EQ, 0), ((-2, 1), LE, -2), ((-2, 1), GE, -2)]
     res = solve_lp(LpProblem(2, [0, 1], rows, bounds=[(0, None), (None, 3)]))
-    assert any(e < 0 for e in elements)
     assert res.status == "optimal"
     assert res.x == (F(4, 5), F(-2, 5))
     assert res.value == F(-2, 5)
+
+
+def test_phase_one_from_an_infeasible_slack_basis_with_every_ratio_tied():
+    # the cycling instance in a box, plus a row that the origin violates:
+    # the slack basis is infeasible, and with an all-zero row 0 every dual
+    # ratio of phase 1 is 0, so each entering column is chosen on a tie
+    rows = [
+        ((F(1, 4), -60, F(-1, 25), 9), LE, 0),
+        ((F(1, 2), -90, F(-1, 50), 3), LE, 0),
+        ((0, 0, 1, 0), LE, 1),
+        ((1, 1, 1, 1), GE, F(1, 2)),
+    ]
+    obj = [F(3, 4), -150, F(1, 50), -6]
+    bounds = [(0, 10)] * 4
+    verts = _vertices(4, rows, bounds)
+    for sense, best, value in (("max", max, F(1, 20)), ("min", min, F(-1560))):
+        res = solve_lp(LpProblem(4, obj, rows, bounds=bounds, sense=sense))
+        assert res.status == "optimal"
+        assert res.value == value == best(dot(vec(obj), v) for v in verts)
+        assert res.x in verts
+
+
+def test_phase_one_proves_infeasibility_after_pivoting():
+    # x + y >= 3 leaves the slack basis first; only after x and then y
+    # enter does the third row read s1 + s2 + s3 == -1
+    rows = [((1, 1), GE, 3), ((1, 0), LE, 1), ((0, 1), LE, 1)]
+    bounds = [(0, None)] * 2
+    res = solve_lp(LpProblem(2, [1, 1], rows, bounds=bounds))
+    assert (res.status, res.pivots) == ("infeasible", 2)
+    assert _vertices(2, rows, bounds) == []
 
 
 def test_free_variables_with_rational_data_and_negative_optimum():
