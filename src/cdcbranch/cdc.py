@@ -10,7 +10,7 @@ big-M formulation instead.
 import math
 from fractions import Fraction
 
-from .numerics import format_rational, parse_rational, rat, vec
+from .numerics import format_rational, rat, vec
 
 
 class CdcError(Exception):
@@ -220,7 +220,7 @@ def instance_from_json(obj):
     vertex_map = None
     if "vertices" in obj:
         vertex_map = VertexMap(
-            [[parse_rational(x) for x in p] for p in obj["vertices"]]
+            [[rat(x) for x in p] for p in obj["vertices"]]
         )
     return family, vertex_map
 

@@ -30,7 +30,7 @@ from .formulation import (
     build_sos2_exotic,
     export_formulation,
 )
-from .numerics import format_rational, parse_rational
+from .numerics import format_rational, rat
 from .oracle import (
     brute_force_optimum,
     check_ideal,
@@ -38,6 +38,7 @@ from .oracle import (
     check_valid,
     classify_rows,
     objective_from_vertex_map,
+    relaxation_vertices,
 )
 from .solver import solve as bb_solve
 
@@ -156,11 +157,11 @@ def _objective_for(args, family, vm):
         with open(args.objective) as fh:
             spec = json.load(fh)
         if "lam" in spec:
-            return [parse_rational(x) for x in spec["lam"]]
+            return [rat(x) for x in spec["lam"]]
         if "x" in spec:
             if vm is None:
                 raise CliError("an x objective needs instance vertices")
-            c_x = [parse_rational(x) for x in spec["x"]]
+            c_x = [rat(x) for x in spec["x"]]
             return list(objective_from_vertex_map(vm, c_x))
         raise CliError("objective file needs a 'lam' or 'x' entry")
     rng = random.Random(args.seed)
@@ -197,9 +198,10 @@ def cmd_verify(args):
     family, _, meta = _load_instance(args.instance)
     form = _build(family, meta, args.encoding, args.builder)
     valid = check_valid(form)
-    ideal = check_ideal(form)
+    vertices = relaxation_vertices(form)
+    ideal = check_ideal(form, vertices)
     proj = check_projection(form)
-    classes = classify_rows(form)
+    classes = classify_rows(form, vertices)
     counts = {}
     for c in classes:
         counts[c["class"]] = counts.get(c["class"], 0) + 1

@@ -31,11 +31,6 @@ def format_rational(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def parse_rational(s):
-    """Parse 'p' or 'p/q' into a Fraction."""
-    return rat(s)
-
-
 def vec(values):
     """Build a rational vector (tuple of Fraction)."""
     return tuple(rat(x) for x in values)

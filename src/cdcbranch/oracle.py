@@ -1,14 +1,14 @@
 """Brute-force and enumeration-based checks for built formulations.
 
 Nothing here trusts the builders: validity is checked point by point
-against the embedding, idealness by full vertex enumeration, and the
-projection property by exact LP probes on every slice.  These are the
-referees the rest of the package answers to.
+against the embedding, idealness and the facet census on one full
+vertex enumeration (relaxation_vertices), and the projection property
+by exact LP probes on every slice, each an LP in lam alone with z fixed
+at a code.  These are the referees the rest of the package answers to.
 """
 
 import warnings
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from math import lcm
 
 from .lp import EQ, LE, LpError, LpProblem, enumerate_vertices, solve_lp
@@ -31,128 +31,109 @@ class VerificationReport:
         return asdict(self)
 
 
-def embedding_points(family, codes, total_n=None):
-    """Unit-vector/code pairs realizing each alternative, in family order.
-
-    total_n pads the unit vectors (used when the formulation carries an
-    artificial trailing component).
-    """
-    H = list(codes)
-    if family.d != len(H):
-        raise ValueError("need exactly one code per alternative")
-    n = total_n if total_n is not None else family.n
-    if n < family.n:
-        raise ValueError("total_n cannot shrink the family")
-    points = []
-    for i, T in enumerate(family.sets):
-        for v in T:
-            lam = tuple(Fraction(int(j == v - 1)) for j in range(n))
-            points.append((lam, tuple(H[i]), i + 1, v))
-    return points
-
-
 def check_valid(form):
     """Every embedding point must satisfy every row of the formulation.
 
-    The weight part of a point is the unit vector of its component v, so a
-    row's value there is a[v-1] plus the row's z part applied to the code.
+    The points of alternative i pair its code h_i with the unit vector of
+    each component v in T^i, so a row's value there is a[v-1] plus the
+    row's z part at h_i.  That z part is the same for every point of the
+    alternative, so it moves to the right-hand side once per alternative.
     """
     failures = []
-    pts = embedding_points(form.family, form.codes, total_n=form.n)
     one_sided = [(tag, a, a[form.n :], rhs) for tag, a, rhs in form.one_sided()]
-    for _, z, i, v in pts:
-        for tag, a, a_z, rhs in one_sided:
-            if a[v - 1] + dot(a_z, z) > rhs:
-                failures.append(
-                    {
-                        "where": "row %d %s" % tag,
-                        "alternative": i,
-                        "component": v,
-                    }
-                )
-        for a, b in form.hull_equations:
-            if dot(a, z) != b:
-                failures.append(
-                    {"where": "hull equation", "alternative": i, "component": v}
-                )
-    return VerificationReport(
-        "valid", not failures, failures, {"points": len(pts)}
-    )
+    for i, (T, h) in enumerate(zip(form.family.sets, form.codes), 1):
+        rows = [(tag, a, rhs - dot(a_z, h)) for tag, a, a_z, rhs in one_sided]
+        off_hull = sum(dot(a, h) != b for a, b in form.hull_equations)
+        for v in T:
+            for tag, a, b in rows:
+                if a[v - 1] > b:
+                    failures.append(
+                        {"where": "row %d %s" % tag, "alternative": i, "component": v}
+                    )
+            failures += [
+                {"where": "hull equation", "alternative": i, "component": v}
+                for _ in range(off_hull)
+            ]
+    points = sum(len(T) for T in form.family.sets)
+    return VerificationReport("valid", not failures, failures, {"points": points})
 
 
-def check_ideal(form):
-    """Every vertex of the relaxation must carry a code in its z part."""
-    code_set = set(tuple(h) for h in form.codes)
+def relaxation_vertices(form):
+    """The vertices of the relaxation over (lam, z), by double description.
+
+    Raises LpError when the relaxation is unbounded.  check_ideal and
+    classify_rows both read this list, so it is enumerated once.
+    """
     sys = form.assemble()
-    try:
-        verts = enumerate_vertices(
-            sys.nvars, sys.ineqs, eqs=sys.eqs, bounds=sys.bounds
-        )
-    except LpError as exc:
-        return VerificationReport("ideal", False, [{"where": str(exc)}])
-    failures = []
-    for v in verts:
-        z = v[sys.z_offset : sys.z_offset + sys.r]
-        if z not in code_set:
-            failures.append(
-                {
-                    "where": "vertex with off-code z",
-                    "z": [str(x) for x in z],
-                }
-            )
+    return enumerate_vertices(sys.nvars, sys.ineqs, eqs=sys.eqs, bounds=sys.bounds)
+
+
+def check_ideal(form, vertices):
+    """Every vertex of the relaxation must carry a code in its z part.
+
+    vertices is relaxation_vertices(form).
+    """
+    code_set = set(tuple(h) for h in form.codes)
+    failures = [
+        {"where": "vertex with off-code z", "z": [str(x) for x in v[form.n :]]}
+        for v in vertices
+        if v[form.n :] not in code_set
+    ]
     return VerificationReport(
-        "ideal", not failures, failures, {"vertices": len(verts)}
+        "ideal", not failures, failures, {"vertices": len(vertices)}
     )
 
 
 def check_projection(form):
-    """Fixing z at code i must slice out exactly the face of alternative i."""
-    family = form.family
-    H = list(form.codes)
+    """Fixing z at code i must slice out exactly the face of alternative i.
+
+    The slice is an LP in lam alone: z = h_i is substituted into every
+    row, whose z part a_z . h_i moves to the right-hand side, and lam
+    keeps its bounds (an artificial component stays at zero).  A hull
+    equation becomes a row of zeros, which an off-hull code makes
+    infeasible.  stats counts the LPs (probes) and their simplex pivots.
+    """
+    n = form.n
     sys = form.assemble()
     rows = sys.lp_rows()
+    bounds = sys.bounds[:n]
     failures = []
-    probes = 0
-    for i, T in enumerate(family.sets):
-        h = H[i]
-        fixed = list(rows)
-        for k in range(sys.r):
-            a = [Fraction(0)] * sys.nvars
-            a[sys.z_offset + k] = Fraction(1)
-            fixed.append((tuple(a), EQ, h[k]))
+    probes = pivots = 0
+
+    def probe(fixed, ws):
+        # maximize the total weight of the components in ws over the slice
+        nonlocal probes, pivots
+        c = [int(w in ws) for w in range(1, n + 1)]
+        res = solve_lp(LpProblem(n, c, fixed, bounds=bounds))
+        probes += 1
+        pivots += res.pivots
+        return res
+
+    for i, (T, h) in enumerate(zip(form.family.sets, form.codes), 1):
+        fixed = [(a[:n], rel, rhs - dot(a[n:], h)) for a, rel, rhs in rows]
         # the face's own unit vectors must lie in the slice; a row's value
-        # at one is a[v-1] plus its z part applied to h, and the rows that
-        # fix z hold there outright
-        z_parts = [dot(a[form.n :], h) for a, _, _ in rows]
+        # at one is a[v-1]
         for v in T:
-            for (a, rel, rhs), z_part in zip(rows, z_parts):
-                val = a[v - 1] + z_part
-                if val > rhs or (rel == EQ and val != rhs):
+            for a, rel, rhs in fixed:
+                if a[v - 1] > rhs or (rel == EQ and a[v - 1] != rhs):
                     failures.append(
-                        {"where": "missing unit vector", "alternative": i + 1, "component": v}
+                        {"where": "missing unit vector", "alternative": i, "component": v}
                     )
                     break
         # no foreign component may take positive weight in the slice; the
         # components are nonnegative, so their sum being zero pins each one
-        foreign = [w for w in range(1, family.n + 1) if w not in T]
-        c = [Fraction(0)] * sys.nvars
-        for w in foreign:
-            c[w - 1] = Fraction(1)
-        res = solve_lp(LpProblem(sys.nvars, c, fixed, bounds=sys.bounds))
-        probes += 1
+        foreign = [w for w in range(1, form.family.n + 1) if w not in T]
+        res = probe(fixed, foreign)
         if res.status == "optimal" and res.value == 0:
             continue
         # something leaks; rerun one component at a time to name it
         for w in foreign:
-            c = [Fraction(0)] * sys.nvars
-            c[w - 1] = Fraction(1)
-            res = solve_lp(LpProblem(sys.nvars, c, fixed, bounds=sys.bounds))
-            probes += 1
+            res = probe(fixed, (w,))
             if res.status != "optimal":
                 failures.append(
                     {
                         "where": "slice LP %s" % res.status,
-                        "alternative": i + 1,
+                        "alternative": i,
                         "component": w,
                     }
                 )
@@ -160,31 +141,29 @@ def check_projection(form):
                 failures.append(
                     {
                         "where": "foreign component admits weight %s" % res.value,
-                        "alternative": i + 1,
+                        "alternative": i,
                         "component": w,
                     }
                 )
     return VerificationReport(
-        "projection", not failures, failures, {"probes": probes}
+        "projection", not failures, failures, {"probes": probes, "pivots": pivots}
     )
 
 
-def classify_rows(form):
+def classify_rows(form, vertices):
     """Classify each one-sided row as facet, tight-nonfacet, or never-tight.
 
-    The tight set of a row is measured by the affine dimension of the
-    vertices satisfying it with equality, compared against the dimension
-    of the whole relaxation.
+    vertices is relaxation_vertices(form).  The tight set of a row is
+    measured by the affine dimension of the vertices satisfying it with
+    equality, compared against the dimension of the whole relaxation.
     """
-    sys = form.assemble()
-    verts = enumerate_vertices(sys.nvars, sys.ineqs, eqs=sys.eqs, bounds=sys.bounds)
-    if not verts:
+    if not vertices:
         raise LpError("empty relaxation cannot be classified")
     # the vertices over one common denominator: V holds den * v in ints,
     # and a row [a | rhs] scaled to integers is tight at v when
     # a . (den * v) == rhs * den
-    den = lcm(*(x.denominator for v in verts for x in v))
-    V = [[x.numerator * (den // x.denominator) for x in v] for v in verts]
+    den = lcm(*(x.denominator for v in vertices for x in v))
+    V = [[x.numerator * (den // x.denominator) for x in v] for v in vertices]
 
     def dim(points):
         # the rank of the differences from the first point; they are ints

@@ -39,6 +39,7 @@ from cdcbranch.oracle import (
     check_projection,
     check_valid,
     classify_rows,
+    relaxation_vertices,
 )
 from cdcbranch.solver import check_branch_soundness, solve
 from oracles import canonical_inequality, separation_certificates_exotic
@@ -90,7 +91,7 @@ def test_grid_fixture_facet_rows_golden():
         row = rows[(t, -1)]
         got = row.upper if side == "max" else row.lower
         assert got == tuple(map(F, coeffs)), (t, side)
-    entries = classify_rows(form)
+    entries = classify_rows(form, relaxation_vertices(form))
     facets = {
         canonical_inequality(e["coeffs"], e["rhs"])
         for e in entries
@@ -219,7 +220,7 @@ def test_every_builder_is_valid_ideal_and_sharp():
     matrix = builder_matrix()
     checks = (
         ("valid", check_valid),
-        ("ideal", check_ideal),
+        ("ideal", lambda form: check_ideal(form, relaxation_vertices(form))),
         ("projection", check_projection),
     )
     spent = {kind: 0.0 for kind, _ in checks}

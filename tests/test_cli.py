@@ -4,8 +4,9 @@ import csv
 import json
 from fractions import Fraction as F
 
+from cdcbranch import cli, lp, oracle
 from cdcbranch.cli import main
-from cdcbranch.numerics import parse_rational
+from cdcbranch.numerics import rat
 
 
 def run(*argv):
@@ -138,7 +139,7 @@ def test_solve_with_x_objective(tmp_path):
                "--builder", "moment", "--scheme", "moment",
                "--objective", str(objf), "-o", str(out)) == 0
     doc = json.loads(out.read_text())
-    assert parse_rational(doc["value"]) == 4
+    assert rat(doc["value"]) == 4
     assert doc["x"] == ["2", "2"]
 
 
@@ -151,7 +152,7 @@ def test_solve_with_lam_objective(tmp_path):
                "--scheme", "exotic", "--objective", str(objf),
                "-o", str(out)) == 0
     doc = json.loads(out.read_text())
-    assert parse_rational(doc["value"]) == 1
+    assert rat(doc["value"]) == 1
 
 
 def test_solve_rejects_incompatible_scheme(tmp_path, capsys):
@@ -170,6 +171,30 @@ def test_verify_grid_moment(tmp_path):
     assert doc["valid"]["ok"] and doc["ideal"]["ok"] and doc["projection"]["ok"]
     assert doc["row_classes"] == {"facet": 8, "tight-nonfacet": 18}
     assert doc["rows"] == 26
+    # the pivot count is deterministic, so a rerun writes the same bytes
+    assert doc["projection"]["stats"] == {"pivots": 69, "probes": 8}
+    again = tmp_path / "again.json"
+    assert run("verify", "--instance", str(inst), "--encoding", "moment",
+               "--builder", "moment", "-o", str(again)) == 0
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_verify_enumerates_the_relaxation_once(tmp_path, monkeypatch):
+    inst = gen(tmp_path, "--family", "grid")
+    calls = []
+    real = lp.enumerate_vertices
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    # every module that binds the name, as `from .lp import` does
+    for module in (lp, oracle, cli):
+        if getattr(module, "enumerate_vertices", None) is real:
+            monkeypatch.setattr(module, "enumerate_vertices", counted)
+    assert run("verify", "--instance", str(inst), "--encoding", "moment",
+               "--builder", "moment", "-o", str(tmp_path / "v.json")) == 0
+    assert len(calls) == 1
 
 
 def test_bench_csv(tmp_path):
@@ -188,7 +213,7 @@ def test_bench_csv(tmp_path):
     assert len(rows) == 4
     for row in rows:
         assert int(row["nodes"]) >= 1
-        parse_rational(row["value"])
+        rat(row["value"])
     by_enc = {row["encoding"]: int(row["rows"]) for row in rows}
     assert by_enc["exotic"] == 4
     assert by_enc["moment"] == 6

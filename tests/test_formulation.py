@@ -28,7 +28,7 @@ from cdcbranch.formulation import (
     spanned_hyperplane_normals,
 )
 from cdcbranch.lp import enumerate_vertices
-from cdcbranch.numerics import dot, parse_rational, vec
+from cdcbranch.numerics import dot, rat, vec
 from oracles import canonical_inequality
 
 
@@ -393,15 +393,15 @@ def test_export_import_round_trip():
         assert doc["n"] == form.n and doc["r"] == form.r
         rows = [
             TwoSidedRow(
-                [parse_rational(x) for x in row["direction"]],
-                [parse_rational(x) for x in row["lower"]],
-                [parse_rational(x) for x in row["upper"]],
+                [rat(x) for x in row["direction"]],
+                [rat(x) for x in row["lower"]],
+                [rat(x) for x in row["upper"]],
             )
             for row in doc["rows"]
         ]
         assert rows == form.rows
         hull = [
-            (tuple(parse_rational(x) for x in e["a"]), parse_rational(e["b"]))
+            (tuple(rat(x) for x in e["a"]), rat(e["b"]))
             for e in doc["hull_equations"]
         ]
         assert hull == form.hull_equations

@@ -7,13 +7,14 @@ from fractions import Fraction as F
 import pytest
 
 from cdcbranch.cdc import CdcFamily, HRepPiece, grid_triangulation_fixture, sos2_family
-from cdcbranch.encodings import exotic_code, moment_code
+from cdcbranch.encodings import Encoding, exotic_code
 from cdcbranch.formulation import (
     LinearFormulation,
     TwoSidedRow,
     build_general,
     build_moment_curve,
 )
+from cdcbranch.lp import LpError
 from cdcbranch.oracle import (
     brute_force_optimum,
     brute_force_optimum_hrep,
@@ -21,8 +22,8 @@ from cdcbranch.oracle import (
     check_projection,
     check_valid,
     classify_rows,
-    embedding_points,
     objective_from_vertex_map,
+    relaxation_vertices,
 )
 
 
@@ -32,19 +33,12 @@ def grid():
 
 def test_embedding_points_counts():
     fam, _ = grid()
-    pts = embedding_points(fam, moment_code(8))
-    # one point per (alternative, member) pair
-    assert len(pts) == sum(len(s) for s in fam.sets) == 24
-    lam, z, alt, comp = pts[0]
-    assert lam == (1,) + (0,) * 8
-    assert z == (1, 1) and alt == 1 and comp == 1
-
-
-def test_embedding_points_padding():
-    fam = sos2_family(2)
-    pts = embedding_points(fam, moment_code(2), total_n=5)
-    assert len(pts) == 4
-    assert all(len(lam) == 5 for lam, _, _, _ in pts)
+    form = build_moment_curve(fam)
+    rep = check_valid(form)
+    # one point per (alternative, member) pair; the first pairs the code
+    # of alternative 1 with the unit vector of component 1
+    assert rep.stats["points"] == sum(len(s) for s in fam.sets) == 24
+    assert tuple(form.codes[0]) == (1, 1) and fam.sets[0][0] == 1
 
 
 def test_check_valid_passes_on_grid():
@@ -68,7 +62,7 @@ def test_check_valid_catches_perturbed_coefficient():
 
 def test_check_ideal_passes():
     form = build_general(sos2_family(4), exotic_code(4))
-    assert check_ideal(form).ok
+    assert check_ideal(form, relaxation_vertices(form)).ok
 
 
 def test_check_ideal_catches_widened_coefficient():
@@ -87,7 +81,7 @@ def test_check_ideal_catches_widened_coefficient():
     )
     # widening keeps validity but lets an off-code vertex appear
     assert check_valid(form).ok
-    rep = check_ideal(form)
+    rep = check_ideal(form, relaxation_vertices(form))
     assert not rep.ok
     assert any("off-code" in f.get("where", "") for f in rep.failures)
 
@@ -114,6 +108,13 @@ def test_check_projection_names_each_missing_unit_vector():
     ]
 
 
+def _foreign(alt, pairs):
+    return [
+        {"where": "foreign component admits weight %s" % w, "alternative": alt, "component": v}
+        for v, w in pairs
+    ]
+
+
 def test_check_projection_catches_weak_relaxation():
     fam, _ = grid()
     base = build_moment_curve(fam)
@@ -127,12 +128,102 @@ def test_check_projection_catches_weak_relaxation():
     )
     rep = check_projection(form)
     assert not rep.ok
-    assert any("foreign" in f.get("where", "") for f in rep.failures)
+    assert rep.failures == (
+        _foreign(1, [(5, 1), (6, 1), (8, 1)])
+        + _foreign(2, [(1, 1), (2, 1), (4, 1)])
+        + _foreign(3, [(1, "20/21"), (2, 1), (4, 1), (7, "1/3"), (8, 1), (9, "1/21")])
+        + _foreign(4, [(1, "6/7"), (2, 1), (3, 1), (6, 1), (8, 1), (9, "1/7")])
+        + _foreign(5, [(1, "5/7"), (2, 1), (3, 1), (4, 1), (6, 1), (9, "2/7")])
+        + _foreign(6, [(1, "11/21"), (4, 1), (6, 1), (7, "11/15"), (8, 1), (9, "10/21")])
+        + _foreign(7, [(1, "2/7"), (3, "6/11"), (6, 1), (7, "2/5"), (8, 1), (9, "5/7")])
+    )
+    assert rep.stats["probes"] == 50
+
+
+def test_check_projection_names_an_empty_slice():
+    # lam2 + lam3 <= z <= lam2 + 3/2 lam3: at z = 2 no weight reaches the
+    # upper side, so the slice of alternative 3 is empty
+    form = LinearFormulation(
+        3,
+        1,
+        [TwoSidedRow((1,), (0, 1, 1), (0, 1, F(3, 2)))],
+        family=CdcFamily(3, [(1,), (2,), (3,)]),
+        codes=[(0,), (1,), (2,)],
+    )
+    rep = check_projection(form)
+    assert rep.failures == _foreign(2, [(1, "1/3"), (3, 1)]) + [
+        {"where": "missing unit vector", "alternative": 3, "component": 3},
+        {"where": "slice LP infeasible", "alternative": 3, "component": 1},
+        {"where": "slice LP infeasible", "alternative": 3, "component": 2},
+    ]
+    assert rep.stats["probes"] == 7
+
+
+def test_a_violated_hull_equation_is_named_by_both_checks():
+    # z = 1 holds only at the code of alternative 2; in the other slices
+    # the equation is a zero row with a nonzero right-hand side
+    form = LinearFormulation(
+        3,
+        1,
+        [TwoSidedRow((1,), (0, 1, 1), (0, 1, F(3, 2)))],
+        hull_equations=[((1,), 1)],
+        family=CdcFamily(3, [(1, 2), (2,), (3,)]),
+        codes=[(0,), (1,), (2,)],
+    )
+    assert check_valid(form).failures == [
+        {"where": "hull equation", "alternative": 1, "component": 1},
+        {"where": "row 0 lower", "alternative": 1, "component": 2},
+        {"where": "hull equation", "alternative": 1, "component": 2},
+        {"where": "row 0 upper", "alternative": 3, "component": 3},
+        {"where": "hull equation", "alternative": 3, "component": 3},
+    ]
+    rep = check_projection(form)
+    assert rep.failures == (
+        [
+            {"where": "missing unit vector", "alternative": 1, "component": 1},
+            {"where": "missing unit vector", "alternative": 1, "component": 2},
+            {"where": "slice LP infeasible", "alternative": 1, "component": 3},
+        ]
+        + _foreign(2, [(1, "1/3"), (3, 1)])
+        + [
+            {"where": "missing unit vector", "alternative": 3, "component": 3},
+            {"where": "slice LP infeasible", "alternative": 3, "component": 1},
+            {"where": "slice LP infeasible", "alternative": 3, "component": 2},
+        ]
+    )
+    assert rep.stats["probes"] == 8
+
+
+def test_checks_keep_the_artificial_component_at_zero():
+    fam = CdcFamily(6, [(1, 2), (3, 4), (5, 6)])
+    form = build_general(fam, Encoding([(0, 0), (1, 0), (0, 1)]))
+    assert form.artificial and form.n == fam.n + 1
+    rep = check_valid(form)
+    assert rep.ok and rep.stats["points"] == 6
+    rep = check_projection(form)
+    assert rep.ok and rep.failures == [] and rep.stats["probes"] == 3
+
+
+def test_unbounded_relaxation_is_reported_by_its_lp_error():
+    form = LinearFormulation(5, 2, [], family=sos2_family(4), codes=list(exotic_code(4)))
+    with pytest.raises(LpError, match="^feasible set is unbounded$"):
+        relaxation_vertices(form)
+    with pytest.raises(LpError, match="^empty relaxation cannot be classified$"):
+        classify_rows(form, [])
+    # each slice fixes z, so it is bounded: every foreign component
+    # takes the whole weight
+    rep = check_projection(form)
+    assert rep.failures == (
+        _foreign(1, [(3, 1), (4, 1), (5, 1)])
+        + _foreign(2, [(1, 1), (4, 1), (5, 1)])
+        + _foreign(3, [(1, 1), (2, 1), (5, 1)])
+        + _foreign(4, [(1, 1), (2, 1), (3, 1)])
+    )
 
 
 def test_classify_rows_small():
     form = build_general(sos2_family(4), exotic_code(4))
-    entries = classify_rows(form)
+    entries = classify_rows(form, relaxation_vertices(form))
     assert len(entries) == 4
     assert all(e["class"] == "facet" for e in entries)
     assert {(e["row"], e["side"]) for e in entries} == {
@@ -145,7 +236,8 @@ def test_classify_rows_small():
 
 def test_classify_rows_grid_census():
     fam, _ = grid()
-    entries = classify_rows(build_moment_curve(fam))
+    form = build_moment_curve(fam)
+    entries = classify_rows(form, relaxation_vertices(form))
     census = {}
     for e in entries:
         census[e["class"]] = census.get(e["class"], 0) + 1
