@@ -3,14 +3,22 @@
 Each constructor returns an Encoding whose codes are rational points in
 convex position (a requirement for the geometric construction to apply).
 The predicates for convex position and hole-freeness both read one
-facet description of the codes' hull, from lp.facets_of_hull.
+facet description of the codes' hull, from lp.facets_of_hull, as the
+coprime int rows it returns, and test codes and points against it in
+ints.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from .lp import facets_of_hull
-from .numerics import _integer_rows, affine_hull, dot, rank, vec
+from .numerics import (
+    _bareiss_echelon,
+    _common_denominator,
+    _integer_rows,
+    affine_hull,
+    vec,
+)
 
 
 class EncodingError(Exception):
@@ -115,13 +123,20 @@ def is_convex_position(encoding):
 
     The codes are distinct, so this holds when each code is a vertex of
     their hull: the facets tight at it have the rank of all the facets.
+    All of it runs in ints: the codes are scaled to one common
+    denominator den, so facet (a, gamma) is tight at code p when
+    a . (den p) == gamma den, and each rank is read off the fraction-free
+    echelon form of int rows.
     """
     H = list(encoding)
-    facets = facets_of_hull(H)
-    full = rank([a for a, _ in facets])
-    return all(
-        rank([a for a, rhs in facets if dot(a, h) == rhs]) == full for h in H
-    )
+    den, P = _common_denominator(H)
+    facets = [(a, gamma * den) for a, gamma in facets_of_hull(H)]
+    full = len(_bareiss_echelon([a for a, _ in facets])[1])
+    for p in P:
+        tight = [a for a, rhs in facets if sum(x * y for x, y in zip(a, p)) == rhs]
+        if len(_bareiss_echelon(tight)[1]) < full:
+            return False
+    return True
 
 
 def is_hole_free(encoding):
@@ -129,8 +144,8 @@ def is_hole_free(encoding):
 
     Only defined for integer codes; rejects anything else.  The hull is
     taken only once the codes' bounding box shows a non-code point; its
-    equations and facets are then scaled to integer rows [a | b], so each
-    box point is tested in ints.
+    equations are then scaled to integer rows [a | b], and its facets come
+    as int rows already, so each box point is tested in ints.
     """
     H = list(encoding)
     for h in H:
@@ -144,13 +159,13 @@ def is_hole_free(encoding):
             continue
         if eqs is None:
             eqs = _integer_rows([a + (b,) for a, b in affine_hull(H)[0]])
-            facets = _integer_rows([a + (b,) for a, b in facets_of_hull(H)])
+            facets = facets_of_hull(H)
         # zip stops at the point's end, so a row's last entry b is left out
         on_hull = all(
             sum(x * y for x, y in zip(row, point)) == row[-1] for row in eqs
         )
         if on_hull and all(
-            sum(x * y for x, y in zip(row, point)) <= row[-1] for row in facets
+            sum(x * y for x, y in zip(a, point)) <= b for a, b in facets
         ):
             return False
     return True

@@ -16,7 +16,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import branching
 from .cdc import CdcFamily, annulus_family, edge_set, sos2_family
@@ -30,6 +30,7 @@ from .encodings import (
 )
 from .lp import EQ, GE, LE, LpProblem, solve_lp
 from .numerics import (
+    _common_denominator,
     affine_hull,
     canonical_direction,
     format_rational,
@@ -287,8 +288,7 @@ def _rows_from_normals(family, codes, normals):
     The products are taken in ints: the codes share one common
     denominator, and each normal is scaled by the lcm of its own.
     """
-    den = lcm(*(x.denominator for h in codes for x in h))
-    H = [[x.numerator * (den // x.denominator) for x in h] for h in codes]
+    den, H = _common_denominator(codes)
     members = [[s - 1 for s in family.members(v)] for v in range(1, family.n + 1)]
     rows = []
     for b in normals:
@@ -362,14 +362,24 @@ def build_general(family, codes):
 
 def build_2d(family, codes):
     """Planar specialization: one row per direction of a code difference,
-    taken over every pair of alternatives."""
+    taken over every pair of alternatives.
+
+    The perpendicular (p, q) of each difference is taken in ints over the
+    codes' common denominator and reduced by its gcd to the sign that
+    makes its first nonzero entry positive, so equal directions meet in
+    one key.  The keys keep pair order, and each becomes the Fraction
+    normal (1, q/p), or (0, 1) when p is 0, once.
+    """
     enc = _checked_codes(family, codes, planar=True)
-    normals = list(
-        dict.fromkeys(
-            canonical_direction((k[1] - h[1], h[0] - k[0]))
-            for h, k in itertools.combinations(enc, 2)
-        )
-    )
+    directions = {}
+    for h, k in itertools.combinations(_common_denominator(enc)[1], 2):
+        p, q = k[1] - h[1], h[0] - k[0]
+        g = gcd(p, q) if p > 0 or (p == 0 and q > 0) else -gcd(p, q)
+        directions[p // g, q // g] = None
+    normals = [
+        (Fraction(1), Fraction(q, p)) if p else (Fraction(0), Fraction(1))
+        for p, q in directions
+    ]
     return _formulation(family, enc, normals, "2d")
 
 

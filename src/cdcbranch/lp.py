@@ -20,8 +20,9 @@ simplex scales each standard-form row to coprime integers as it builds
 the tableau, prices out its objective rows in integers, and turns column
 values into Fraction only when it reads them.  Double description scales
 its rows to integers on the way in and takes its starting rays from an
-integer nullspace; vertices and facets become Fraction only on the way
-out.  No float enters either.
+integer nullspace; vertices become Fraction only on the way out, and
+facets are returned as the coprime int rays themselves.  No float enters
+either.
 """
 
 from dataclasses import dataclass, field
@@ -554,6 +555,8 @@ def facets_of_hull(points):
     and is tight on a facet of the hull relative to its affine hull; a
     lies in the hull's direction space.  Points that affinely span their
     ambient space give its ordinary facets, and a single point gives [].
+    Each inequality is a coprime int row: a is a tuple of ints and rhs an
+    int, as the double description returns its rays.
     """
     pts = [vec(p) for p in points]
     if not pts:
@@ -562,14 +565,9 @@ def facets_of_hull(points):
     # Cone over (a, gamma) with p.a - gamma <= 0 per point, and n.a == 0,
     # as two rows, per normal n of the affine hull.  The cone is then
     # pointed, and its extreme rays with a != 0 are the relative facets.
-    G = [tuple(p) + (Fraction(-1),) for p in pts]
+    G = [tuple(p) + (-1,) for p in pts]
     for n, _ in affine_hull(pts)[0]:
-        G += [tuple(n) + (Fraction(0),), tuple(-x for x in n) + (Fraction(0),)]
-    rays = _dd_extreme_rays(G)
-    facets = []
-    for ray in rays:
-        a, gamma = ray[:r], ray[r]
-        if is_zero_vector(a):
-            continue
-        facets.append((tuple(Fraction(x) for x in a), Fraction(gamma)))
-    return facets
+        G += [tuple(n) + (0,), tuple(-x for x in n) + (0,)]
+    return [
+        (ray[:r], ray[r]) for ray in _dd_extreme_rays(G) if not is_zero_vector(ray[:r])
+    ]

@@ -77,6 +77,13 @@ def _integer_rows(M):
     return out
 
 
+def _common_denominator(M):
+    """(den, rows): every entry of M, ints and Fractions, times den, the
+    lcm of all their denominators, as integer rows."""
+    den = lcm(*(x.denominator for row in M for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in M]
+
+
 def _coprime(row):
     """An integer row divided by the gcd of its entries."""
     g = gcd(*row)

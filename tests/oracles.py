@@ -5,9 +5,12 @@ code it checks.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from cdcbranch.encodings import EncodingError, exotic_code
+from cdcbranch.lp import EQ, lp_feasible
+from cdcbranch.numerics import canonical_direction
 
 
 def canonical_inequality(a, rhs):
@@ -40,3 +43,23 @@ def separation_certificates_exotic(r):
         j = i + 4 if i < 4 else i - 4
         certs.append((c, c[0] * H[j][0] + c[1] * H[j][1]))
     return certs
+
+
+def in_hull_lp(H, point):
+    """The LP oracle: point is a convex combination of the codes H."""
+    d = len(H)
+    rows = [([h[k] for h in H], EQ, point[k]) for k in range(len(point))]
+    rows.append(([1] * d, EQ, 1))
+    return lp_feasible(d, rows, bounds=[(0, None)] * d)
+
+
+def planar_directions(H):
+    """The row directions of the planar builder over the codes H: the
+    perpendicular of each code difference, scaled in Fractions so its
+    first nonzero entry is 1, deduped in pair order."""
+    return list(
+        dict.fromkeys(
+            canonical_direction((k[1] - h[1], h[0] - k[0]))
+            for h, k in combinations(H, 2)
+        )
+    )

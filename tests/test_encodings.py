@@ -17,9 +17,8 @@ from cdcbranch.encodings import (
     moment_code,
     zigzag_code,
 )
-from cdcbranch.lp import EQ, lp_feasible
 from cdcbranch.numerics import vec, vec_sub
-from oracles import separation_certificates_exotic
+from oracles import in_hull_lp, separation_certificates_exotic
 
 F = Fraction
 
@@ -141,6 +140,19 @@ def test_convex_position_detects_midpoint():
     assert not is_convex_position(Encoding([(0, 0), (1, 1), (2, 2)]))
 
 
+def test_convex_position_rational_code_on_an_edge():
+    # 1/3 + 2/3 == 1: the code lies on the edge x + y == 1 of the others,
+    # with a denominator that none of them has
+    assert not is_convex_position(Encoding([(0, 0), (1, 0), (0, 1), (F(1, 3), F(2, 3))]))
+
+
+def test_convex_position_square_with_denominators_three_and_five():
+    square = [(F(1, 3), F(2, 5)), (F(4, 3), F(2, 5)), (F(4, 3), F(7, 5)), (F(1, 3), F(7, 5))]
+    assert is_convex_position(Encoding(square))
+    # the centre, with denominators 6 and 10, is inside it
+    assert not is_convex_position(Encoding(square + [(F(5, 6), F(9, 10))]))
+
+
 def test_convex_position_parabola():
     for d in range(1, 11):
         assert is_convex_position(moment_code(d))
@@ -202,14 +214,6 @@ def test_truncations_stay_distinct(r, d):
 def test_moment_codes_on_curve(d):
     for i, h in enumerate(moment_code(d), start=1):
         assert h == (F(i), F(i * i))
-
-
-def in_hull_lp(H, point):
-    """The LP oracle: point is a convex combination of the codes H."""
-    d = len(H)
-    rows = [([h[k] for h in H], EQ, point[k]) for k in range(len(point))]
-    rows.append(([1] * d, EQ, 1))
-    return lp_feasible(d, rows, bounds=[(0, None)] * d)
 
 
 @st.composite

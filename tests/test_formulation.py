@@ -29,7 +29,7 @@ from cdcbranch.formulation import (
 )
 from cdcbranch.lp import enumerate_vertices
 from cdcbranch.numerics import dot, rat, vec
-from oracles import canonical_inequality
+from oracles import canonical_inequality, planar_directions
 
 
 def canon_rows(form):
@@ -184,6 +184,44 @@ def test_2d_two_codes():
     # span a line, which has no hyperplane family
     with pytest.raises(FormulationError, match="span a line"):
         build_general(fam, Encoding([(0, 0), (1, 0)]))
+
+
+# few distinct coordinates with denominators 1, 2, 3 and 5, so that codes
+# often share an x or a y and their differences are vertical or horizontal
+planar_coordinate = st.sampled_from([F(x) for x in (-1, 0, 2, F(1, 2), F(-2, 3), F(3, 5))])
+
+
+def strict_hull_vertices(points):
+    """The vertices of the planar convex hull of points, by the monotone
+    chain; a point on an edge is dropped, so the result is in convex
+    position."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(planar_coordinate, planar_coordinate), min_size=2, max_size=10))
+def test_2d_directions_match_fraction_reference(points):
+    H = strict_hull_vertices(points)
+    assume(len(H) >= 2)
+    # interleave the vertices, so that the pairs are not met in hull order
+    H = H[1::2] + H[::2]
+    form = build_2d(sos2_family(len(H)), Encoding(H))
+    assert [row.direction for row in form.rows] == planar_directions(H)
 
 
 def test_2d_rejects_higher_dim():
