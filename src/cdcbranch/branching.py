@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .encodings import EncodingError, exotic_code, is_hole_free, moment_code
 from .lp import EQ, GE, LE, facets_of_hull
-from .numerics import dot, vec
+from .numerics import dot, rat, vec
 
 
 class BranchError(Exception):
@@ -26,7 +26,7 @@ class CodeRelaxation:
         for a, rel, rhs in rows:
             if rel not in (LE, GE, EQ):
                 raise BranchError("unknown relation %r" % (rel,))
-            self.rows.append((vec(a), rel, Fraction(rhs)))
+            self.rows.append((vec(a), rel, rat(rhs)))
         self.interval = interval
 
     def contains(self, z):

@@ -28,7 +28,7 @@ from .encodings import (
     moment_code,
     zigzag_code,
 )
-from .lp import EQ, GE, LE, LpProblem, solve_lp
+from .lp import EQ, LE, LpProblem, solve_lp
 from .numerics import (
     _common_denominator,
     affine_hull,
@@ -37,6 +37,7 @@ from .numerics import (
     is_zero_vector,
     nullspace_basis,
     rank,
+    rat,
     vec,
     vec_sub,
 )
@@ -67,44 +68,22 @@ class TwoSidedRow:
 
 @dataclass
 class AssembledSystem:
-    """A flat inequality system over (lam, z) or (x, z) variables."""
+    """A flat system over (lam, z) or (x, z) variables: rows (a, rel, rhs)
+    and per-variable bounds, both as LpProblem takes them.  z is the last
+    r of the nvars variables, so it starts at nvars - r."""
 
     nvars: int
-    ineqs: list  # (a, rhs) meaning a . vars <= rhs
-    eqs: list  # (a, rhs) meaning a . vars == rhs
+    rows: list
     bounds: list
-    z_offset: int
     r: int
 
     def with_cuts(self, cuts):
-        """New system with z-space rows (a_z, rel, rhs) appended."""
-        extra_ineqs = []
-        extra_eqs = []
-        for a_z, rel, rhs in cuts:
-            a = [Fraction(0)] * self.nvars
-            for k in range(self.r):
-                a[self.z_offset + k] = Fraction(a_z[k])
-            if rel == LE:
-                extra_ineqs.append((tuple(a), Fraction(rhs)))
-            elif rel == GE:
-                extra_ineqs.append((tuple(-x for x in a), -Fraction(rhs)))
-            elif rel == EQ:
-                extra_eqs.append((tuple(a), Fraction(rhs)))
-            else:
-                raise FormulationError("unknown relation in cut")
-        return AssembledSystem(
-            self.nvars,
-            self.ineqs + extra_ineqs,
-            self.eqs + extra_eqs,
-            self.bounds,
-            self.z_offset,
-            self.r,
-        )
-
-    def lp_rows(self):
-        rows = [(a, LE, rhs) for a, rhs in self.ineqs]
-        rows += [(a, EQ, rhs) for a, rhs in self.eqs]
-        return rows
+        """New system with z-space rows (a_z, rel, rhs) appended: each a_z
+        is padded with zeros over lam or x, and its rel and rhs are kept
+        as they are, for LpProblem to check and coerce."""
+        pad = (Fraction(0),) * (self.nvars - self.r)
+        rows = [(pad + tuple(a_z), rel, rhs) for a_z, rel, rhs in cuts]
+        return AssembledSystem(self.nvars, self.rows + rows, self.bounds, self.r)
 
 
 class LinearFormulation:
@@ -132,7 +111,7 @@ class LinearFormulation:
         for row in self.rows:
             if len(row.direction) != r or len(row.lower) != n:
                 raise FormulationError("row shape disagrees with n, r")
-        self.hull_equations = [(vec(a), Fraction(b)) for a, b in hull_equations]
+        self.hull_equations = [(vec(a), rat(b)) for a, b in hull_equations]
         self.artificial = artificial
         self.family = family
         self.codes = codes
@@ -150,19 +129,15 @@ class LinearFormulation:
         return out
 
     def assemble(self):
-        nvars = self.n + self.r
-        ineqs = [(a, rhs) for _, a, rhs in self.one_sided()]
-        eqs = []
+        rows = [(a, LE, rhs) for _, a, rhs in self.one_sided()]
         for a, b in self.hull_equations:
-            eqs.append((tuple([Fraction(0)] * self.n) + tuple(a), Fraction(b)))
-        eqs.append(
-            (tuple([Fraction(1)] * self.n) + tuple([Fraction(0)] * self.r), Fraction(1))
-        )
+            rows.append(((Fraction(0),) * self.n + a, EQ, b))
+        rows.append(((Fraction(1),) * self.n + (Fraction(0),) * self.r, EQ, Fraction(1)))
         bounds = [(Fraction(0), None)] * self.n
         if self.artificial:
             bounds[self.n - 1] = (Fraction(0), Fraction(0))
         bounds += [(None, None)] * self.r
-        return AssembledSystem(nvars, ineqs, eqs, bounds, self.n, self.r)
+        return AssembledSystem(self.n + self.r, rows, bounds, self.r)
 
     def to_json(self):
         return {
@@ -231,8 +206,9 @@ class LinearFormulation:
         return "\n".join(lines) + "\n"
 
 
-def spanned_hyperplane_normals(C, ambient=None):
-    """Normals of all hyperplanes of span(C) spanned by members of C.
+def spanned_hyperplane_normals(C, ambient):
+    """Normals of all hyperplanes of span(C) spanned by members of C, the
+    members being vectors of length ambient.
 
     Normals are returned inside span(C), canonically scaled and deduped.
     A zero-dimensional span gives []; a one-dimensional span is rejected
@@ -248,10 +224,6 @@ def spanned_hyperplane_normals(C, ambient=None):
         if cd not in seen:
             seen.add(cd)
             dirs.append(cd)
-    if ambient is None:
-        if not dirs:
-            raise FormulationError("cannot infer ambient dimension from empty C")
-        ambient = len(dirs[0])
     if not dirs:
         return []
     dim = rank(dirs)
@@ -356,7 +328,7 @@ def build_general(family, codes):
         edges, _ = edge_set(padded)
     H = list(enc)
     C = [vec_sub(H[j - 1], H[i - 1]) for i, j in edges]
-    normals = spanned_hyperplane_normals(C, ambient=enc.r)
+    normals = spanned_hyperplane_normals(C, enc.r)
     return _formulation(family, enc, normals, "general", padded)
 
 
@@ -498,11 +470,8 @@ class BigMSystem:
 
     def assemble(self):
         nvars = self.m + 2
-        ineqs = []
-        for a_x, a_z, rhs in self.rows:
-            ineqs.append((tuple(a_x) + tuple(a_z), Fraction(rhs)))
-        bounds = [(None, None)] * nvars
-        return AssembledSystem(nvars, ineqs, [], bounds, self.m, 2)
+        rows = [(tuple(a_x) + tuple(a_z), LE, rhs) for a_x, a_z, rhs in self.rows]
+        return AssembledSystem(nvars, rows, [(None, None)] * nvars, 2)
 
 
 def build_bigm_moment(pieces):

@@ -475,33 +475,43 @@ def _dd_extreme_rays(G):
     return rays
 
 
-def enumerate_vertices(n, ineqs, eqs=(), bounds=None):
-    """All vertices of {x : ineqs, eqs, bounds}, exactly.
+def enumerate_vertices(n, rows, bounds=None):
+    """All vertices of {x : rows, bounds}, exactly.
 
-    ineqs and eqs are (a, rhs) pairs meaning a . x <= rhs and a . x == rhs.
-    Raises LpError when the feasible set is unbounded; an empty set gives [].
+    rows and bounds are as in LpProblem: rows (a, rel, rhs), and bounds a
+    list of (lb, ub) pairs, None meaning unbounded on that side.  The rows
+    are split by relation here and nowhere else: double description runs
+    on the inequalities in the nullspace of the equalities.  Raises
+    LpError when the feasible set is unbounded; an empty set gives [].
     """
-    ineq_rows = [(vec(a), rat(b)) for a, b in ineqs]
-    eq_rows = [(vec(a), rat(b)) for a, b in eqs]
-    if bounds is not None:
-        for j, (lb, ub) in enumerate(bounds):
-            e = [Fraction(0)] * n
-            e[j] = Fraction(1)
-            if lb is not None:
-                ineq_rows.append((tuple(-x for x in e), -rat(lb)))
-            if ub is not None:
-                ineq_rows.append((tuple(e), rat(ub)))
+    # Homogenize: y = (x, t), and a row a . x (rel) b becomes [a | -b] y
+    # (rel) 0.  A GE row is negated, each bound is one more inequality,
+    # and t >= 0 closes the cone.
+    hom_ineq = []
+    hom_eq = []
+    for a, rel, rhs in rows:
+        row = vec(a) + (-rat(rhs),)
+        if len(row) != n + 1:
+            raise ValueError("row length mismatch")
+        if rel == LE:
+            hom_ineq.append(row)
+        elif rel == GE:
+            hom_ineq.append(tuple(-x for x in row))
+        elif rel == EQ:
+            hom_eq.append(row)
+        else:
+            raise ValueError("unknown relation %r" % (rel,))
+    if bounds is not None and len(bounds) != n:
+        raise ValueError("bounds length mismatch")
+    for j, (lb, ub) in enumerate(bounds or ()):
+        e = tuple(Fraction(int(k == j)) for k in range(n))
+        if lb is not None:
+            hom_ineq.append(tuple(-x for x in e) + (rat(lb),))
+        if ub is not None:
+            hom_ineq.append(e + (-rat(ub),))
+    hom_ineq.append((Fraction(0),) * n + (Fraction(-1),))
 
-    # Homogenize: y = (x, t), equalities a.x = b become [a | -b] y = 0,
-    # inequalities become [a | -b] y <= 0, plus t >= 0.
-    hom_eq = [tuple(a) + (-b,) for a, b in eq_rows]
-    hom_ineq = [tuple(a) + (-b,) for a, b in ineq_rows]
-    hom_ineq.append(tuple([Fraction(0)] * n + [Fraction(-1)]))
-
-    if hom_eq:
-        N = nullspace_basis(hom_eq)
-    else:
-        N = nullspace_basis([], ncols=n + 1)
+    N = nullspace_basis(hom_eq, ncols=n + 1)
     if not N:
         return []
     # Each basis vector is scaled to integers.  A positive scale per vector
@@ -517,8 +527,7 @@ def enumerate_vertices(n, ineqs, eqs=(), bounds=None):
     G = [row for row in G if not is_zero_vector(row)]
     if not G or rank(G) < k:
         # Lineality present: the set is empty or contains a line.
-        frows = [(a, LE, b) for a, b in ineq_rows] + [(a, EQ, b) for a, b in eq_rows]
-        if lp_feasible(n, frows):
+        if lp_feasible(n, rows, bounds):
             raise LpError("feasible set is unbounded")
         return []
 

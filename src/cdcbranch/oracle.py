@@ -9,10 +9,9 @@ at a code.  These are the referees the rest of the package answers to.
 
 import warnings
 from dataclasses import asdict, dataclass, field
-from math import lcm
 
 from .lp import EQ, LE, LpError, LpProblem, enumerate_vertices, solve_lp
-from .numerics import _bareiss_echelon, _integer_rows, dot, vec
+from .numerics import _bareiss_echelon, _common_denominator, _integer_rows, dot, vec
 
 
 @dataclass
@@ -65,7 +64,7 @@ def relaxation_vertices(form):
     classify_rows both read this list, so it is enumerated once.
     """
     sys = form.assemble()
-    return enumerate_vertices(sys.nvars, sys.ineqs, eqs=sys.eqs, bounds=sys.bounds)
+    return enumerate_vertices(sys.nvars, sys.rows, sys.bounds)
 
 
 def check_ideal(form, vertices):
@@ -95,7 +94,6 @@ def check_projection(form):
     """
     n = form.n
     sys = form.assemble()
-    rows = sys.lp_rows()
     bounds = sys.bounds[:n]
     failures = []
     probes = pivots = 0
@@ -110,7 +108,7 @@ def check_projection(form):
         return res
 
     for i, (T, h) in enumerate(zip(form.family.sets, form.codes), 1):
-        fixed = [(a[:n], rel, rhs - dot(a[n:], h)) for a, rel, rhs in rows]
+        fixed = [(a[:n], rel, rhs - dot(a[n:], h)) for a, rel, rhs in sys.rows]
         # the face's own unit vectors must lie in the slice; a row's value
         # at one is a[v-1]
         for v in T:
@@ -162,8 +160,7 @@ def classify_rows(form, vertices):
     # the vertices over one common denominator: V holds den * v in ints,
     # and a row [a | rhs] scaled to integers is tight at v when
     # a . (den * v) == rhs * den
-    den = lcm(*(x.denominator for v in vertices for x in v))
-    V = [[x.numerator * (den // x.denominator) for x in v] for v in vertices]
+    den, V = _common_denominator(vertices)
 
     def dim(points):
         # the rank of the differences from the first point; they are ints

@@ -114,8 +114,9 @@ def solve(
     # A heap entry holds its parent's optimal LpResult and its own cuts:
     # the root is solved cold, and every child adds its cuts to its
     # parent's LP.  with_cuts on a system with no rows of its own gives
-    # the cuts alone, as rows over all variables.
-    bare = replace(base, ineqs=[], eqs=[])
+    # the cuts alone, each padded with zeros over lam or x.
+    bare = replace(base, rows=[])
+    z_start = base.nvars - base.r
     root = scheme.root(encoding)
     counter = 0
     heap = [((0, Fraction(0), counter), None, (), root)]
@@ -132,7 +133,7 @@ def solve(
         if key[0] == 1 and incumbent is not None and -key[1] <= incumbent[0]:
             pruned_bound += 1
             continue
-        rows = (base if parent is None else bare.with_cuts(cuts)).lp_rows()
+        rows = (base if parent is None else bare.with_cuts(cuts)).rows
         res = solve_lp(LpProblem(base.nvars, c_int, rows, bounds=base.bounds), parent)
         pivots += res.pivots
         if res.status == "infeasible":
@@ -144,7 +145,7 @@ def solve(
         if incumbent is not None and val <= incumbent[0]:
             pruned_bound += 1
             continue
-        zhat = res.x[base.z_offset : base.z_offset + base.r]
+        zhat = res.x[z_start:]
         if zhat in code_set:
             incumbent = (val, res.x)
             continue
@@ -199,7 +200,7 @@ def solve(
         )
 
     val, point = incumbent
-    z = point[base.z_offset : base.z_offset + base.r]
+    z = point[z_start:]
     lam = x = None
     if isinstance(source, LinearFormulation):
         lam = point[: source.n]
@@ -265,7 +266,7 @@ def check_branch_soundness(scheme, encoding, Q, zhat, outcome=None):
     child_vertices = []
     for idx, q in ((1, q1), (2, q2)):
         try:
-            verts = enumerate_vertices(r, q.ineq_rows())
+            verts = enumerate_vertices(r, q.rows)
         except LpError as exc:
             failures.append({"condition": 2, "child": idx, "error": str(exc)})
             child_vertices.append([])

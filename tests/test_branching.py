@@ -43,13 +43,13 @@ def test_psi_single_code():
 
 def test_psi_adjacent_pair_is_segment():
     q = psi(7, 1, 2)
-    verts = set(enumerate_vertices(2, q.ineq_rows()))
+    verts = set(enumerate_vertices(2, q.rows))
     assert verts == {zz(1, 1), zz(2, 4)}
 
 
 def test_psi_vertices_are_codes():
     q = psi(7, 1, 7)
-    verts = set(enumerate_vertices(2, q.ineq_rows()))
+    verts = set(enumerate_vertices(2, q.rows))
     assert verts == {zz(i, i * i) for i in range(1, 8)}
 
 
@@ -131,7 +131,7 @@ def test_moment_children_are_hulls():
     out = sch.step(sch.root(enc), (F(5, 2), F(7)), enc)
     for _, child in out.children:
         l, u = child.interval
-        verts = set(enumerate_vertices(2, child.ineq_rows()))
+        verts = set(enumerate_vertices(2, child.rows))
         assert verts == {zz(i, i * i) for i in range(l, u + 1)}
 
 
@@ -254,3 +254,8 @@ def test_outcome_constructors():
 def test_relaxation_rejects_bad_relation():
     with pytest.raises(BranchError):
         CodeRelaxation([((F(1), F(0)), "<", F(0))])
+
+
+def test_relaxation_rejects_a_float_rhs():
+    with pytest.raises(TypeError):
+        CodeRelaxation([((1, 0), LE, 0.1)])

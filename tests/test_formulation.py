@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cdcbranch.cdc import CdcFamily, HRepPiece, annulus_instance, grid_triangulation_fixture, sos2_family
 from cdcbranch.encodings import EncodingError, Encoding, exotic_code, gray_code, moment_code, zigzag_code
 from cdcbranch.formulation import (
+    AssembledSystem,
     BigMSystem,
     FormulationError,
     LinearFormulation,
@@ -27,7 +28,7 @@ from cdcbranch.formulation import (
     export_formulation,
     spanned_hyperplane_normals,
 )
-from cdcbranch.lp import enumerate_vertices
+from cdcbranch.lp import EQ, GE, LE, enumerate_vertices
 from cdcbranch.numerics import dot, rat, vec
 from oracles import canonical_inequality, planar_directions
 
@@ -39,7 +40,7 @@ def canon_rows(form):
 
 def vertex_set(form):
     sys = form.assemble()
-    return set(enumerate_vertices(sys.nvars, sys.ineqs, sys.eqs, sys.bounds))
+    return set(enumerate_vertices(sys.nvars, sys.rows, sys.bounds))
 
 
 def test_canonical_inequality_scales():
@@ -49,19 +50,19 @@ def test_canonical_inequality_scales():
 
 def test_normals_axis_cross():
     C = [vec((1, 0)), vec((-1, 0)), vec((0, 1)), vec((0, -1))]
-    assert spanned_hyperplane_normals(C) == [(0, 1), (1, 0)]
+    assert spanned_hyperplane_normals(C, 2) == [(0, 1), (1, 0)]
 
 
 def test_normals_unit_basis_r3():
     C = [vec((1, 0, 0)), vec((0, 1, 0)), vec((0, 0, 1))]
-    got = set(spanned_hyperplane_normals(C))
+    got = set(spanned_hyperplane_normals(C, 3))
     assert got == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_normals_with_doubling_column():
     # unit steps plus the wrap direction (4, 2, 1)
     C = [vec((1, 0, 0)), vec((0, 1, 0)), vec((0, 0, 1)), vec((4, 2, 1))]
-    got = set(spanned_hyperplane_normals(C))
+    got = set(spanned_hyperplane_normals(C, 3))
     want = {
         (1, 0, 0),
         (0, 1, 0),
@@ -77,14 +78,12 @@ def test_normals_degenerate_spans():
     assert spanned_hyperplane_normals([], 2) == []
     assert spanned_hyperplane_normals([vec((0, 0))], 2) == []
     with pytest.raises(FormulationError):
-        spanned_hyperplane_normals([])
-    with pytest.raises(FormulationError):
-        spanned_hyperplane_normals([vec((1, 1)), vec((-2, -2))])
+        spanned_hyperplane_normals([vec((1, 1)), vec((-2, -2))], 2)
 
 
 def test_normals_annihilate_members():
     C = [vec((1, 0, 0)), vec((0, 1, 0)), vec((0, 0, 1)), vec((4, 2, 1))]
-    for b in spanned_hyperplane_normals(C):
+    for b in spanned_hyperplane_normals(C, 3):
         hits = sum(1 for c in C if sum(x * y for x, y in zip(b, c)) == 0)
         assert hits >= 2
 
@@ -415,7 +414,20 @@ def test_bigm_moment_assemble():
     sys = system.assemble()
     assert sys.nvars == 3
     assert sys.bounds == [(None, None)] * 3
-    assert len(sys.ineqs) == len(system.rows)
+    assert len(sys.rows) == len(system.rows)
+
+
+def test_with_cuts_pads_each_cut_and_keeps_its_relation():
+    base = build_sos2_exotic(4).assemble()
+    cuts = [((1, 2), LE, 3), ((F(1, 2), 0), GE, F(1, 3)), ((0, 1), EQ, 4)]
+    got = base.with_cuts(cuts)
+    zeros = (0,) * (base.nvars - base.r)
+    assert got.rows == base.rows + [
+        (zeros + (1, 2), LE, 3),
+        (zeros + (F(1, 2), 0), GE, F(1, 3)),
+        (zeros + (0, 1), EQ, 4),
+    ]
+    assert (got.nvars, got.bounds, got.r) == (base.nvars, base.bounds, base.r)
 
 
 def test_export_import_round_trip():
@@ -457,6 +469,11 @@ def test_row_shape_validation():
     row = TwoSidedRow((1, 0), [0, 0], [1, 1])
     with pytest.raises(FormulationError):
         LinearFormulation(3, 2, [row])
+
+
+def test_hull_equations_reject_a_float_rhs():
+    with pytest.raises(TypeError):
+        LinearFormulation(1, 1, [], hull_equations=[((1,), 0.5)])
 
 
 def test_one_sided_signs():

@@ -117,9 +117,7 @@ def test_lp_feasible():
 
 
 def test_enumerate_vertices_simplex():
-    verts = enumerate_vertices(
-        3, [], eqs=[((1, 1, 1), 1)], bounds=[(0, None)] * 3
-    )
+    verts = enumerate_vertices(3, [((1, 1, 1), EQ, 1)], bounds=[(0, None)] * 3)
     assert sorted(verts) == [
         (F(0), F(0), F(1)),
         (F(0), F(1), F(0)),
@@ -140,32 +138,51 @@ def test_enumerate_vertices_unit_square():
 
 def test_enumerate_vertices_parabola_hull():
     Q = psi(4, 1, 4)
-    verts = enumerate_vertices(2, Q.ineq_rows())
+    verts = enumerate_vertices(2, Q.rows)
     assert sorted(verts) == [(F(1), F(1)), (F(2), F(4)), (F(3), F(9)), (F(4), F(16))]
 
 
 def test_enumerate_vertices_empty_set():
-    assert enumerate_vertices(1, [((1,), -1)], bounds=[(0, None)]) == []
+    assert enumerate_vertices(1, [((1,), LE, -1)], bounds=[(0, None)]) == []
 
 
 def test_enumerate_vertices_unbounded_raises():
     with pytest.raises(LpError):
-        enumerate_vertices(2, [((-1, 0), 0), ((0, -1), 0)])
+        enumerate_vertices(2, [((-1, 0), LE, 0), ((0, -1), LE, 0)])
 
 
 def test_enumerate_vertices_equality_slice():
     # square sliced by x = y leaves a diagonal segment
-    verts = enumerate_vertices(
-        2, [], eqs=[((1, -1), 0)], bounds=[(0, 1), (0, 1)]
-    )
+    verts = enumerate_vertices(2, [((1, -1), EQ, 0)], bounds=[(0, 1), (0, 1)])
     assert sorted(verts) == [(F(0), F(0)), (F(1), F(1))]
 
 
 def test_enumerate_vertices_redundant_rows():
     verts = enumerate_vertices(
-        1, [((1,), 1), ((2,), 2), ((1,), 3)], eqs=(), bounds=[(0, None)]
+        1, [((1,), LE, 1), ((2,), LE, 2), ((1,), LE, 3)], bounds=[(0, None)]
     )
     assert sorted(verts) == [(F(0),), (F(1),)]
+
+
+def test_enumerate_vertices_rejects_malformed_rows_and_bounds():
+    with pytest.raises(ValueError, match="unknown relation"):
+        enumerate_vertices(1, [((1,), "<", 1)])
+    # zip would otherwise read a short row against the homogenizing
+    # coordinate and drop the tail of a long one
+    for n, a in ((2, (1,)), (1, (1, 5))):
+        with pytest.raises(ValueError, match="row length mismatch"):
+            enumerate_vertices(n, [(a, LE, 1)], bounds=[(0, 1)] * n)
+    with pytest.raises(ValueError, match="bounds length mismatch"):
+        enumerate_vertices(1, [((1,), LE, 1)], bounds=[(0, 1), (5, 3)])
+
+
+def test_enumerate_vertices_lineality_fallback_reads_bounds():
+    # y is free, so the cone has a line and the fallback LP decides: with
+    # x >= 0 the row x <= -1 leaves nothing, without it a strip remains
+    rows = [((1, 0), LE, -1)]
+    assert enumerate_vertices(2, rows, bounds=[(0, None), (None, None)]) == []
+    with pytest.raises(LpError, match="feasible set is unbounded"):
+        enumerate_vertices(2, rows)
 
 
 def test_facets_of_triangle():
@@ -216,16 +233,15 @@ def test_optimum_matches_vertex_enumeration_on_random_polytopes():
     rng = random.Random(20240817)
     for _ in range(20):
         n = 2
-        ineqs = [((1, 0), F(3)), ((0, 1), F(3))]
+        rows = [((1, 0), LE, F(3)), ((0, 1), LE, F(3))]
         for _ in range(rng.randint(1, 3)):
             a = (rng.randint(-3, 3), rng.randint(-3, 3))
             if a == (0, 0):
                 continue
-            ineqs.append((a, F(rng.randint(0, 6))))
+            rows.append((a, LE, F(rng.randint(0, 6))))
         bounds = [(F(0), None)] * n
         c = [rng.randint(-5, 5) for _ in range(n)]
-        verts = enumerate_vertices(n, ineqs, bounds=bounds)
-        rows = [(a, LE, rhs) for a, rhs in ineqs]
+        verts = enumerate_vertices(n, rows, bounds=bounds)
         res = solve_lp(LpProblem(n, c, rows, bounds=bounds))
         if not verts:
             assert res.status == "infeasible"
@@ -235,11 +251,12 @@ def test_optimum_matches_vertex_enumeration_on_random_polytopes():
 
 
 def _integer_scaled(a, rhs):
-    """The row a . x <= rhs times the lcm of its denominators."""
+    """The row a . x <= rhs times the lcm of its denominators, as a row
+    (a, LE, rhs)."""
     scale = 1
     for x in tuple(a) + (rhs,):
         scale = lcm(scale, F(x).denominator)
-    return tuple(int(F(x) * scale) for x in a), int(F(rhs) * scale)
+    return tuple(int(F(x) * scale) for x in a), LE, int(F(rhs) * scale)
 
 
 def test_vertices_with_rational_rows_match_integer_scaled_rows():
@@ -253,7 +270,7 @@ def test_vertices_with_rational_rows_match_integer_scaled_rows():
         ((F(-1, 2), 0), 0),
         ((0, F(-5, 9)), 0),
     ]
-    verts = enumerate_vertices(2, ineqs)
+    verts = enumerate_vertices(2, [(a, LE, rhs) for a, rhs in ineqs])
     scaled = enumerate_vertices(2, [_integer_scaled(a, rhs) for a, rhs in ineqs])
     assert verts == scaled
     assert len(verts) == 5
@@ -354,7 +371,7 @@ def test_phase_one_from_an_infeasible_slack_basis_with_every_ratio_tied():
     ]
     obj = [F(3, 4), -150, F(1, 50), -6]
     bounds = [(0, 10)] * 4
-    verts = _vertices(4, rows, bounds)
+    verts = enumerate_vertices(4, rows, bounds)
     for sense, best, value in (("max", max, F(1, 20)), ("min", min, F(-1560))):
         res = solve_lp(LpProblem(4, obj, rows, bounds=bounds, sense=sense))
         assert res.status == "optimal"
@@ -369,7 +386,7 @@ def test_phase_one_proves_infeasibility_after_pivoting():
     bounds = [(0, None)] * 2
     res = solve_lp(LpProblem(2, [1, 1], rows, bounds=bounds))
     assert (res.status, res.pivots) == ("infeasible", 2)
-    assert _vertices(2, rows, bounds) == []
+    assert enumerate_vertices(2, rows, bounds) == []
 
 
 def test_free_variables_with_rational_data_and_negative_optimum():
@@ -436,7 +453,8 @@ def bounded_systems(draw):
 def test_enumerate_vertices_matches_cramer_oracle(system):
     n, ineqs, eq, bounds = system
     assume(any(eq[0]))
-    verts = enumerate_vertices(n, ineqs, eqs=[eq], bounds=bounds)
+    rows = [(a, LE, rhs) for a, rhs in ineqs] + [(eq[0], EQ, eq[1])]
+    verts = enumerate_vertices(n, rows, bounds=bounds)
     assert len(set(verts)) == len(verts)
     box = []
     for k, (lb, ub) in enumerate(bounds):
@@ -483,10 +501,7 @@ def bounded_lps(draw):
 def test_solve_lp_matches_vertex_enumeration_on_every_bound_kind(lp):
     n, c, rows, bounds, sense = lp
     res = solve_lp(LpProblem(n, c, rows, bounds=bounds, sense=sense))
-    ineqs = [(a, rhs) for a, rel, rhs in rows if rel == LE]
-    ineqs += [(tuple(-x for x in a), -rhs) for a, rel, rhs in rows if rel == GE]
-    eqs = [(a, rhs) for a, rel, rhs in rows if rel == EQ]
-    verts = enumerate_vertices(n, ineqs, eqs=eqs, bounds=bounds)
+    verts = enumerate_vertices(n, rows, bounds=bounds)
     if not verts:
         assert res.status == "infeasible"
         return
@@ -507,13 +522,6 @@ def test_solve_lp_matches_vertex_enumeration_on_every_bound_kind(lp):
     assert x in verts
 
 
-def _vertices(n, rows, bounds):
-    ineqs = [(a, rhs) for a, rel, rhs in rows if rel == LE]
-    ineqs += [(tuple(-x for x in a), -rhs) for a, rel, rhs in rows if rel == GE]
-    eqs = [(a, rhs) for a, rel, rhs in rows if rel == EQ]
-    return enumerate_vertices(n, ineqs, eqs=eqs, bounds=bounds)
-
-
 @settings(max_examples=200, deadline=None)
 @given(bounded_lps(), st.data())
 def test_warm_rows_match_a_cold_solve_of_the_full_list(lp, data):
@@ -531,9 +539,9 @@ def test_warm_rows_match_a_cold_solve_of_the_full_list(lp, data):
         cold = solve_lp(LpProblem(n, c, rows, bounds=bounds, sense=sense))
         assert (res.status, res.value) == (cold.status, cold.value)
         if res.status != "optimal":
-            assert res.status == "infeasible" and not _vertices(n, rows, bounds)
+            assert res.status == "infeasible" and not enumerate_vertices(n, rows, bounds)
             return
-        assert res.x in _vertices(n, rows, bounds)
+        assert res.x in enumerate_vertices(n, rows, bounds)
         assert res.value == dot(vec(c), res.x)
 
 
