@@ -28,7 +28,6 @@ from .formulation import (
     build_general,
     build_moment_curve,
     build_sos2_exotic,
-    export_formulation,
 )
 from .numerics import format_rational, rat
 from .oracle import (
@@ -143,7 +142,7 @@ def cmd_build(args):
     form = _build(family, meta, args.encoding, args.builder)
     _write_json(args.output, form.to_json())
     if args.text:
-        text = export_formulation(form, "text")
+        text = form.to_text()
         if args.text == "-":
             sys.stdout.write(text)
         else:
@@ -287,30 +286,27 @@ def build_parser():
     g.add_argument("-o", "--output", default="-")
     g.set_defaults(func=cmd_gen)
 
-    b = sub.add_parser("build", help="build a formulation for an instance")
-    b.add_argument("--instance", required=True)
-    b.add_argument(
+    # build, solve and verify read one instance and build one formulation
+    # from it, so they share these options
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument("--instance", required=True)
+    form.add_argument(
         "--encoding",
         required=True,
         choices=["gray", "zigzag", "moment", "exotic"],
     )
-    b.add_argument(
+    form.add_argument(
         "--builder",
         default="general",
         choices=["general", "2d", "moment", "sos2-exotic", "annulus"],
     )
+    form.add_argument("-o", "--output", default="-")
+
+    b = sub.add_parser("build", parents=[form], help="build a formulation for an instance")
     b.add_argument("--text", help="also write a readable rendering here")
-    b.add_argument("-o", "--output", default="-")
     b.set_defaults(func=cmd_build)
 
-    s = sub.add_parser("solve", help="optimize over an instance")
-    s.add_argument("--instance", required=True)
-    s.add_argument(
-        "--encoding",
-        required=True,
-        choices=["gray", "zigzag", "moment", "exotic"],
-    )
-    s.add_argument("--builder", default="general")
+    s = sub.add_parser("solve", parents=[form], help="optimize over an instance")
     s.add_argument(
         "--scheme", required=True, choices=["variable", "moment", "exotic"]
     )
@@ -319,18 +315,11 @@ def build_parser():
     s.add_argument("--sense", default="max", choices=["max", "min"])
     s.add_argument("--node-cap", type=int, default=10 ** 6)
     s.add_argument("--debug-checks", action="store_true")
-    s.add_argument("-o", "--output", default="-")
     s.set_defaults(func=cmd_solve)
 
-    v = sub.add_parser("verify", help="run the oracle checks on a formulation")
-    v.add_argument("--instance", required=True)
-    v.add_argument(
-        "--encoding",
-        required=True,
-        choices=["gray", "zigzag", "moment", "exotic"],
+    v = sub.add_parser(
+        "verify", parents=[form], help="run the oracle checks on a formulation"
     )
-    v.add_argument("--builder", default="general")
-    v.add_argument("-o", "--output", default="-")
     v.set_defaults(func=cmd_verify)
 
     be = sub.add_parser("bench", help="sweep instances and emit CSV")

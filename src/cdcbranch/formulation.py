@@ -12,7 +12,6 @@ codes, and the unit vectors plus a few more for the annulus.
 """
 
 import itertools
-import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -457,25 +456,23 @@ class BigMSystem:
     """A relaxation-based union formulation over (x, z).
 
     Each piece's rows are active exactly when z sits at that piece's code
-    on the parabola; elsewhere they relax by the precomputed bound.
+    in codes; elsewhere they relax by the precomputed bound.
     """
 
-    def __init__(self, pieces, M, rows, m, d):
-        self.pieces = pieces
-        self.M = M
+    def __init__(self, rows, m, codes):
         self.rows = rows  # (a_x, a_z, rhs) meaning a_x . x + a_z . z <= rhs
         self.m = m
-        self.d = d
-        self.r = 2
+        self.codes = codes
 
     def assemble(self):
-        nvars = self.m + 2
+        nvars = self.m + self.codes.r
         rows = [(tuple(a_x) + tuple(a_z), LE, rhs) for a_x, a_z, rhs in self.rows]
-        return AssembledSystem(nvars, rows, [(None, None)] * nvars, 2)
+        return AssembledSystem(nvars, rows, [(None, None)] * nvars, self.codes.r)
 
 
 def build_bigm_moment(pieces):
-    """Assemble the relaxation system with parabola codes for d pieces.
+    """Assemble the relaxation system with parabola codes for d pieces;
+    the system carries them, moment_code(d), as its codes.
 
     The activation weight at code (i, i*i) is i*i - 2*i*z1 + z2, which is
     zero at the code and a positive integer at every other code.
@@ -505,13 +502,4 @@ def build_bigm_moment(pieces):
             rows.append((piece.A[s], a_z, rhs))
     for a_z, rhs in branching.psi(d, 1, d).ineq_rows():
         rows.append(((Fraction(0),) * m, a_z, rhs))
-    return BigMSystem(pieces, M, rows, m, d)
-
-
-def export_formulation(form, fmt="json"):
-    """Render a formulation as a JSON string or as human-readable text."""
-    if fmt == "json":
-        return json.dumps(form.to_json(), indent=2) + "\n"
-    if fmt == "text":
-        return form.to_text()
-    raise FormulationError("unknown export format %r" % (fmt,))
+    return BigMSystem(rows, m, moment_code(d))

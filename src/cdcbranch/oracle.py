@@ -176,19 +176,10 @@ def classify_rows(form, vertices):
         tight = [v for v in V if sum(x * y for x, y in zip(a_int, v)) == rhs_int]
         if not tight:
             cls = "never-tight"
-            tdim = -1
         else:
-            tdim = dim(tight)
-            cls = "facet" if tdim == full - 1 else "tight-nonfacet"
+            cls = "facet" if dim(tight) == full - 1 else "tight-nonfacet"
         out.append(
-            {
-                "row": tag[0],
-                "side": tag[1],
-                "class": cls,
-                "tight_dim": tdim,
-                "coeffs": a,
-                "rhs": rhs,
-            }
+            {"row": tag[0], "side": tag[1], "class": cls, "coeffs": a, "rhs": rhs}
         )
     return out
 

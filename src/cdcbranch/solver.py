@@ -1,12 +1,14 @@
 """Exact branch-and-bound driven by code-space branching schemes.
 
-Nodes carry a region of code space, the cuts that carved it from its
-parent's region and the parent's optimal LP, which the node's own LP
-extends by those cuts and re-optimizes by dual simplex.  Node selection
-is best bound with FIFO tie-breaking, all arithmetic is rational, and an
-incumbent is only ever accepted when the relaxation optimum lands
-exactly on a code, which a valid formulation guarantees to be a true
-feasible point.
+A formulation enters only through its codes and its assemble(): a
+relaxation over (lam or x, z) and the code set z must reach, whichever
+builder made the rows.  Nodes carry a region of code space, the cuts
+that carved it from its parent's region and the parent's optimal LP,
+which the node's own LP extends by those cuts and re-optimizes by dual
+simplex.  Node selection is best bound with FIFO tie-breaking, all
+arithmetic is rational, and an incumbent is only ever accepted when the
+relaxation optimum lands exactly on a code, which a valid formulation
+guarantees to be a true feasible point.
 """
 
 import heapq
@@ -71,44 +73,37 @@ def solve(
 ):
     """Optimize a linear objective over the region a formulation encodes.
 
-    source is a LinearFormulation (objective over the weight components)
-    or a BigMSystem (objective over x).  Returns a SolveReport.
+    source is a LinearFormulation or a BigMSystem, read only through its
+    codes and its assemble(), whose last r variables are z.  The
+    objective covers the variables before z (lam or x); one entry short
+    is padded with a 0 when the system's bounds fix that last variable at
+    zero, the artificial component of a disconnected family.  Returns a
+    SolveReport.
     """
     t0 = time.perf_counter_ns()
     if isinstance(scheme, str):
         scheme = make_scheme(scheme)
     if sense not in ("max", "min"):
         raise SolveError("sense must be 'max' or 'min'")
-
-    if isinstance(source, LinearFormulation):
-        encoding = source.codes
-        if encoding is None:
-            raise SolveError("an encoding is required")
-        base = source.assemble()
-        c = vec(objective)
-        if len(c) == source.n - 1 and source.artificial:
-            c = c + (Fraction(0),)
-        if len(c) != source.n:
-            raise SolveError("objective length mismatch")
-        c_full = c + (Fraction(0),) * source.r
-    elif isinstance(source, BigMSystem):
-        from .encodings import moment_code
-
-        encoding = moment_code(source.d)
-        base = source.assemble()
-        c = vec(objective)
-        if len(c) != source.m:
-            raise SolveError("objective length mismatch")
-        c_full = c + (Fraction(0),) * 2
-    else:
+    if not isinstance(source, (LinearFormulation, BigMSystem)):
         raise SolveError("unknown source type %r" % type(source).__name__)
+    encoding = source.codes
+    if encoding is None:
+        raise SolveError("an encoding is required")
+    base = source.assemble()
+    z_start = base.nvars - base.r
+    c = vec(objective)
+    if len(c) == z_start - 1 and base.bounds[z_start - 1] == (0, 0):
+        c = c + (Fraction(0),)
+    if len(c) != z_start:
+        raise SolveError("objective length mismatch")
 
     ok, why = scheme.compatible(encoding)
     if not ok:
         raise SolveError("scheme %s incompatible: %s" % (scheme.name, why))
 
     mult = Fraction(1) if sense == "max" else Fraction(-1)
-    c_int = tuple(mult * x for x in c_full)
+    c_int = tuple(mult * x for x in c) + (Fraction(0),) * base.r
     code_set = set(tuple(h) for h in encoding)
 
     # A heap entry holds its parent's optimal LpResult and its own cuts:
@@ -116,7 +111,6 @@ def solve(
     # parent's LP.  with_cuts on a system with no rows of its own gives
     # the cuts alone, each padded with zeros over lam or x.
     bare = replace(base, rows=[])
-    z_start = base.nvars - base.r
     root = scheme.root(encoding)
     counter = 0
     heap = [((0, Fraction(0), counter), None, (), root)]
@@ -159,11 +153,11 @@ def solve(
                 "match this instance"
             )
         if debug_checks:
-            report = check_branch_soundness(
+            audit = check_branch_soundness(
                 scheme, encoding, state, zhat, outcome=outcome
             )
-            if not report.ok:
-                raise SolveError("unsound branch: %r" % report.failures)
+            if not audit.ok:
+                raise SolveError("unsound branch: %r" % audit.failures)
         histogram[outcome.tag] = histogram.get(outcome.tag, 0) + 1
         for child_cuts, child_state in outcome.children:
             counter += 1
@@ -189,44 +183,28 @@ def solve(
     else:
         status = "optimal"
 
-    if incumbent is None:
-        return SolveReport(
-            status,
-            nodes=nodes,
-            pivots=pivots,
-            histogram=histogram,
-            wall_micros=wall,
-            remaining_bound=remaining,
-        )
-
-    val, point = incumbent
-    z = point[z_start:]
-    lam = x = None
-    if isinstance(source, LinearFormulation):
-        lam = point[: source.n]
-        if vertex_map is not None:
-            m = vertex_map.m
-            x = tuple(
-                sum(
-                    (lam[v] * vertex_map[v][k] for v in range(len(vertex_map))),
-                    Fraction(0),
-                )
-                for k in range(m)
-            )
-    else:
-        x = point[: source.m]
-    return SolveReport(
+    report = SolveReport(
         status,
-        value=mult * val,
-        lam=lam,
-        z=z,
-        x=x,
         nodes=nodes,
         pivots=pivots,
         histogram=histogram,
         wall_micros=wall,
         remaining_bound=remaining,
     )
+    if incumbent is not None:
+        val, point = incumbent
+        report.value = mult * val
+        report.z = point[z_start:]
+        if isinstance(source, BigMSystem):
+            report.x = point[:z_start]
+        else:
+            lam = report.lam = point[:z_start]
+            if vertex_map is not None:
+                report.x = tuple(
+                    sum((w * p[k] for w, p in zip(lam, vertex_map)), Fraction(0))
+                    for k in range(vertex_map.m)
+                )
+    return report
 
 
 def check_branch_soundness(scheme, encoding, Q, zhat, outcome=None):

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per shipped guarantee, run with pytest -v."""
 
 import hashlib
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -28,7 +29,6 @@ from cdcbranch.formulation import (
     build_general,
     build_moment_curve,
     build_sos2_exotic,
-    export_formulation,
 )
 from cdcbranch.lp import LE, LpProblem, solve_lp
 from cdcbranch.numerics import dot
@@ -157,9 +157,9 @@ def builder_matrix():
     return out
 
 
-# sha256 of export_formulation(form) followed by form.to_text(), for each
-# builder_matrix() formulation: every coefficient, hull equation and meta
-# field of the shipped formulations, frozen.
+# sha256 of form.to_json() as indented JSON, a newline and form.to_text(),
+# for each builder_matrix() formulation: every coefficient, hull equation
+# and meta field of the shipped formulations, frozen.
 BUILDER_MATRIX_SHA256 = {
     "sos2-4 general gray": "855dfe7eae4f95ba2c95d60ac85ac71981f1e19831f84e554d1dcca64dc2a1ff",
     "sos2-4 general zigzag": "7a4f834e8dcc3440802e0a39664c28d5e938c4a5653119bd395d86f2bddc79e2",
@@ -208,7 +208,7 @@ BUILDER_MATRIX_SHA256 = {
 def test_builder_matrix_artifacts_pinned():
     got = {
         label: hashlib.sha256(
-            (export_formulation(form) + form.to_text()).encode()
+            (json.dumps(form.to_json(), indent=2) + "\n" + form.to_text()).encode()
         ).hexdigest()
         for label, form in builder_matrix()
     }

@@ -4,6 +4,8 @@ import csv
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from cdcbranch import cli, lp, oracle
 from cdcbranch.cli import main
 from cdcbranch.numerics import rat
@@ -160,6 +162,22 @@ def test_solve_rejects_incompatible_scheme(tmp_path, capsys):
     assert run("solve", "--instance", str(inst), "--encoding", "gray",
                "--scheme", "moment", "-o", str(tmp_path / "x.json")) == 2
     assert "incompatible" in capsys.readouterr().err
+
+
+def test_bad_builder_is_an_argparse_error_on_solve_and_verify(tmp_path, capsys):
+    # the instance file does not exist: argparse rejects the builder first
+    missing = str(tmp_path / "missing.json")
+    for argv in (
+        ["solve", "--instance", missing, "--encoding", "moment",
+         "--builder", "bogus", "--scheme", "moment"],
+        ["verify", "--instance", missing, "--encoding", "moment",
+         "--builder", "bogus"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err and "missing.json" not in err
 
 
 def test_verify_grid_moment(tmp_path):

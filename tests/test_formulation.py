@@ -1,7 +1,6 @@
 """Tests for formulation builders over (lam, z)."""
 
 import copy
-import json
 import warnings
 from fractions import Fraction as F
 
@@ -25,7 +24,6 @@ from cdcbranch.formulation import (
     build_moment_curve,
     build_sos2_exotic,
     compute_bigm,
-    export_formulation,
     spanned_hyperplane_normals,
 )
 from cdcbranch.lp import EQ, GE, LE, enumerate_vertices
@@ -439,7 +437,7 @@ def test_export_import_round_trip():
         build_annulus(8, "zigzag"),
     ]
     for form in forms:
-        doc = json.loads(export_formulation(form, fmt="json"))
+        doc = form.to_json()
         assert doc["n"] == form.n and doc["r"] == form.r
         rows = [
             TwoSidedRow(
@@ -459,7 +457,7 @@ def test_export_import_round_trip():
 
 def test_export_text_renders_rows():
     form = build_sos2_exotic(4)
-    text = export_formulation(form, fmt="text")
+    text = form.to_text()
     assert "<=" in text
     assert "sum(lam) == 1" in text
     assert text.count("\n") >= len(form.rows)

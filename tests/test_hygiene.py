@@ -35,6 +35,24 @@ def unused_imports(source):
     return [name for name in imported if name not in used]
 
 
+def nested_imports(source):
+    """(definition, line) for each import statement inside a function or
+    class body; definition names the outermost function or class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    seen = set()
+    # ast.walk goes breadth first, so an outer definition comes before
+    # the ones nested in it and claims their imports
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, defs):
+            continue
+        for n in ast.walk(node):
+            if isinstance(n, (ast.Import, ast.ImportFrom)) and n not in seen:
+                seen.add(n)
+                out.append((node.name, n.lineno))
+    return out
+
+
 def unread_parameters(source):
     """(function, parameter) pairs for each parameter that its function's
     body never reads.  self, cls and names starting with an underscore,
@@ -117,6 +135,29 @@ def test_every_imported_name_is_used(path):
 def test_unused_import_is_reported():
     source = "import json\nfrom math import gcd, lcm as l\nprint(gcd)\n"
     assert unused_imports(source) == ["json", "l"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_sit_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_nested_import_is_reported():
+    source = (
+        "import json\n"
+        "if json:\n"
+        "    from math import gcd\n"
+        "def f():\n"
+        "    import os\n"
+        "    return os, gcd\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        def g():\n"
+        "            from math import lcm\n"
+        "            return lcm\n"
+        "        return g\n"
+    )
+    assert nested_imports(source) == [("f", 5), ("K", 10)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

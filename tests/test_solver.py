@@ -7,7 +7,14 @@ from fractions import Fraction as F
 import pytest
 
 from cdcbranch.branching import BranchError, BranchOutcome, CodeRelaxation, make_scheme, psi
-from cdcbranch.cdc import HRepPiece, annulus_instance, grid_triangulation_fixture, sos2_family
+from cdcbranch.cdc import (
+    CdcFamily,
+    HRepPiece,
+    VertexMap,
+    annulus_instance,
+    grid_triangulation_fixture,
+    sos2_family,
+)
 from cdcbranch.encodings import exotic_code, gray_code, moment_code, zigzag_code
 from cdcbranch.formulation import build_bigm_moment, build_general, build_moment_curve
 from cdcbranch.lp import GE, LE
@@ -128,6 +135,47 @@ def test_objective_length_checked():
     form = build_general(sos2_family(4), exotic_code(4))
     with pytest.raises(SolveError):
         solve(form, [F(1)], "exotic")
+
+
+def test_disconnected_family_pads_the_artificial_component():
+    # four disjoint pairs: the overlap graph is disconnected, so each
+    # formulation carries an artificial lam component fixed at zero
+    fam = CdcFamily(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
+    vm = VertexMap([(F(k), F(k * k % 5)) for k in range(8)])
+    rng = random.Random(8080)
+    pairings = (
+        (moment_code(4), "moment"),
+        (exotic_code(4), "exotic"),
+        (gray_code(2), "variable"),
+    )
+    for enc, scheme in pairings:
+        form = build_general(fam, enc)
+        assert form.artificial and form.n == fam.n + 1
+        for _ in range(3):
+            c = [F(rng.randint(-9, 9)) for _ in range(fam.n)]
+            rep = solve(form, c, scheme, vertex_map=vm)
+            explicit = solve(form, c + [F(0)], scheme, vertex_map=vm)
+            untimed = {"wall_micros": 0}
+            assert rep.to_json() | untimed == explicit.to_json() | untimed
+            want, _, _ = brute_force_optimum(fam, c)
+            assert rep.status == "optimal" and rep.value == want
+            assert len(rep.lam) == fam.n + 1 and rep.lam[-1] == 0
+            assert rep.x == tuple(
+                sum((rep.lam[v] * vm[v][k] for v in range(fam.n)), F(0)) for k in range(2)
+            )
+
+
+def test_unknown_source_type_raises():
+    with pytest.raises(SolveError, match="unknown source type"):
+        solve(object(), [F(1)], "moment")
+
+
+def test_bigm_objective_length_checked():
+    pieces = [HRepPiece([[1], [-1]], [i + 1, -i]) for i in range(0, 8, 2)]
+    system = build_bigm_moment(pieces)
+    for c in ([], [F(1), F(0)], [F(1), F(0), F(0)]):
+        with pytest.raises(SolveError, match="objective length mismatch"):
+            solve(system, c, "moment")
 
 
 def test_bad_sense_rejected():
