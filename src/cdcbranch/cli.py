@@ -11,6 +11,7 @@ import csv
 import json
 import random
 import sys
+from collections import Counter
 
 from .branching import make_scheme
 from .cdc import (
@@ -36,6 +37,7 @@ from .oracle import (
     check_projection,
     check_valid,
     classify_rows,
+    code_values,
     objective_from_vertex_map,
     relaxation_vertices,
 )
@@ -113,7 +115,10 @@ def _build(family, meta, encoding_name, builder):
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path, text):
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -142,12 +147,7 @@ def cmd_build(args):
     form = _build(family, meta, args.encoding, args.builder)
     _write_json(args.output, form.to_json())
     if args.text:
-        text = form.to_text()
-        if args.text == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.text, "w") as fh:
-                fh.write(text)
+        _write_text(args.text, form.to_text())
     return 0
 
 
@@ -196,23 +196,18 @@ def cmd_solve(args):
 def cmd_verify(args):
     family, _, meta = _load_instance(args.instance)
     form = _build(family, meta, args.encoding, args.builder)
-    valid = check_valid(form)
-    vertices = relaxation_vertices(form)
-    ideal = check_ideal(form, vertices)
-    proj = check_projection(form)
-    classes = classify_rows(form, vertices)
-    counts = {}
-    for c in classes:
-        counts[c["class"]] = counts.get(c["class"], 0) + 1
-    out = {
-        "valid": valid.to_json(),
-        "ideal": ideal.to_json(),
-        "projection": proj.to_json(),
-        "row_classes": counts,
-        "rows": 2 * len(form.rows),
-    }
+    # the two tables the checks read, each computed once
+    values, vertices = code_values(form), relaxation_vertices(form)
+    reports = (
+        check_valid(form, values),
+        check_ideal(form, vertices),
+        check_projection(form, values),
+    )
+    out = {rep.kind: rep.to_json() for rep in reports}
+    out["row_classes"] = Counter(e["class"] for e in classify_rows(form, vertices))
+    out["rows"] = 2 * len(form.rows)
     _write_json(args.output, out)
-    return 0 if (valid.ok and ideal.ok and proj.ok) else 1
+    return 0 if all(reports) else 1
 
 
 def cmd_bench(args):

@@ -46,6 +46,9 @@ class FormulationError(Exception):
     pass
 
 
+_LINE_SPAN = "code differences span a line, no hyperplane family exists"
+
+
 class TwoSidedRow:
     """lower . lam <= direction . z <= upper . lam"""
 
@@ -229,9 +232,7 @@ def spanned_hyperplane_normals(C, ambient):
     if dim == 0:
         return []
     if dim == 1:
-        raise FormulationError(
-            "code differences span a line, no hyperplane family exists"
-        )
+        raise FormulationError(_LINE_SPAN)
     # orthogonal complement of span(C): a normal must be orthogonal to it
     # to lie inside the span
     complement = nullspace_basis(dirs)
@@ -297,7 +298,8 @@ def _formulation(family, enc, normals, builder, padded=None):
 
 def _checked_codes(family, codes, planar=False):
     """codes as an Encoding, 2-dimensional when planar, with one code per
-    alternative, in convex position."""
+    alternative, in convex position.  Two planar codes span a line, which
+    has no hyperplane family, so planar needs three or more."""
     enc = codes if isinstance(codes, Encoding) else Encoding(codes)
     if planar and enc.r != 2:
         raise FormulationError("planar builder needs 2-dimensional codes")
@@ -305,6 +307,8 @@ def _checked_codes(family, codes, planar=False):
         raise FormulationError("need exactly one code per alternative")
     if not is_convex_position(enc):
         raise FormulationError("codes must be in convex position")
+    if planar and enc.d == 2:
+        raise FormulationError(_LINE_SPAN)
     return enc
 
 
@@ -358,11 +362,12 @@ def build_moment_curve(family):
     """Parabola codes with the integer fan of directions (t, -1).
 
     Pairs alternative i with code (i, i*i); rows run over t = 3..2d-1,
-    covering every direction through two codes.  d >= 2.
+    covering every direction through two codes.  d >= 3: two parabola
+    codes span a line, which raises as it does in build_general.
     """
     d = family.d
-    if d < 2:
-        raise FormulationError("need at least two alternatives")
+    if d < 3:
+        raise FormulationError("need at least two alternatives" if d < 2 else _LINE_SPAN)
     normals = [(Fraction(t), Fraction(-1)) for t in range(3, 2 * d)]
     return _formulation(family, moment_code(d), normals, "moment")
 

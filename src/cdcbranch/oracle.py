@@ -1,17 +1,23 @@
 """Brute-force and enumeration-based checks for built formulations.
 
-Nothing here trusts the builders: validity is checked point by point
-against the embedding, idealness and the facet census on one full
-vertex enumeration (relaxation_vertices), and the projection property
-by exact LP probes on every slice, each an LP in lam alone with z fixed
-at a code.  These are the referees the rest of the package answers to.
+Nothing here trusts the builders.  The checks read two tables, each
+computed once per formulation: the code-value table (code_values), each
+row's z part at each code, and the relaxation's vertices by double
+description (relaxation_vertices).  Validity is checked point by point
+against the embedding from the first, and the projection property by
+exact LP probes on every slice, each an LP in lam alone with z fixed at
+a code.  Idealness and the facet census, read off vertex-row
+incidences, come from the second.  These are the referees the rest of
+the package answers to.
 """
 
 import warnings
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
+from operator import mul, neg
 
 from .lp import EQ, LE, LpError, LpProblem, enumerate_vertices, solve_lp
-from .numerics import _bareiss_echelon, _common_denominator, _integer_rows, dot, vec
+from .numerics import _common_denominator, _integer_rows, dot, vec
 
 
 @dataclass
@@ -30,29 +36,42 @@ class VerificationReport:
         return asdict(self)
 
 
-def check_valid(form):
+def _failure(where, alternative, component):
+    return {"where": where, "alternative": alternative, "component": component}
+
+
+def code_values(form):
+    """The code-value table D: D[k][i] = direction_k . h_i, the z part of
+    row k at the code of alternative i, summed in ints over the codes'
+    common denominator and the direction's own.
+
+    Every one-sided row has right-hand side 0, so with z fixed at h_i the
+    lower side of row k reads lower . lam <= D[k][i] and the upper side
+    -upper . lam <= -D[k][i].  verify builds D once for check_valid and
+    check_projection.
+    """
+    den, H = _common_denominator(form.codes)
+    scaled = [_common_denominator([row.direction]) for row in form.rows]
+    return [[Fraction(sum(map(mul, b, h)), s * den) for h in H] for s, (b,) in scaled]
+
+
+def check_valid(form, values):
     """Every embedding point must satisfy every row of the formulation.
 
-    The points of alternative i pair its code h_i with the unit vector of
-    each component v in T^i, so a row's value there is a[v-1] plus the
-    row's z part at h_i.  That z part is the same for every point of the
-    alternative, so it moves to the right-hand side once per alternative.
+    values is code_values(form).  The points of alternative i pair its
+    code h_i with the unit vector of each component v in T^i, where row
+    k holds when lower[v-1] <= D[k][i] <= upper[v-1].
     """
     failures = []
-    one_sided = [(tag, a, a[form.n :], rhs) for tag, a, rhs in form.one_sided()]
-    for i, (T, h) in enumerate(zip(form.family.sets, form.codes), 1):
-        rows = [(tag, a, rhs - dot(a_z, h)) for tag, a, a_z, rhs in one_sided]
+    for i, (T, h) in enumerate(zip(form.family.sets, form.codes)):
         off_hull = sum(dot(a, h) != b for a, b in form.hull_equations)
         for v in T:
-            for tag, a, b in rows:
-                if a[v - 1] > b:
-                    failures.append(
-                        {"where": "row %d %s" % tag, "alternative": i, "component": v}
-                    )
-            failures += [
-                {"where": "hull equation", "alternative": i, "component": v}
-                for _ in range(off_hull)
-            ]
+            for k, (row, D) in enumerate(zip(form.rows, values)):
+                if row.lower[v - 1] > D[i]:
+                    failures.append(_failure("row %d lower" % k, i + 1, v))
+                if row.upper[v - 1] < D[i]:
+                    failures.append(_failure("row %d upper" % k, i + 1, v))
+            failures += [_failure("hull equation", i + 1, v) for _ in range(off_hull)]
     points = sum(len(T) for T in form.family.sets)
     return VerificationReport("valid", not failures, failures, {"points": points})
 
@@ -78,46 +97,45 @@ def check_ideal(form, vertices):
         for v in vertices
         if v[form.n :] not in code_set
     ]
-    return VerificationReport(
-        "ideal", not failures, failures, {"vertices": len(vertices)}
-    )
+    return VerificationReport("ideal", not failures, failures, {"vertices": len(vertices)})
 
 
-def check_projection(form):
+def check_projection(form, values):
     """Fixing z at code i must slice out exactly the face of alternative i.
 
-    The slice is an LP in lam alone: z = h_i is substituted into every
-    row, whose z part a_z . h_i moves to the right-hand side, and lam
-    keeps its bounds (an artificial component stays at zero).  A hull
-    equation becomes a row of zeros, which an off-hull code makes
-    infeasible.  stats counts the LPs (probes) and their simplex pivots.
+    values is code_values(form).  The slice is an LP in lam alone, the
+    relaxation's rows with z = h_i substituted.  Their lam parts (lower
+    and -upper per row, a zero row per hull equation, the simplex row)
+    are built once; per alternative only the right-hand sides change:
+    D[k][i] and -D[k][i], b - a . h_i, which is nonzero at an off-hull
+    code, and 1.  lam keeps its bounds (an artificial component stays at
+    zero).  stats counts the LPs (probes) and their simplex pivots.
     """
     n = form.n
-    sys = form.assemble()
-    bounds = sys.bounds[:n]
+    bounds = [(0, None)] * (n - 1) + [(0, 0) if form.artificial else (0, None)]
+    lam_rows = [(a, LE) for r in form.rows for a in (r.lower, tuple(map(neg, r.upper)))]
+    lam_rows += [((0,) * n, EQ)] * len(form.hull_equations) + [((1,) * n, EQ)]
     failures = []
-    probes = pivots = 0
+    pivots = []  # one entry per probe
 
     def probe(fixed, ws):
         # maximize the total weight of the components in ws over the slice
-        nonlocal probes, pivots
         c = [int(w in ws) for w in range(1, n + 1)]
         res = solve_lp(LpProblem(n, c, fixed, bounds=bounds))
-        probes += 1
-        pivots += res.pivots
+        pivots.append(res.pivots)
         return res
 
-    for i, (T, h) in enumerate(zip(form.family.sets, form.codes), 1):
-        fixed = [(a[:n], rel, rhs - dot(a[n:], h)) for a, rel, rhs in sys.rows]
+    for i, (T, h) in enumerate(zip(form.family.sets, form.codes)):
+        rhs = [x for D in values for x in (D[i], -D[i])]
+        rhs += [b - dot(a, h) for a, b in form.hull_equations] + [1]
+        fixed = [(a, rel, b) for (a, rel), b in zip(lam_rows, rhs)]
         # the face's own unit vectors must lie in the slice; a row's value
         # at one is a[v-1]
-        for v in T:
-            for a, rel, rhs in fixed:
-                if a[v - 1] > rhs or (rel == EQ and a[v - 1] != rhs):
-                    failures.append(
-                        {"where": "missing unit vector", "alternative": i, "component": v}
-                    )
-                    break
+        failures += [
+            _failure("missing unit vector", i + 1, v)
+            for v in T
+            if any(a[v - 1] > b or (rel == EQ and a[v - 1] != b) for a, rel, b in fixed)
+        ]
         # no foreign component may take positive weight in the slice; the
         # components are nonnegative, so their sum being zero pins each one
         foreign = [w for w in range(1, form.family.n + 1) if w not in T]
@@ -128,59 +146,50 @@ def check_projection(form):
         for w in foreign:
             res = probe(fixed, (w,))
             if res.status != "optimal":
-                failures.append(
-                    {
-                        "where": "slice LP %s" % res.status,
-                        "alternative": i,
-                        "component": w,
-                    }
-                )
+                failures.append(_failure("slice LP %s" % res.status, i + 1, w))
             elif res.value != 0:
-                failures.append(
-                    {
-                        "where": "foreign component admits weight %s" % res.value,
-                        "alternative": i,
-                        "component": w,
-                    }
-                )
-    return VerificationReport(
-        "projection", not failures, failures, {"probes": probes, "pivots": pivots}
-    )
+                where = "foreign component admits weight %s" % res.value
+                failures.append(_failure(where, i + 1, w))
+    stats = {"probes": len(pivots), "pivots": sum(pivots)}
+    return VerificationReport("projection", not failures, failures, stats)
 
 
 def classify_rows(form, vertices):
     """Classify each one-sided row as facet, tight-nonfacet, or never-tight.
 
-    vertices is relaxation_vertices(form).  The tight set of a row is
-    measured by the affine dimension of the vertices satisfying it with
-    equality, compared against the dimension of the whole relaxation.
+    vertices is relaxation_vertices(form), the vertices of a polytope, so
+    each face is known by its tight mask: one bit per vertex it holds.
+    The masks come from the one-sided rows and the bounds lam_v >= 0; the
+    equations hold everywhere.  A facet is a maximal proper face, and it
+    is the face of some row or bound, so a row is a facet when its mask
+    is proper (neither empty nor every vertex) and lies strictly inside
+    no other proper mask; never-tight when its mask is empty, and
+    tight-nonfacet otherwise.  The artificial component's bound (0, 0)
+    holds at every vertex, so its mask is never proper.
     """
     if not vertices:
         raise LpError("empty relaxation cannot be classified")
-    # the vertices over one common denominator: V holds den * v in ints,
-    # and a row [a | rhs] scaled to integers is tight at v when
-    # a . (den * v) == rhs * den
-    den, V = _common_denominator(vertices)
-
-    def dim(points):
-        # the rank of the differences from the first point; they are ints
-        # already, so the rank is read straight off the elimination kernel
-        diffs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
-        return len(_bareiss_echelon(diffs)[1])
-
-    full = dim(V)
+    # the vertices in ints over one common denominator, each kept as its
+    # nonzero (column, value) pairs; a one-sided row, right-hand side 0, is
+    # tight at v when a . v == 0 in ints, and a bound lam_c >= 0 when v_c == 0
+    V = _common_denominator(vertices)[1]
+    support = [[(c, x) for c, x in enumerate(v) if x] for v in V]
+    one_sided = form.one_sided()
+    rows = _integer_rows([a for _, a, _ in one_sided])
+    tight = [[not sum(a[c] * x for c, x in nz) for nz in support] for a in rows]
+    tight += [[not v[c] for v in V] for c in range(form.n)]
+    masks = [sum(1 << j for j, t in enumerate(ts) if t) for ts in tight]
+    full = (1 << len(V)) - 1
+    proper = {m for m in masks if m and m != full}
     out = []
-    for tag, a, rhs in form.one_sided():
-        *a_int, r_int = _integer_rows([a + (rhs,)])[0]
-        rhs_int = r_int * den
-        tight = [v for v in V if sum(x * y for x, y in zip(a_int, v)) == rhs_int]
-        if not tight:
+    for ((row, side), a, rhs), m in zip(one_sided, masks):
+        if not m:
             cls = "never-tight"
+        elif m in proper and not any(m != M and m & M == m for M in proper):
+            cls = "facet"
         else:
-            cls = "facet" if dim(tight) == full - 1 else "tight-nonfacet"
-        out.append(
-            {"row": tag[0], "side": tag[1], "class": cls, "coeffs": a, "rhs": rhs}
-        )
+            cls = "tight-nonfacet"
+        out.append({"row": row, "side": side, "class": cls, "coeffs": a, "rhs": rhs})
     return out
 
 
@@ -195,15 +204,10 @@ def brute_force_optimum(family, objective, sense="max"):
     if len(c) != family.n:
         raise ValueError("objective length mismatch")
     pick = max if sense == "max" else min
-    best = None
-    for i, T in enumerate(family.sets):
-        v = pick(T, key=lambda t: c[t - 1])
-        val = c[v - 1]
-        if best is None or (sense == "max" and val > best[0]) or (
-            sense == "min" and val < best[0]
-        ):
-            best = (val, v, i + 1)
-    return best
+    # the first extreme component of each alternative, then the first
+    # extreme alternative
+    best = [pick(T, key=lambda t: c[t - 1]) for T in family.sets]
+    return pick(((c[v - 1], v, i) for i, v in enumerate(best, 1)), key=lambda w: w[0])
 
 
 def brute_force_optimum_hrep(pieces, objective, sense="max"):
@@ -214,13 +218,8 @@ def brute_force_optimum_hrep(pieces, objective, sense="max"):
     """
     best = None
     for i, piece in enumerate(pieces):
-        prob = LpProblem(
-            piece.m,
-            objective,
-            [(piece.A[t], LE, piece.b[t]) for t in range(len(piece.A))],
-            sense=sense,
-        )
-        res = solve_lp(prob)
+        rows = [(a, LE, b) for a, b in zip(piece.A, piece.b)]
+        res = solve_lp(LpProblem(piece.m, objective, rows, sense=sense))
         if res.status == "unbounded":
             raise LpError("piece %d is unbounded" % (i + 1,))
         if res.status == "infeasible":

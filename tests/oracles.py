@@ -9,8 +9,8 @@ from itertools import combinations
 from math import gcd, lcm
 
 from cdcbranch.encodings import EncodingError, exotic_code
-from cdcbranch.lp import EQ, lp_feasible
-from cdcbranch.numerics import canonical_direction
+from cdcbranch.lp import EQ, LpError, lp_feasible
+from cdcbranch.numerics import canonical_direction, dot, rank
 
 
 def canonical_inequality(a, rhs):
@@ -63,3 +63,26 @@ def planar_directions(H):
             for h, k in combinations(H, 2)
         )
     )
+
+
+def classify_rows_by_rank(form, vertices):
+    """The facet census by affine dimension, in Fractions: a row is a facet
+    when the vertices it holds with equality span one dimension less than
+    all of them, never-tight when it holds at none, and tight-nonfacet
+    otherwise.  Entries as oracle.classify_rows gives them."""
+    if not vertices:
+        raise LpError("empty relaxation cannot be classified")
+
+    def dim(points):
+        return rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+
+    full = dim(vertices)
+    out = []
+    for (row, side), a, rhs in form.one_sided():
+        tight = [v for v in vertices if dot(a, v) == rhs]
+        if not tight:
+            cls = "never-tight"
+        else:
+            cls = "facet" if dim(tight) == full - 1 else "tight-nonfacet"
+        out.append({"row": row, "side": side, "class": cls, "coeffs": a, "rhs": rhs})
+    return out

@@ -199,20 +199,40 @@ def test_verify_grid_moment(tmp_path):
 
 def test_verify_enumerates_the_relaxation_once(tmp_path, monkeypatch):
     inst = gen(tmp_path, "--family", "grid")
-    calls = []
-    real = lp.enumerate_vertices
+    calls = {"enumerate_vertices": [], "code_values": []}
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[0])
+            return real(*args, **kwargs)
+        return wrapper
 
     # every module that binds the name, as `from .lp import` does
-    for module in (lp, oracle, cli):
-        if getattr(module, "enumerate_vertices", None) is real:
-            monkeypatch.setattr(module, "enumerate_vertices", counted)
+    for name in calls:
+        real = getattr(lp, name, None) or getattr(oracle, name)
+        for module in (lp, oracle, cli):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
     assert run("verify", "--instance", str(inst), "--encoding", "moment",
                "--builder", "moment", "-o", str(tmp_path / "v.json")) == 0
-    assert len(calls) == 1
+    # one vertex enumeration and one code-value table per run
+    assert len(calls["enumerate_vertices"]) == 1
+    assert len(calls["code_values"]) == 1
+
+
+def test_two_codes_are_refused_by_build_solve_and_verify(tmp_path, capsys):
+    # two codes span a line: a row along it would leave z free, so every
+    # builder refuses them and each command exits 2 with that error
+    inst = str(gen(tmp_path, "--family", "sos2", "--d", "2"))
+    out = str(tmp_path / "out.json")
+    for builder in ("2d", "moment", "general"):
+        common = ["--instance", inst, "--encoding", "moment", "--builder", builder,
+                  "-o", out]
+        for argv in (["build"] + common, ["solve", "--scheme", "moment"] + common,
+                     ["verify"] + common):
+            assert run(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == "error: code differences span a line, no hyperplane family exists\n"
 
 
 def test_bench_csv(tmp_path):

@@ -173,14 +173,12 @@ def test_2d_matches_general_region():
 
 
 def test_2d_two_codes():
+    # two codes span a line, which has no hyperplane family: the one row
+    # along it would leave z free along the line, so both builders refuse
     fam = CdcFamily(3, [(1, 2), (2, 3)])
-    form = build_2d(fam, Encoding([(0, 0), (1, 0)]))
-    assert len(form.rows) == 1
-    assert form.rows[0].direction == (0, 1)
-    # build_2d is not build_general over all pairs: there the two codes
-    # span a line, which has no hyperplane family
-    with pytest.raises(FormulationError, match="span a line"):
-        build_general(fam, Encoding([(0, 0), (1, 0)]))
+    for build in (build_2d, build_general):
+        with pytest.raises(FormulationError, match="^code differences span a line"):
+            build(fam, Encoding([(0, 0), (1, 0)]))
 
 
 # few distinct coordinates with denominators 1, 2, 3 and 5, so that codes
@@ -217,6 +215,10 @@ def test_2d_directions_match_fraction_reference(points):
     assume(len(H) >= 2)
     # interleave the vertices, so that the pairs are not met in hull order
     H = H[1::2] + H[::2]
+    if len(H) == 2:
+        with pytest.raises(FormulationError, match="span a line"):
+            build_2d(sos2_family(2), Encoding(H))
+        return
     form = build_2d(sos2_family(len(H)), Encoding(H))
     assert [row.direction for row in form.rows] == planar_directions(H)
 
@@ -246,15 +248,19 @@ def test_moment_curve_grid_golden_rows():
 
 
 def test_moment_curve_row_count():
-    for d in (2, 3, 5, 8):
+    for d in (3, 5, 8):
         form = build_moment_curve(sos2_family(d))
-        assert len(form.rows) == max(1, 2 * d - 3)
+        assert len(form.rows) == 2 * d - 3
+    with pytest.raises(FormulationError, match="span a line"):
+        build_moment_curve(sos2_family(2))
 
 
 def test_moment_curve_two_alternatives():
-    form = build_moment_curve(sos2_family(2))
-    assert len(form.rows) == 1
-    assert form.rows[0].direction == (3, -1)
+    # the codes (1, 1) and (2, 4) span a line, as in build_general
+    with pytest.raises(FormulationError, match="^code differences span a line"):
+        build_moment_curve(sos2_family(2))
+    with pytest.raises(FormulationError, match="span a line"):
+        build_general(sos2_family(2), moment_code(2))
 
 
 def test_sos2_exotic_17_golden():

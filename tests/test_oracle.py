@@ -5,9 +5,11 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcbranch.cdc import CdcFamily, HRepPiece, grid_triangulation_fixture, sos2_family
-from cdcbranch.encodings import Encoding, exotic_code
+from cdcbranch.encodings import Encoding, exotic_code, gray_code
 from cdcbranch.formulation import (
     LinearFormulation,
     TwoSidedRow,
@@ -22,9 +24,11 @@ from cdcbranch.oracle import (
     check_projection,
     check_valid,
     classify_rows,
+    code_values,
     objective_from_vertex_map,
     relaxation_vertices,
 )
+from oracles import classify_rows_by_rank
 
 
 def grid():
@@ -34,7 +38,7 @@ def grid():
 def test_embedding_points_counts():
     fam, _ = grid()
     form = build_moment_curve(fam)
-    rep = check_valid(form)
+    rep = check_valid(form, code_values(form))
     # one point per (alternative, member) pair; the first pairs the code
     # of alternative 1 with the unit vector of component 1
     assert rep.stats["points"] == sum(len(s) for s in fam.sets) == 24
@@ -43,7 +47,8 @@ def test_embedding_points_counts():
 
 def test_check_valid_passes_on_grid():
     fam, _ = grid()
-    assert check_valid(build_moment_curve(fam)).ok
+    form = build_moment_curve(fam)
+    assert check_valid(form, code_values(form)).ok
 
 
 def test_check_valid_catches_perturbed_coefficient():
@@ -53,7 +58,7 @@ def test_check_valid_catches_perturbed_coefficient():
     low = list(row.lower)
     low[0] += 1
     form.rows[0] = TwoSidedRow(row.direction, low, row.upper)
-    rep = check_valid(form)
+    rep = check_valid(form, code_values(form))
     assert not rep.ok
     # component 1 lies only in alternative 1, so only its point breaks the
     # lower side of row 0
@@ -80,7 +85,7 @@ def test_check_ideal_catches_widened_coefficient():
         codes=base.codes,
     )
     # widening keeps validity but lets an off-code vertex appear
-    assert check_valid(form).ok
+    assert check_valid(form, code_values(form)).ok
     rep = check_ideal(form, relaxation_vertices(form))
     assert not rep.ok
     assert any("off-code" in f.get("where", "") for f in rep.failures)
@@ -88,7 +93,8 @@ def test_check_ideal_catches_widened_coefficient():
 
 def test_check_projection_passes_on_grid():
     fam, _ = grid()
-    assert check_projection(build_moment_curve(fam)).ok
+    form = build_moment_curve(fam)
+    assert check_projection(form, code_values(form)).ok
 
 
 def test_check_projection_names_each_missing_unit_vector():
@@ -99,7 +105,7 @@ def test_check_projection_names_each_missing_unit_vector():
     low[0] += 1
     low[4] += 1
     form.rows[0] = TwoSidedRow(row.direction, low, row.upper)
-    rep = check_projection(form)
+    rep = check_projection(form, code_values(form))
     # component 1 lies only in alternative 1; component 5 lies in six
     # alternatives, and its lower coefficient is attained at alternative 7
     assert rep.failures == [
@@ -126,7 +132,7 @@ def test_check_projection_catches_weak_relaxation():
         family=base.family,
         codes=base.codes,
     )
-    rep = check_projection(form)
+    rep = check_projection(form, code_values(form))
     assert not rep.ok
     assert rep.failures == (
         _foreign(1, [(5, 1), (6, 1), (8, 1)])
@@ -150,7 +156,7 @@ def test_check_projection_names_an_empty_slice():
         family=CdcFamily(3, [(1,), (2,), (3,)]),
         codes=[(0,), (1,), (2,)],
     )
-    rep = check_projection(form)
+    rep = check_projection(form, code_values(form))
     assert rep.failures == _foreign(2, [(1, "1/3"), (3, 1)]) + [
         {"where": "missing unit vector", "alternative": 3, "component": 3},
         {"where": "slice LP infeasible", "alternative": 3, "component": 1},
@@ -170,14 +176,14 @@ def test_a_violated_hull_equation_is_named_by_both_checks():
         family=CdcFamily(3, [(1, 2), (2,), (3,)]),
         codes=[(0,), (1,), (2,)],
     )
-    assert check_valid(form).failures == [
+    assert check_valid(form, code_values(form)).failures == [
         {"where": "hull equation", "alternative": 1, "component": 1},
         {"where": "row 0 lower", "alternative": 1, "component": 2},
         {"where": "hull equation", "alternative": 1, "component": 2},
         {"where": "row 0 upper", "alternative": 3, "component": 3},
         {"where": "hull equation", "alternative": 3, "component": 3},
     ]
-    rep = check_projection(form)
+    rep = check_projection(form, code_values(form))
     assert rep.failures == (
         [
             {"where": "missing unit vector", "alternative": 1, "component": 1},
@@ -198,9 +204,9 @@ def test_checks_keep_the_artificial_component_at_zero():
     fam = CdcFamily(6, [(1, 2), (3, 4), (5, 6)])
     form = build_general(fam, Encoding([(0, 0), (1, 0), (0, 1)]))
     assert form.artificial and form.n == fam.n + 1
-    rep = check_valid(form)
+    rep = check_valid(form, code_values(form))
     assert rep.ok and rep.stats["points"] == 6
-    rep = check_projection(form)
+    rep = check_projection(form, code_values(form))
     assert rep.ok and rep.failures == [] and rep.stats["probes"] == 3
 
 
@@ -212,7 +218,7 @@ def test_unbounded_relaxation_is_reported_by_its_lp_error():
         classify_rows(form, [])
     # each slice fixes z, so it is bounded: every foreign component
     # takes the whole weight
-    rep = check_projection(form)
+    rep = check_projection(form, code_values(form))
     assert rep.failures == (
         _foreign(1, [(3, 1), (4, 1), (5, 1)])
         + _foreign(2, [(1, 1), (4, 1), (5, 1)])
@@ -242,6 +248,159 @@ def test_classify_rows_grid_census():
     for e in entries:
         census[e["class"]] = census.get(e["class"], 0) + 1
     assert census == {"facet": 8, "tight-nonfacet": 18}
+
+
+def census(entries):
+    return [(e["row"], e["side"], e["class"]) for e in entries]
+
+
+def test_classify_rows_zero_dimensional_relaxation():
+    # 0 <= z <= 0 with lam1 = 1: one vertex, so no face is proper and
+    # every tight row is tight-nonfacet
+    form = LinearFormulation(1, 1, [TwoSidedRow((1,), (0,), (0,))], codes=[(0,)])
+    vertices = relaxation_vertices(form)
+    assert len(vertices) == 1
+    entries = classify_rows(form, vertices)
+    assert census(entries) == [(0, "lower", "tight-nonfacet"), (0, "upper", "tight-nonfacet")]
+    assert entries == classify_rows_by_rank(form, vertices)
+
+
+def test_classify_rows_one_dimensional_relaxation():
+    # z = lam2 over the segment from (1, 0, 0) to (0, 1, 1); z <= lam1 + lam2
+    # holds only at the second endpoint, a facet of the segment, and
+    # -(lam1 + lam2) <= z at neither
+    form = LinearFormulation(
+        2,
+        1,
+        [
+            TwoSidedRow((1,), (0, 1), (0, 1)),
+            TwoSidedRow((1,), (-1, -1), (1, 1)),
+        ],
+        codes=[(0,), (1,)],
+    )
+    vertices = relaxation_vertices(form)
+    assert len(vertices) == 2
+    entries = classify_rows(form, vertices)
+    assert census(entries) == [
+        (0, "lower", "tight-nonfacet"),
+        (0, "upper", "tight-nonfacet"),
+        (1, "lower", "never-tight"),
+        (1, "upper", "facet"),
+    ]
+    assert entries == classify_rows_by_rank(form, vertices)
+
+
+def triangle():
+    # z = lam2 + 2 lam3 over the simplex: the relaxation is a triangle
+    # whose facets are the three bounds lam_v >= 0; z <= 2 lam2 + 3 lam3
+    # holds with equality only at its first vertex (1, 0, 0, 0)
+    return LinearFormulation(
+        3,
+        1,
+        [TwoSidedRow((1,), (0, 1, 2), (0, 1, 2)), TwoSidedRow((1,), (-1, -1, -1), (0, 2, 3))],
+        family=CdcFamily(3, [(1,), (2,), (3,)]),
+        codes=[(0,), (1,), (2,)],
+    )
+
+
+def test_classify_rows_reads_the_bound_facets():
+    # the vertex that row 1 holds lies inside two bound facets and no
+    # other row's face, so it is not a facet
+    form = triangle()
+    vertices = relaxation_vertices(form)
+    assert len(vertices) == 3
+    entries = classify_rows(form, vertices)
+    assert census(entries) == [
+        (0, "lower", "tight-nonfacet"),
+        (0, "upper", "tight-nonfacet"),
+        (1, "lower", "never-tight"),
+        (1, "upper", "tight-nonfacet"),
+    ]
+    assert entries == classify_rows_by_rank(form, vertices)
+
+
+# small formulations to perturb; the disconnected family carries the
+# artificial component, and the triangle's facets are all bounds
+PERTURBED_BASES = (
+    triangle(),
+    build_general(sos2_family(4), exotic_code(4)),
+    build_general(sos2_family(4), gray_code(2)),
+    build_moment_curve(sos2_family(4)),
+    build_general(CdcFamily(6, [(1, 2), (3, 4), (5, 6)]), Encoding([(0, 0), (1, 0), (0, 1)])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_incidence_census_matches_the_rank_rule(data):
+    base = data.draw(st.sampled_from(PERTURBED_BASES))
+    rows = list(base.rows)
+    amount = st.sampled_from([F(0), F(1, 2), F(1), F(3)])
+    # loosen some lower or upper entries: the row stays valid and may
+    # stop being a facet or stop being tight at all
+    for k, side, c, by in data.draw(st.lists(st.tuples(
+        st.integers(0, len(rows) - 1), st.booleans(), st.integers(0, base.n - 1), amount,
+    ), max_size=4)):
+        lower, upper = list(rows[k].lower), list(rows[k].upper)
+        if side:
+            upper[c] += by
+        else:
+            lower[c] -= by
+        rows[k] = TwoSidedRow(rows[k].direction, lower, upper)
+    # add redundant rows, each the sum of two rows (perhaps the same one
+    # twice) widened by a slack
+    for k, l, by in data.draw(st.lists(st.tuples(
+        st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1), amount,
+    ), max_size=3)):
+        a, b = rows[k], rows[l]
+        rows.append(TwoSidedRow(
+            [x + y for x, y in zip(a.direction, b.direction)],
+            [x + y - by for x, y in zip(a.lower, b.lower)],
+            [x + y + by for x, y in zip(a.upper, b.upper)],
+        ))
+    form = LinearFormulation(
+        base.n,
+        base.r,
+        rows,
+        hull_equations=base.hull_equations,
+        artificial=base.artificial,
+        family=base.family,
+        codes=base.codes,
+    )
+    vertices = relaxation_vertices(form)
+    assert classify_rows(form, vertices) == classify_rows_by_rank(form, vertices)
+
+
+def test_perturbed_census_has_every_class():
+    # the perturbations above reach every class: on sos2-4 with exotic
+    # codes, where both rows are facets on both sides, a widened copy of a
+    # row is never tight and the sum of the two rows holds only where
+    # both do
+    base = PERTURBED_BASES[1]
+    a, b = base.rows
+    widened = TwoSidedRow(a.direction, [x - 1 for x in a.lower], [x + 1 for x in a.upper])
+    both = TwoSidedRow(
+        [x + y for x, y in zip(a.direction, b.direction)],
+        [x + y for x, y in zip(a.lower, b.lower)],
+        [x + y for x, y in zip(a.upper, b.upper)],
+    )
+    form = LinearFormulation(
+        base.n,
+        base.r,
+        [a, b, widened, both],
+        hull_equations=base.hull_equations,
+        family=base.family,
+        codes=base.codes,
+    )
+    vertices = relaxation_vertices(form)
+    entries = classify_rows(form, vertices)
+    assert [e["class"] for e in entries] == ["facet"] * 4 + [
+        "never-tight",
+        "never-tight",
+        "tight-nonfacet",
+        "tight-nonfacet",
+    ]
+    assert entries == classify_rows_by_rank(form, vertices)
 
 
 def test_brute_force_optimum_grid():
