@@ -5,8 +5,8 @@ normals; each normal b gives one two-sided row whose coefficient for a
 component is the least and the greatest b . h over the codes h of the
 alternatives containing it.  The builders differ only in their normals:
 the general construction takes every hyperplane spanned by code
-differences across overlapping alternatives, the planar one the
-perpendicular of every code difference, and each closed form a fixed
+differences across overlapping alternatives, the planar one the same
+construction over every pair of codes, and each closed form a fixed
 list: (t, -1) on the moment curve, the unit vectors for the exotic sos2
 codes, and the unit vectors plus a few more for the annulus.
 """
@@ -30,15 +30,11 @@ from .encodings import (
 from .lp import EQ, LE, LpProblem, solve_lp
 from .numerics import (
     _common_denominator,
+    _nullspace,
     affine_hull,
-    canonical_direction,
     format_rational,
-    is_zero_vector,
-    nullspace_basis,
-    rank,
     rat,
     vec,
-    vec_sub,
 )
 
 
@@ -208,48 +204,44 @@ class LinearFormulation:
         return "\n".join(lines) + "\n"
 
 
+def _direction(v):
+    """A nonzero int vector divided by the gcd of its entries, signed so
+    that its first nonzero entry is positive: one key per direction."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
 def spanned_hyperplane_normals(C, ambient):
     """Normals of all hyperplanes of span(C) spanned by members of C, the
-    members being vectors of length ambient.
+    members being vectors of length ambient, ints or Fractions.
 
-    Normals are returned inside span(C), canonically scaled and deduped.
-    A zero-dimensional span gives []; a one-dimensional span is rejected
-    since no hyperplane family exists there.
+    The work is in ints over C's common denominator.  Each (dim-1)-subset
+    of the distinct directions, together with the orthogonal complement of
+    span(C), leaves a one-dimensional nullspace exactly when it spans a
+    hyperplane of span(C); that nullspace is the normal.  Normals are
+    returned as Fractions with first nonzero entry 1, deduped in
+    first-seen order.  An empty or all-zero C gives []; a one-dimensional
+    span is rejected since no hyperplane family exists there.
     """
-    dirs = []
-    seen = set()
-    for c in C:
-        c = vec(c)
-        if is_zero_vector(c):
-            continue
-        cd = canonical_direction(c)
-        if cd not in seen:
-            seen.add(cd)
-            dirs.append(cd)
+    ints = _common_denominator(C)[1]
+    dirs = list(dict.fromkeys(_direction(c) for c in ints if any(c)))
     if not dirs:
         return []
-    dim = rank(dirs)
-    if dim == 0:
-        return []
+    # a normal must be orthogonal to the complement to lie inside span(C)
+    complement = [v for v, _ in _nullspace(dirs)]
+    dim = ambient - len(complement)
     if dim == 1:
         raise FormulationError(_LINE_SPAN)
-    # orthogonal complement of span(C): a normal must be orthogonal to it
-    # to lie inside the span
-    complement = nullspace_basis(dirs)
-    normals = []
-    seen_n = set()
+    normals = {}
     for subset in itertools.combinations(dirs, dim - 1):
-        if rank(list(subset)) < dim - 1:
-            continue
-        system = list(subset) + list(complement)
-        null = nullspace_basis(system, ncols=ambient)
-        if len(null) != 1:
-            continue
-        b = canonical_direction(null[0])
-        if b not in seen_n:
-            seen_n.add(b)
-            normals.append(b)
-    return normals
+        null = _nullspace(list(subset) + complement)
+        if len(null) == 1:
+            normals[_direction(null[0][0])] = None
+    return [
+        tuple(Fraction(x, next(y for y in b if y)) for x in b) for b in normals
+    ]
 
 
 def _rows_from_normals(family, codes, normals):
@@ -296,19 +288,14 @@ def _formulation(family, enc, normals, builder, padded=None):
     )
 
 
-def _checked_codes(family, codes, planar=False):
-    """codes as an Encoding, 2-dimensional when planar, with one code per
-    alternative, in convex position.  Two planar codes span a line, which
-    has no hyperplane family, so planar needs three or more."""
+def _checked_codes(family, codes):
+    """codes as an Encoding with one code per alternative, in convex
+    position."""
     enc = codes if isinstance(codes, Encoding) else Encoding(codes)
-    if planar and enc.r != 2:
-        raise FormulationError("planar builder needs 2-dimensional codes")
     if family.d != enc.d:
         raise FormulationError("need exactly one code per alternative")
     if not is_convex_position(enc):
         raise FormulationError("codes must be in convex position")
-    if planar and enc.d == 2:
-        raise FormulationError(_LINE_SPAN)
     return enc
 
 
@@ -329,33 +316,27 @@ def build_general(family, codes):
             family.n + 1, [tuple(T) + (family.n + 1,) for T in family.sets]
         )
         edges, _ = edge_set(padded)
-    H = list(enc)
-    C = [vec_sub(H[j - 1], H[i - 1]) for i, j in edges]
+    H = _common_denominator(enc)[1]
+    C = [[b - a for a, b in zip(H[i - 1], H[j - 1])] for i, j in edges]
     normals = spanned_hyperplane_normals(C, enc.r)
     return _formulation(family, enc, normals, "general", padded)
 
 
 def build_2d(family, codes):
-    """Planar specialization: one row per direction of a code difference,
-    taken over every pair of alternatives.
+    """Planar specialization: the general construction over every pair of
+    alternatives, overlapping or not.
 
-    The perpendicular (p, q) of each difference is taken in ints over the
-    codes' common denominator and reduced by its gcd to the sign that
-    makes its first nonzero entry positive, so equal directions meet in
-    one key.  The keys keep pair order, and each becomes the Fraction
-    normal (1, q/p), or (0, 1) when p is 0, once.
+    In the plane a hyperplane is a line, so each direction of a code
+    difference gives one normal, its perpendicular.  Two codes span a
+    line, which has no hyperplane family, so three or more are needed.
     """
-    enc = _checked_codes(family, codes, planar=True)
-    directions = {}
-    for h, k in itertools.combinations(_common_denominator(enc)[1], 2):
-        p, q = k[1] - h[1], h[0] - k[0]
-        g = gcd(p, q) if p > 0 or (p == 0 and q > 0) else -gcd(p, q)
-        directions[p // g, q // g] = None
-    normals = [
-        (Fraction(1), Fraction(q, p)) if p else (Fraction(0), Fraction(1))
-        for p, q in directions
-    ]
-    return _formulation(family, enc, normals, "2d")
+    enc = codes if isinstance(codes, Encoding) else Encoding(codes)
+    if enc.r != 2:
+        raise FormulationError("planar builder needs 2-dimensional codes")
+    enc = _checked_codes(family, enc)
+    H = _common_denominator(enc)[1]
+    C = [[b - a for a, b in zip(h, k)] for h, k in itertools.combinations(H, 2)]
+    return _formulation(family, enc, spanned_hyperplane_normals(C, 2), "2d")
 
 
 def build_moment_curve(family):

@@ -50,13 +50,13 @@ class LpError(Exception):
 
 
 class LpProblem:
-    """maximize/minimize c . x subject to rows (a, rel, rhs) and bounds.
+    """maximize c . x subject to rows (a, rel, rhs) and bounds.
 
     bounds is a list of (lb, ub) pairs per variable, None meaning
     unbounded on that side.  Omitted bounds default to free variables.
     """
 
-    def __init__(self, n, objective, rows, bounds=None, sense="max"):
+    def __init__(self, n, objective, rows, bounds=None):
         self.n = n
         self.objective = vec(objective)
         if len(self.objective) != n:
@@ -77,9 +77,6 @@ class LpProblem:
             (None if lb is None else rat(lb), None if ub is None else rat(ub))
             for lb, ub in bounds
         ]
-        if sense not in ("max", "min"):
-            raise ValueError("sense must be 'max' or 'min'")
-        self.sense = sense
 
 
 @dataclass
@@ -89,7 +86,7 @@ class _Tableau:
     T and basis are the integer tableau, row 0 the reduced costs.  aside
     lists (column, row) for each eliminated free variable, in elimination
     order.  cols maps variable j to column j as (offset, sign), and problem
-    is the LP whose rows T holds, for its n, objective, bounds and sense.
+    is the LP whose rows T holds, for its n, objective and bounds.
     """
 
     T: list
@@ -222,8 +219,8 @@ def solve_lp(problem, parent=None):
     by _add_rows, free variables are eliminated, and phase 1 is _run_dual
     on an all-zero row 0, which ends on a feasible basis or on a row that
     proves the LP infeasible.  The objective is then priced out for phase
-    2.  parent is an optimal LpResult of an LP with problem's n, objective,
-    bounds and sense; problem.rows are then added to parent's tableau by
+    2.  parent is an optimal LpResult of an LP with problem's n, objective
+    and bounds; problem.rows are then added to parent's tableau by
     _add_rows, and _run_dual re-optimizes it.
     """
     if parent is not None:
@@ -231,10 +228,10 @@ def solve_lp(problem, parent=None):
         if tab is None:
             raise ValueError("rows can be added only to an optimal LpResult")
         base = tab.problem
-        if (problem.n, problem.objective, problem.bounds, problem.sense) != (
-            base.n, base.objective, base.bounds, base.sense,
+        if (problem.n, problem.objective, problem.bounds) != (
+            base.n, base.objective, base.bounds,
         ):
-            raise ValueError("added rows need the parent's n, objective, bounds and sense")
+            raise ValueError("added rows need the parent's n, objective and bounds")
         T, basis, aside = _add_rows(tab.T, tab.basis, tab.aside, problem.rows, tab.cols)
         status, pivots = _run_dual(T, basis)
         if status == "infeasible":
@@ -290,8 +287,7 @@ def solve_lp(problem, parent=None):
 
     # Phase 2 objective: the objective row in standard form, priced out on
     # the set-aside rows, in their order, and then on the basic columns.
-    obj = problem.objective
-    c_std = _standard(obj if problem.sense == "max" else [-x for x in obj], 0, cols)[0]
+    c_std = _standard(problem.objective, 0, cols)[0]
     z = [-c for c in _integer_rows([c_std + [0] * (len(T[0]) - n)])[0]]
     z = _reduce(z, aside)
     T[0] = _reduce(z, [(b, T[i]) for i, b in enumerate(basis, 1)])
@@ -478,37 +474,33 @@ def _dd_extreme_rays(G):
 def enumerate_vertices(n, rows, bounds=None):
     """All vertices of {x : rows, bounds}, exactly.
 
-    rows and bounds are as in LpProblem: rows (a, rel, rhs), and bounds a
-    list of (lb, ub) pairs, None meaning unbounded on that side.  The rows
-    are split by relation here and nowhere else: double description runs
-    on the inequalities in the nullspace of the equalities.  Raises
-    LpError when the feasible set is unbounded; an empty set gives [].
+    rows and bounds are as in LpProblem, which checks and coerces them:
+    rows (a, rel, rhs), and bounds a list of (lb, ub) pairs, None meaning
+    unbounded on that side.  The rows are split by relation here and
+    nowhere else: double description runs on the inequalities in the
+    nullspace of the equalities.  Raises LpError when the feasible set is
+    unbounded; an empty set gives [].
     """
+    problem = LpProblem(n, (0,) * n, rows, bounds)
     # Homogenize: y = (x, t), and a row a . x (rel) b becomes [a | -b] y
     # (rel) 0.  A GE row is negated, each bound is one more inequality,
     # and t >= 0 closes the cone.
     hom_ineq = []
     hom_eq = []
-    for a, rel, rhs in rows:
-        row = vec(a) + (-rat(rhs),)
-        if len(row) != n + 1:
-            raise ValueError("row length mismatch")
+    for a, rel, rhs in problem.rows:
+        row = a + (-rhs,)
         if rel == LE:
             hom_ineq.append(row)
         elif rel == GE:
             hom_ineq.append(tuple(-x for x in row))
-        elif rel == EQ:
-            hom_eq.append(row)
         else:
-            raise ValueError("unknown relation %r" % (rel,))
-    if bounds is not None and len(bounds) != n:
-        raise ValueError("bounds length mismatch")
-    for j, (lb, ub) in enumerate(bounds or ()):
+            hom_eq.append(row)
+    for j, (lb, ub) in enumerate(problem.bounds):
         e = tuple(Fraction(int(k == j)) for k in range(n))
         if lb is not None:
-            hom_ineq.append(tuple(-x for x in e) + (rat(lb),))
+            hom_ineq.append(tuple(-x for x in e) + (lb,))
         if ub is not None:
-            hom_ineq.append(e + (-rat(ub),))
+            hom_ineq.append(e + (-ub,))
     hom_ineq.append((Fraction(0),) * n + (Fraction(-1),))
 
     N = nullspace_basis(hom_eq, ncols=n + 1)
@@ -527,7 +519,7 @@ def enumerate_vertices(n, rows, bounds=None):
     G = [row for row in G if not is_zero_vector(row)]
     if not G or rank(G) < k:
         # Lineality present: the set is empty or contains a line.
-        if lp_feasible(n, rows, bounds):
+        if solve_lp(problem).status == "optimal":
             raise LpError("feasible set is unbounded")
         return []
 

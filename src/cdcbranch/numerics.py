@@ -200,15 +200,6 @@ def affine_hull(points):
     return equations, n - len(normals)
 
 
-def canonical_direction(v):
-    """Scale a nonzero vector so its first nonzero entry is +1."""
-    v = vec(v)
-    for x in v:
-        if x != 0:
-            return tuple(y / x for y in v)
-    raise ValueError("zero vector has no canonical direction")
-
-
 def independent_rows(M):
     """Indices of a maximal linearly independent subset of rows, greedy order.
 

@@ -215,21 +215,23 @@ def brute_force_optimum_hrep(pieces, objective, sense="max"):
 
     Empty pieces are skipped with a warning; an unbounded piece raises.
     Returns (value, piece index, point) or None when every piece is empty.
+    A minimum is the maximum of the negated objective, negated.
     """
+    if sense not in ("max", "min"):
+        raise ValueError("sense must be 'max' or 'min'")
+    sign = 1 if sense == "max" else -1
+    c = [sign * x for x in vec(objective)]
     best = None
     for i, piece in enumerate(pieces):
         rows = [(a, LE, b) for a, b in zip(piece.A, piece.b)]
-        res = solve_lp(LpProblem(piece.m, objective, rows, sense=sense))
+        res = solve_lp(LpProblem(piece.m, c, rows))
         if res.status == "unbounded":
             raise LpError("piece %d is unbounded" % (i + 1,))
         if res.status == "infeasible":
             warnings.warn("piece %d is empty, skipped" % (i + 1,))
             continue
-        better = best is None or (
-            res.value > best[0] if sense == "max" else res.value < best[0]
-        )
-        if better:
-            best = (res.value, i + 1, res.x)
+        if best is None or res.value > sign * best[0]:
+            best = (sign * res.value, i + 1, res.x)
     return best
 
 

@@ -109,11 +109,12 @@ def solve(
     # A heap entry holds its parent's optimal LpResult and its own cuts:
     # the root is solved cold, and every child adds its cuts to its
     # parent's LP.  with_cuts on a system with no rows of its own gives
-    # the cuts alone, each padded with zeros over lam or x.
+    # the cuts alone, each padded with zeros over lam or x.  The root's
+    # region is built only when the root branches, since only a split
+    # reads it; until then its state is None.
     bare = replace(base, rows=[])
-    root = scheme.root(encoding)
     counter = 0
-    heap = [((0, Fraction(0), counter), None, (), root)]
+    heap = [((0, Fraction(0), counter), None, (), None)]
     incumbent = None
     nodes = 0
     pivots = 0
@@ -143,6 +144,8 @@ def solve(
         if zhat in code_set:
             incumbent = (val, res.x)
             continue
+        if state is None:
+            state = scheme.root(encoding)
         try:
             outcome = scheme.step(state, zhat, encoding)
         except BranchError as exc:

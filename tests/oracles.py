@@ -9,8 +9,9 @@ from itertools import combinations
 from math import gcd, lcm
 
 from cdcbranch.encodings import EncodingError, exotic_code
+from cdcbranch.formulation import _LINE_SPAN, FormulationError
 from cdcbranch.lp import EQ, LpError, lp_feasible
-from cdcbranch.numerics import canonical_direction, dot, rank
+from cdcbranch.numerics import dot, is_zero_vector, nullspace_basis, rank, vec
 
 
 def canonical_inequality(a, rhs):
@@ -51,6 +52,60 @@ def in_hull_lp(H, point):
     rows = [([h[k] for h in H], EQ, point[k]) for k in range(len(point))]
     rows.append(([1] * d, EQ, 1))
     return lp_feasible(d, rows, bounds=[(0, None)] * d)
+
+
+def canonical_direction(v):
+    """Scale a nonzero vector so its first nonzero entry is +1."""
+    v = vec(v)
+    for x in v:
+        if x != 0:
+            return tuple(y / x for y in v)
+    raise ValueError("zero vector has no canonical direction")
+
+
+def spanned_hyperplane_normals_by_rank(C, ambient):
+    """formulation.spanned_hyperplane_normals in Fractions, with a rank test
+    per subset: normals of all hyperplanes of span(C) spanned by members
+    of C, the members being vectors of length ambient.
+
+    Normals are returned inside span(C), canonically scaled and deduped.
+    A zero-dimensional span gives []; a one-dimensional span is rejected
+    since no hyperplane family exists there.
+    """
+    dirs = []
+    seen = set()
+    for c in C:
+        c = vec(c)
+        if is_zero_vector(c):
+            continue
+        cd = canonical_direction(c)
+        if cd not in seen:
+            seen.add(cd)
+            dirs.append(cd)
+    if not dirs:
+        return []
+    dim = rank(dirs)
+    if dim == 0:
+        return []
+    if dim == 1:
+        raise FormulationError(_LINE_SPAN)
+    # orthogonal complement of span(C): a normal must be orthogonal to it
+    # to lie inside the span
+    complement = nullspace_basis(dirs)
+    normals = []
+    seen_n = set()
+    for subset in combinations(dirs, dim - 1):
+        if rank(list(subset)) < dim - 1:
+            continue
+        system = list(subset) + list(complement)
+        null = nullspace_basis(system, ncols=ambient)
+        if len(null) != 1:
+            continue
+        b = canonical_direction(null[0])
+        if b not in seen_n:
+            seen_n.add(b)
+            normals.append(b)
+    return normals
 
 
 def planar_directions(H):

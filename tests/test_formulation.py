@@ -28,7 +28,12 @@ from cdcbranch.formulation import (
 )
 from cdcbranch.lp import EQ, GE, LE, enumerate_vertices
 from cdcbranch.numerics import dot, rat, vec
-from oracles import canonical_inequality, planar_directions
+from oracles import (
+    canonical_direction,
+    canonical_inequality,
+    planar_directions,
+    spanned_hyperplane_normals_by_rank,
+)
 
 
 def canon_rows(form):
@@ -77,6 +82,55 @@ def test_normals_degenerate_spans():
     assert spanned_hyperplane_normals([vec((0, 0))], 2) == []
     with pytest.raises(FormulationError):
         spanned_hyperplane_normals([vec((1, 1)), vec((-2, -2))], 2)
+
+
+def test_canonical_direction_examples():
+    assert canonical_direction((2, -4)) == (F(1), F(-2))
+    assert canonical_direction((-3, 6)) == (F(1), F(-2))
+    assert canonical_direction((0, 5, -5)) == (F(0), F(1), F(-1))
+
+
+def test_canonical_direction_rejects_zero():
+    with pytest.raises(ValueError):
+        canonical_direction((0, 0))
+
+
+@st.composite
+def spanning_sets(draw):
+    """Members in r = 2..4 that are rational combinations of k = 1..r
+    generators, so that the span is often a proper subspace or a line,
+    with parallel members and, often, the sum of two members, which makes
+    a dependent triple, and a zero member among them."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=r))
+    entry = st.sampled_from([F(x) for x in (-2, -1, 0, 1, 3, F(1, 2), F(-2, 3))])
+    gens = draw(st.lists(st.tuples(*[entry] * r), min_size=k, max_size=k))
+    members = draw(st.lists(st.tuples(*[entry] * k), min_size=k, max_size=7))
+    if len(members) >= 2 and draw(st.booleans()):
+        members.append(tuple(x + y for x, y in zip(members[0], members[1])))
+    if draw(st.booleans()):
+        members.insert(draw(st.integers(0, len(members))), (F(0),) * k)
+    C = [
+        tuple(sum((c * g[i] for c, g in zip(cs, gens)), F(0)) for i in range(r))
+        for cs in members
+    ]
+    return C, r
+
+
+@settings(max_examples=400, deadline=None)
+@given(spanning_sets())
+def test_int_normals_match_fraction_reference(case):
+    C, r = case
+    try:
+        want = spanned_hyperplane_normals_by_rank(C, r)
+    except FormulationError as exc:
+        with pytest.raises(FormulationError) as got:
+            spanned_hyperplane_normals(C, r)
+        assert str(got.value) == str(exc)
+        return
+    got = spanned_hyperplane_normals(C, r)
+    assert got == want
+    assert all(type(x) is F for b in got for x in b)
 
 
 def test_normals_annihilate_members():

@@ -53,10 +53,11 @@ def test_parabola_hull_max_first_coordinate():
 
 
 def test_min_sense():
+    # a minimum is the maximum of the negated objective, negated
     rows = [((1,), GE, 3)]
-    res = solve_lp(LpProblem(1, [1], rows, sense="min"))
+    res = solve_lp(LpProblem(1, [-1], rows))
     assert res.status == "optimal"
-    assert res.value == 3
+    assert -res.value == 3
 
 
 def test_infeasible():
@@ -372,10 +373,10 @@ def test_phase_one_from_an_infeasible_slack_basis_with_every_ratio_tied():
     obj = [F(3, 4), -150, F(1, 50), -6]
     bounds = [(0, 10)] * 4
     verts = enumerate_vertices(4, rows, bounds)
-    for sense, best, value in (("max", max, F(1, 20)), ("min", min, F(-1560))):
-        res = solve_lp(LpProblem(4, obj, rows, bounds=bounds, sense=sense))
+    for sign, best, value in ((1, max, F(1, 20)), (-1, min, F(-1560))):
+        res = solve_lp(LpProblem(4, [sign * x for x in obj], rows, bounds=bounds))
         assert res.status == "optimal"
-        assert res.value == value == best(dot(vec(obj), v) for v in verts)
+        assert sign * res.value == value == best(dot(vec(obj), v) for v in verts)
         assert res.x in verts
 
 
@@ -399,10 +400,10 @@ def test_free_variables_with_rational_data_and_negative_optimum():
     assert res.status == "optimal"
     assert res.x == (F(-7, 3), F(-3, 2))
     assert res.value == F(-5, 3)
-    low = solve_lp(LpProblem(2, [F(1, 2), F(1, 3)], rows, sense="min"))
+    low = solve_lp(LpProblem(2, [F(-1, 2), F(-1, 3)], rows))
     assert low.status == "optimal"
     assert low.x == (F(-17, 2), F(-3, 2))
-    assert low.value == F(-19, 4)
+    assert -low.value == F(-19, 4)
 
 
 def _det(M):
@@ -493,14 +494,14 @@ def bounded_lps(draw):
             bounds.append((v, v))
     coeffs = st.lists(rationals, min_size=n, max_size=n).map(tuple)
     rows += draw(st.lists(st.tuples(coeffs, st.sampled_from((LE, GE, EQ)), rationals), max_size=3))
-    return n, draw(coeffs), rows, bounds, draw(st.sampled_from(("max", "min")))
+    return n, draw(coeffs), rows, bounds
 
 
 @settings(max_examples=300, deadline=None)
 @given(bounded_lps())
 def test_solve_lp_matches_vertex_enumeration_on_every_bound_kind(lp):
-    n, c, rows, bounds, sense = lp
-    res = solve_lp(LpProblem(n, c, rows, bounds=bounds, sense=sense))
+    n, c, rows, bounds = lp
+    res = solve_lp(LpProblem(n, c, rows, bounds=bounds))
     verts = enumerate_vertices(n, rows, bounds=bounds)
     if not verts:
         assert res.status == "infeasible"
@@ -515,8 +516,7 @@ def test_solve_lp_matches_vertex_enumeration_on_every_bound_kind(lp):
     for v, (lb, ub) in zip(x, bounds):
         assert (lb is None or v >= lb) and (ub is None or v <= ub)
     assert res.value == dot(vec(c), x)
-    best = max if sense == "max" else min
-    assert res.value == best(dot(vec(c), v) for v in verts)
+    assert res.value == max(dot(vec(c), v) for v in verts)
     # a free variable has one column, eliminated on a row, so the optimum
     # is a basic solution: a vertex of the polytope
     assert x in verts
@@ -527,16 +527,16 @@ def test_solve_lp_matches_vertex_enumeration_on_every_bound_kind(lp):
 def test_warm_rows_match_a_cold_solve_of_the_full_list(lp, data):
     # rows added to an optimal LP twice over, by dual simplex from the
     # parent's tableau, against one cold solve of every row
-    n, c, rows, bounds, sense = lp
-    res = solve_lp(LpProblem(n, c, rows, bounds=bounds, sense=sense))
+    n, c, rows, bounds = lp
+    res = solve_lp(LpProblem(n, c, rows, bounds=bounds))
     assume(res.status == "optimal")
     coeffs = st.lists(rationals, min_size=n, max_size=n).map(tuple)
     cut = st.tuples(coeffs, st.sampled_from((LE, GE, EQ)), rationals)
     for _ in range(2):
         extra = data.draw(st.lists(cut, min_size=1, max_size=3))
         rows = rows + extra
-        res = solve_lp(LpProblem(n, c, extra, bounds=bounds, sense=sense), res)
-        cold = solve_lp(LpProblem(n, c, rows, bounds=bounds, sense=sense))
+        res = solve_lp(LpProblem(n, c, extra, bounds=bounds), res)
+        cold = solve_lp(LpProblem(n, c, rows, bounds=bounds))
         assert (res.status, res.value) == (cold.status, cold.value)
         if res.status != "optimal":
             assert res.status == "infeasible" and not enumerate_vertices(n, rows, bounds)

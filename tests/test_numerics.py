@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cdcbranch.encodings import gray_code
 from cdcbranch.numerics import (
     affine_hull,
-    canonical_direction,
     dot,
     format_rational,
     independent_rows,
@@ -19,6 +18,7 @@ from cdcbranch.numerics import (
     vec,
     vec_sub,
 )
+from oracles import canonical_direction
 
 F = Fraction
 
@@ -107,17 +107,6 @@ def test_affine_hull_single_point():
     for a, b in eqs:
         assert dot(a, vec((5, 7))) == b
         assert dot(a, vec((5, 8))) != b or dot(a, vec((6, 7))) != b
-
-
-def test_canonical_direction_examples():
-    assert canonical_direction((2, -4)) == (F(1), F(-2))
-    assert canonical_direction((-3, 6)) == (F(1), F(-2))
-    assert canonical_direction((0, 5, -5)) == (F(0), F(1), F(-1))
-
-
-def test_canonical_direction_rejects_zero():
-    with pytest.raises(ValueError):
-        canonical_direction((0, 0))
 
 
 def test_independent_rows_greedy():

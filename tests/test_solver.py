@@ -99,6 +99,25 @@ def test_bigm_branches_before_settling():
     assert rep.histogram.get("moment", 0) >= 1
 
 
+def test_the_root_region_is_built_only_when_the_root_branches():
+    calls = []
+
+    def counted(name):
+        sch = make_scheme(name)
+        root = sch.root
+        sch.root = lambda enc: calls.append(name) or root(enc)
+        return sch
+
+    form = build_general(sos2_family(8), gray_code(3))
+    rep = solve(form, [F(k % 5 - 2) for k in range(form.n)], counted("variable"))
+    assert rep.status == "optimal" and rep.nodes == 1
+    assert calls == []
+    pieces = [HRepPiece([[1], [-1]], [i + 1, -i]) for i in range(0, 8, 2)]
+    rep = solve(build_bigm_moment(pieces), [F(1)], counted("moment"), debug_checks=True)
+    assert rep.status == "optimal" and rep.nodes > 1
+    assert calls == ["moment"]
+
+
 def test_pivot_total_is_reported_next_to_nodes_and_stable():
     pieces = [HRepPiece([[1], [-1]], [i + 1, -i]) for i in range(0, 8, 2)]
     system = build_bigm_moment(pieces)
