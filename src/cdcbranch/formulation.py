@@ -15,7 +15,8 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 
 from . import branching
 from .cdc import CdcFamily, annulus_family, edge_set, sos2_family
@@ -32,6 +33,7 @@ from .numerics import (
     _common_denominator,
     _nullspace,
     affine_hull,
+    format_ratio,
     format_rational,
     rat,
     vec,
@@ -46,29 +48,47 @@ _LINE_SPAN = "code differences span a line, no hyperplane family exists"
 
 
 class TwoSidedRow:
-    """lower . lam <= direction . z <= upper . lam"""
+    """lower . lam <= direction . z <= upper . lam as tuples of int numerators
+    over one positive int den, divided by their common gcd.  Both sides have
+    right-hand side 0, so den is read only to print the row.  Fraction
+    entries are brought over one den; a float raises TypeError."""
 
-    def __init__(self, direction, lower, upper):
-        self.direction = vec(direction)
-        self.lower = vec(lower)
-        self.upper = vec(upper)
-        if len(self.lower) != len(self.upper):
+    __slots__ = ("direction", "lower", "upper", "den")
+
+    def __init__(self, direction, lower, upper, den=1):
+        parts = (tuple(direction), tuple(lower), tuple(upper))
+        if len(parts[1]) != len(parts[2]):
             raise FormulationError("lower and upper lengths differ")
+        flat = [x for part in parts for x in part]
+        if set(map(type, flat)) != {int}:
+            scale, (flat,) = _common_denominator([vec(flat)])
+            den *= scale
+        if type(den) is not int or den < 1:
+            raise FormulationError("den must be a positive int")
+        g = gcd(den, *flat)
+        flat = iter([x // g for x in flat])
+        self.direction, self.lower, self.upper = (
+            tuple(itertools.islice(flat, len(part))) for part in parts
+        )
+        self.den = den // g
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TwoSidedRow)
-            and self.direction == other.direction
-            and self.lower == other.lower
-            and self.upper == other.upper
+        return isinstance(other, TwoSidedRow) and all(
+            getattr(self, k) == getattr(other, k) for k in self.__slots__
         )
+
+    def formatted(self):
+        """direction, lower and upper as lists of 'p' or 'p/q' strings."""
+        parts = (self.direction, self.lower, self.upper)
+        return [[format_ratio(x, self.den) for x in part] for part in parts]
 
 
 @dataclass
 class AssembledSystem:
     """A flat system over (lam, z) or (x, z) variables: rows (a, rel, rhs)
-    and per-variable bounds, both as LpProblem takes them.  z is the last
-    r of the nvars variables, so it starts at nvars - r."""
+    and per-variable bounds, both as LpProblem takes them; a formulation's
+    rows are its int numerators.  z is the last r of the nvars variables,
+    so it starts at nvars - r."""
 
     nvars: int
     rows: list
@@ -77,8 +97,8 @@ class AssembledSystem:
 
     def with_cuts(self, cuts):
         """New system with z-space rows (a_z, rel, rhs) appended: each a_z
-        is padded with zeros over lam or x, and its rel and rhs are kept
-        as they are, for LpProblem to check and coerce."""
+        is padded with Fraction zeros over lam or x, as the schemes' cuts
+        are Fractions, and rel and rhs are kept for LpProblem to coerce."""
         pad = (Fraction(0),) * (self.nvars - self.r)
         rows = [(pad + tuple(a_z), rel, rhs) for a_z, rel, rhs in cuts]
         return AssembledSystem(self.nvars, self.rows + rows, self.bounds, self.r)
@@ -117,23 +137,21 @@ class LinearFormulation:
 
     def one_sided(self):
         """All rows as (a, rhs) over (lam, z) meaning a . (lam, z) <= rhs,
-        tagged with (row index, side)."""
+        tagged with (row index, side): a the row's int numerators, rhs 0."""
         out = []
         for i, row in enumerate(self.rows):
-            lo = tuple(row.lower) + tuple(-x for x in row.direction)
-            out.append(((i, "lower"), lo, Fraction(0)))
-            up = tuple(-x for x in row.upper) + tuple(row.direction)
-            out.append(((i, "upper"), up, Fraction(0)))
+            out.append(((i, "lower"), row.lower + tuple(-x for x in row.direction), 0))
+            out.append(((i, "upper"), tuple(-x for x in row.upper) + row.direction, 0))
         return out
 
     def assemble(self):
         rows = [(a, LE, rhs) for _, a, rhs in self.one_sided()]
         for a, b in self.hull_equations:
-            rows.append(((Fraction(0),) * self.n + a, EQ, b))
-        rows.append(((Fraction(1),) * self.n + (Fraction(0),) * self.r, EQ, Fraction(1)))
-        bounds = [(Fraction(0), None)] * self.n
+            rows.append(((0,) * self.n + a, EQ, b))
+        rows.append(((1,) * self.n + (0,) * self.r, EQ, 1))
+        bounds = [(0, None)] * self.n
         if self.artificial:
-            bounds[self.n - 1] = (Fraction(0), Fraction(0))
+            bounds[self.n - 1] = (0, 0)
         bounds += [(None, None)] * self.r
         return AssembledSystem(self.n + self.r, rows, bounds, self.r)
 
@@ -142,11 +160,7 @@ class LinearFormulation:
             "n": self.n,
             "r": self.r,
             "rows": [
-                {
-                    "direction": [format_rational(x) for x in row.direction],
-                    "lower": [format_rational(x) for x in row.lower],
-                    "upper": [format_rational(x) for x in row.upper],
-                }
+                dict(zip(("direction", "lower", "upper"), row.formatted()))
                 for row in self.rows
             ],
             "hull_equations": [
@@ -167,17 +181,9 @@ class LinearFormulation:
     def to_text(self):
         lines = []
 
-        def term(coef, name):
-            if coef == 0:
-                return None
-            c = format_rational(coef)
-            if c == "1":
-                return "+ %s" % name
-            if c == "-1":
-                return "- %s" % name
-            if c.startswith("-"):
-                return "- %s %s" % (c[1:], name)
-            return "+ %s %s" % (c, name)
+        def term(c, name):
+            sign, c = ("- ", c[1:]) if c.startswith("-") else ("+ ", c)
+            return None if c == "0" else sign + (name if c == "1" else c + " " + name)
 
         def combo(coeffs, prefix):
             parts = [term(c, "%s%d" % (prefix, i + 1)) for i, c in enumerate(coeffs)]
@@ -188,16 +194,14 @@ class LinearFormulation:
             return s[2:] if s.startswith("+ ") else s
 
         for row in self.rows:
+            direction, lower, upper = row.formatted()
             lines.append(
                 "%s <= %s <= %s"
-                % (
-                    combo(row.lower, "lam"),
-                    combo(row.direction, "z"),
-                    combo(row.upper, "lam"),
-                )
+                % (combo(lower, "lam"), combo(direction, "z"), combo(upper, "lam"))
             )
         for a, b in self.hull_equations:
-            lines.append("%s == %s" % (combo(a, "z"), format_rational(b)))
+            a, b = map(format_rational, a), format_rational(b)
+            lines.append("%s == %s" % (combo(a, "z"), b))
         lines.append("sum(lam) == 1, lam >= 0")
         if self.artificial:
             lines.append("lam%d == 0 (artificial)" % self.n)
@@ -249,20 +253,18 @@ def _rows_from_normals(family, codes, normals):
     the least and the greatest b . h over the codes h of the alternatives
     that hold v.
 
-    The products are taken in ints: the codes share one common
-    denominator, and each normal is scaled by the lcm of its own.
+    The work is in ints: the codes over their common denominator den, each
+    normal scaled by the lcm s of its own, and the row the ints over s * den.
     """
     den, H = _common_denominator(codes)
-    members = [[s - 1 for s in family.members(v)] for v in range(1, family.n + 1)]
+    members = [[i - 1 for i in family.members(v)] for v in range(1, family.n + 1)]
     rows = []
     for b in normals:
-        scale = lcm(*(x.denominator for x in b))
-        ints = [x.numerator * (scale // x.denominator) for x in b]
-        values = [sum(p * q for p, q in zip(ints, h)) for h in H]
-        exact = [Fraction(x, scale * den) for x in values]
-        lower = [exact[min(ms, key=values.__getitem__)] for ms in members]
-        upper = [exact[max(ms, key=values.__getitem__)] for ms in members]
-        rows.append(TwoSidedRow(b, lower, upper))
+        s, (ints,) = _common_denominator([b])
+        values = [sum(map(mul, ints, h)) for h in H]
+        lower = [min(map(values.__getitem__, ms)) for ms in members]
+        upper = [max(map(values.__getitem__, ms)) for ms in members]
+        rows.append(TwoSidedRow([x * den for x in ints], lower, upper, s * den))
     return rows
 
 
@@ -349,7 +351,7 @@ def build_moment_curve(family):
     d = family.d
     if d < 3:
         raise FormulationError("need at least two alternatives" if d < 2 else _LINE_SPAN)
-    normals = [(Fraction(t), Fraction(-1)) for t in range(3, 2 * d)]
+    normals = [(t, -1) for t in range(3, 2 * d)]
     return _formulation(family, moment_code(d), normals, "moment")
 
 
@@ -357,7 +359,7 @@ def build_sos2_exotic(d):
     """Closed-form two-row formulation of consecutive-pair constraints
     using the exotic codes; d must be a positive multiple of 4."""
     family = sos2_family(d)
-    normals = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    normals = [(1, 0), (0, 1)]
     return _formulation(family, exotic_code(d), normals, "sos2_exotic")
 
 
@@ -382,7 +384,7 @@ def build_annulus(d, kind):
         extra = []
         if kind == "zigzag":
             for k, l in itertools.combinations(range(r), 2):
-                b = [Fraction(0)] * r
+                b = [0] * r
                 b[k] = Fraction(1, 2 ** (l + 1))
                 b[l] = Fraction(-1, 2 ** (k + 1))
                 extra.append(tuple(b))
@@ -393,7 +395,7 @@ def build_annulus(d, kind):
         extra = [(enc[d - 1][1] - enc[0][1], enc[0][0] - enc[d - 1][0])]
     else:
         raise FormulationError("unknown annulus kind %r" % (kind,))
-    units = [tuple(Fraction(int(i == k)) for i in range(enc.r)) for k in range(enc.r)]
+    units = [tuple(int(i == k) for i in range(enc.r)) for k in range(enc.r)]
     return _formulation(family, enc, units + extra, "annulus_%s" % kind)
 
 

@@ -27,6 +27,7 @@ either.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 from .numerics import (
@@ -63,7 +64,9 @@ class LpProblem:
             raise ValueError("objective length mismatch")
         self.rows = []
         for a, rel, rhs in rows:
-            a = vec(a)
+            # a tuple of ints is kept as it is; vec makes any other Fractions
+            if type(a) is not tuple or not all(map(isinstance, a, repeat(int))):
+                a = vec(a)
             if len(a) != n:
                 raise ValueError("row length mismatch")
             if rel not in (LE, GE, EQ):

@@ -26,9 +26,13 @@ def rat(x):
 def format_rational(q):
     """Render a Fraction as 'p' or 'p/q'."""
     q = rat(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    return format_ratio(q.numerator, q.denominator)
+
+
+def format_ratio(x, den):
+    """format_rational of the int x over the positive int den, no Fraction."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else "%d/%d" % (x // g, den // g)
 
 
 def vec(values):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul, neg
 
 from .lp import EQ, LE, LpError, LpProblem, enumerate_vertices, solve_lp
-from .numerics import _common_denominator, _integer_rows, dot, vec
+from .numerics import _common_denominator, dot, vec
 
 
 @dataclass
@@ -42,8 +42,8 @@ def _failure(where, alternative, component):
 
 def code_values(form):
     """The code-value table D: D[k][i] = direction_k . h_i, the z part of
-    row k at the code of alternative i, summed in ints over the codes'
-    common denominator and the direction's own.
+    row k at the code of alternative i, from the row's int numerators over
+    the codes' common denominator.
 
     Every one-sided row has right-hand side 0, so with z fixed at h_i the
     lower side of row k reads lower . lam <= D[k][i] and the upper side
@@ -51,8 +51,7 @@ def code_values(form):
     check_projection.
     """
     den, H = _common_denominator(form.codes)
-    scaled = [_common_denominator([row.direction]) for row in form.rows]
-    return [[Fraction(sum(map(mul, b, h)), s * den) for h in H] for s, (b,) in scaled]
+    return [[Fraction(sum(map(mul, r.direction, h)), den) for h in H] for r in form.rows]
 
 
 def check_valid(form, values):
@@ -106,10 +105,11 @@ def check_projection(form, values):
     values is code_values(form).  The slice is an LP in lam alone, the
     relaxation's rows with z = h_i substituted.  Their lam parts (lower
     and -upper per row, a zero row per hull equation, the simplex row)
-    are built once; per alternative only the right-hand sides change:
-    D[k][i] and -D[k][i], b - a . h_i, which is nonzero at an off-hull
-    code, and 1.  lam keeps its bounds (an artificial component stays at
-    zero).  stats counts the LPs (probes) and their simplex pivots.
+    are int tuples built once; per alternative only the right-hand sides
+    change: D[k][i] and -D[k][i], b - a . h_i, which is nonzero at an
+    off-hull code, and 1.  lam keeps its bounds (an artificial component
+    stays at zero).  stats counts the LPs (probes) and their simplex
+    pivots.
     """
     n = form.n
     bounds = [(0, None)] * (n - 1) + [(0, 0) if form.artificial else (0, None)]
@@ -175,8 +175,7 @@ def classify_rows(form, vertices):
     V = _common_denominator(vertices)[1]
     support = [[(c, x) for c, x in enumerate(v) if x] for v in V]
     one_sided = form.one_sided()
-    rows = _integer_rows([a for _, a, _ in one_sided])
-    tight = [[not sum(a[c] * x for c, x in nz) for nz in support] for a in rows]
+    tight = [[not sum(a[c] * x for c, x in nz) for nz in support] for _, a, _ in one_sided]
     tight += [[not v[c] for v in V] for c in range(form.n)]
     masks = [sum(1 << j for j, t in enumerate(ts) if t) for ts in tight]
     full = (1 << len(V)) - 1
@@ -200,6 +199,8 @@ def brute_force_optimum(family, objective, sense="max"):
     component value over each alternative.  Returns (value, component,
     alternative) for one optimal witness.
     """
+    if sense not in ("max", "min"):
+        raise ValueError("sense must be 'max' or 'min'")
     c = vec(objective)
     if len(c) != family.n:
         raise ValueError("objective length mismatch")

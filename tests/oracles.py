@@ -108,6 +108,15 @@ def spanned_hyperplane_normals_by_rank(C, ambient):
     return normals
 
 
+def row_values(row):
+    """(direction, lower, upper) of a TwoSidedRow as the Fractions its int
+    numerators stand for over its denominator."""
+    return tuple(
+        tuple(Fraction(x, row.den) for x in part)
+        for part in (row.direction, row.lower, row.upper)
+    )
+
+
 def planar_directions(H):
     """The row directions of the planar builder over the codes H: the
     perpendicular of each code difference, scaled in Fractions so its

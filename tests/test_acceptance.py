@@ -206,14 +206,71 @@ BUILDER_MATRIX_SHA256 = {
 }
 
 
+def artifact_sha256(form):
+    return hashlib.sha256(
+        (json.dumps(form.to_json(), indent=2) + "\n" + form.to_text()).encode()
+    ).hexdigest()
+
+
 def test_builder_matrix_artifacts_pinned():
-    got = {
-        label: hashlib.sha256(
-            (json.dumps(form.to_json(), indent=2) + "\n" + form.to_text()).encode()
-        ).hexdigest()
-        for label, form in builder_matrix()
-    }
+    got = {label: artifact_sha256(form) for label, form in builder_matrix()}
     assert got == BUILDER_MATRIX_SHA256
+
+
+def build_workload_matrix():
+    """The formulations of the benchmark's build workload: every builder on
+    sos2 d = 64 and on the 16- and 32-piece annulus, at the sizes where
+    the builders spend their time."""
+    out = []
+    fam = sos2_family(64)
+    for enc in (gray_code(6), zigzag_code(6), moment_code(64), exotic_code(64)):
+        out.append(("sos2-64 general %s" % enc.kind, build_general(fam, enc)))
+    out.append(("sos2-64 2d moment", build_2d(fam, moment_code(64))))
+    out.append(("sos2-64 2d exotic", build_2d(fam, exotic_code(64))))
+    out.append(("sos2-64 moment-curve", build_moment_curve(fam)))
+    out.append(("sos2-64 closed form", build_sos2_exotic(64)))
+    for d in (16, 32):
+        fam, _ = annulus_instance("1", "3", d)
+        k = (d - 1).bit_length()
+        for enc in (gray_code(k), zigzag_code(k), moment_code(d), exotic_code(d)):
+            out.append(("annulus-%d general %s" % (d, enc.kind), build_general(fam, enc)))
+        for kind in ("gray", "zigzag", "exotic"):
+            out.append(("annulus-%d closed form %s" % (d, kind), build_annulus(d, kind)))
+    return out
+
+
+# artifact_sha256 of each build_workload_matrix() formulation, computed
+# before rows were kept as int numerators: the same bytes at the sizes
+# where the row store is largest (987 rows for sos2-64 2d exotic).
+BUILD_WORKLOAD_SHA256 = {
+    "sos2-64 general gray": "ae4ce0279800506b2b5b7aa7453c085c148a7b4bc1a50ae9229f77aafeb1735e",
+    "sos2-64 general zigzag": "30c16586c9c6fe1eeb376aa71ef20bde4416419629c0f2f378adf1376d3b233d",
+    "sos2-64 general moment": "71a831287dfdaa1a7b4706efa945cb30f3ac195ffd5eb4d06a222ba9df0487cb",
+    "sos2-64 general exotic": "c5bc8453478f74b1b61d6296ee8c046d5bf4d687017b6196369fd4a5b5e3ff62",
+    "sos2-64 2d moment": "dc36d28b2b3fcb7b900561a94ca5411e091cd387e182e6bd77f6e067bc813277",
+    "sos2-64 2d exotic": "b9305d1b962861222d5353630a623e322f455f7cd54c33ebe10c0792483980e9",
+    "sos2-64 moment-curve": "eeb53cebb70dd2098093dd01234275e3eefc7c7da91625bfc75b47e91ed928e6",
+    "sos2-64 closed form": "55476ce9238477d17c7f570eef1cab2936841730196b9a8b4c36fcf3a0c0eaf5",
+    "annulus-16 general gray": "968b3efec57775f69632a06f5b59327320ff4e96a6d4cec0dba06db9bf443c24",
+    "annulus-16 general zigzag": "ea4dffcce8d40470cfce87ce5cc5f63e0d9327cd569daf63a4c0376d9bc0e922",
+    "annulus-16 general moment": "60efa470645f5a990915e0f9747f859afb1b601bd13d246086b2b48172883163",
+    "annulus-16 general exotic": "a306e23fb8137c8b8c2bb965b275d65fa2742117e5dcdcdb83b528d334b4e48e",
+    "annulus-16 closed form gray": "da427ecfc6b8d2be6e055cc27a0ff3326960127baa330f409cdabf95c283f7b6",
+    "annulus-16 closed form zigzag": "46b6143fcd6f5b9edcbba57d552bbdeda84e113e63f534ed4b1dff813f9f4d05",
+    "annulus-16 closed form exotic": "f1d9647e48e3bb0c513cddea81e79b8185a1001ec78d74435bf026750ca21dc7",
+    "annulus-32 general gray": "563416fb40107655adf332e54a58624cb926975f17df6e838efcc752024513ce",
+    "annulus-32 general zigzag": "de9f06c0aaae17ba414aa234c30225b649d8c3bf54c4d3cedb553d328d9fa947",
+    "annulus-32 general moment": "56fc65a4a8b911dab5ce40a2c693d831f222cef44723fbc2f15330e05388f9a2",
+    "annulus-32 general exotic": "4475b7b657b4be6d63cc267742294acb4767eb0ecaedda652c1a38ad444af168",
+    "annulus-32 closed form gray": "4553f9d173c428cdedb27a93e646ddd0028dbf827fde3b143ec0e094189c2a5c",
+    "annulus-32 closed form zigzag": "82ae950763a800bd244552b13eedbf3b650e78bff907f32627c98b43b70d5004",
+    "annulus-32 closed form exotic": "e8ba400bd6f5f247d6a90a973ba86ccda4183b1c69ead385057c374b3dd331e2",
+}
+
+
+def test_build_workload_artifacts_pinned():
+    got = {label: artifact_sha256(form) for label, form in build_workload_matrix()}
+    assert got == BUILD_WORKLOAD_SHA256
 
 
 def test_every_builder_is_valid_ideal_and_sharp():

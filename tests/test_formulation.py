@@ -32,6 +32,7 @@ from oracles import (
     canonical_direction,
     canonical_inequality,
     planar_directions,
+    row_values,
     spanned_hyperplane_normals_by_rank,
 )
 
@@ -170,9 +171,10 @@ def test_rows_from_normals_take_extremes_per_component(case):
     for row, b in zip(rows, normals):
         values = [dot(b, h) for h in codes]
         held = [[values[s - 1] for s in fam.members(v)] for v in range(1, fam.n + 1)]
-        assert row.direction == b
-        assert row.lower == tuple(min(vals) for vals in held)
-        assert row.upper == tuple(max(vals) for vals in held)
+        direction, lower, upper = row_values(row)
+        assert direction == b
+        assert lower == tuple(min(vals) for vals in held)
+        assert upper == tuple(max(vals) for vals in held)
 
 
 def test_general_sos2_16_golden_row():
@@ -274,7 +276,7 @@ def test_2d_directions_match_fraction_reference(points):
             build_2d(sos2_family(2), Encoding(H))
         return
     form = build_2d(sos2_family(len(H)), Encoding(H))
-    assert [row.direction for row in form.rows] == planar_directions(H)
+    assert [row_values(row)[0] for row in form.rows] == planar_directions(H)
 
 
 def test_2d_rejects_higher_dim():
@@ -521,6 +523,38 @@ def test_export_text_renders_rows():
     assert "<=" in text
     assert "sum(lam) == 1" in text
     assert text.count("\n") >= len(form.rows)
+
+
+def test_row_is_int_numerators_over_one_denominator():
+    # one row given as Fractions, and as ints over a den at two scalings
+    given = TwoSidedRow((F(1, 2), 1), (0, F(-3, 4)), (F(5, 6), 2))
+    parts = (given.direction, given.lower, given.upper, given.den)
+    assert parts == ((6, 12), (0, -9), (10, 24), 12)
+    assert all(type(x) is int for part in parts[:3] for x in part)
+    forms = [
+        LinearFormulation(2, 2, [row])
+        for row in (
+            given,
+            TwoSidedRow((6, 12), (0, -9), (10, 24), 12),
+            TwoSidedRow((18, 36), (0, -27), (30, 72), 36),
+        )
+    ]
+    assert forms[0].rows == forms[1].rows == forms[2].rows
+    texts = {(repr(form.to_json()), form.to_text()) for form in forms}
+    assert len(texts) == 1
+    assert forms[0].to_json()["rows"] == [
+        {"direction": ["1/2", "1"], "lower": ["0", "-3/4"], "upper": ["5/6", "2"]}
+    ]
+    # the one-sided rows are the ints themselves
+    assert forms[0].one_sided()[0] == ((0, "lower"), (0, -9, -6, -12), 0)
+
+
+def test_row_rejects_a_float_and_a_bad_denominator():
+    with pytest.raises(TypeError):
+        TwoSidedRow((1, 0), (0.5, 0), (1, 1))
+    for den in (0, -2, F(1, 2)):
+        with pytest.raises(FormulationError, match="den must be a positive int"):
+            TwoSidedRow((1, 0), (0, 0), (1, 1), den)
 
 
 def test_row_shape_validation():

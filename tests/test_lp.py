@@ -523,6 +523,33 @@ def test_solve_lp_matches_vertex_enumeration_on_every_bound_kind(lp):
 
 
 @settings(max_examples=200, deadline=None)
+@given(bounded_lps())
+def test_int_rows_solve_as_their_fraction_values(lp):
+    # each row scaled to int numerators, as formulations hand their rows
+    # over; the same ints as Fractions; and the row as drawn
+    n, c, rows, bounds = lp
+    ints = []
+    for a, rel, rhs in rows:
+        full = [F(x) for x in (*a, rhs)]
+        s = lcm(*(x.denominator for x in full))
+        nums = tuple(x.numerator * (s // x.denominator) for x in full)
+        ints.append((nums[:-1], rel, nums[-1]))
+    fracs = [(tuple(map(F, a)), rel, F(rhs)) for a, rel, rhs in ints]
+    problem = LpProblem(n, c, ints, bounds=bounds)
+    # an int tuple is kept as it is, with no copy
+    assert all(got[0] is a for got, (a, _, _) in zip(problem.rows, ints))
+    results = [solve_lp(LpProblem(n, c, r, bounds=bounds)) for r in (ints, fracs, rows)]
+    summaries = [(res.status, res.x, res.value, res.pivots) for res in results]
+    assert summaries[0] == summaries[1] == summaries[2]
+    for res in results:
+        assert res.x is None or all(type(v) is F for v in res.x)
+        assert res.value is None or type(res.value) is F
+    vertices = [enumerate_vertices(n, r, bounds) for r in (ints, fracs, rows)]
+    assert vertices[0] == vertices[1] == vertices[2]
+    assert all(type(x) is F for v in vertices[0] for x in v)
+
+
+@settings(max_examples=200, deadline=None)
 @given(bounded_lps(), st.data())
 def test_warm_rows_match_a_cold_solve_of_the_full_list(lp, data):
     # rows added to an optimal LP twice over, by dual simplex from the

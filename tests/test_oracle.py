@@ -425,6 +425,12 @@ def test_brute_force_optimum_min_sense():
     assert value == -2 and comp == 2
 
 
+def test_brute_force_optimum_rejects_an_unknown_sense():
+    # any sense but max or min raises, as in brute_force_optimum_hrep
+    with pytest.raises(ValueError, match="sense must be 'max' or 'min'"):
+        brute_force_optimum(sos2_family(4), [F(1)] * 5, sense="best")
+
+
 def test_brute_force_optimum_length_check():
     with pytest.raises(ValueError):
         brute_force_optimum(sos2_family(3), [F(1)])
