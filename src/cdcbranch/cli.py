@@ -8,6 +8,7 @@ wall-clock times.
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -265,7 +266,11 @@ def cmd_bench(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one: parse_args keeps no state in it, and no option appends to a
+    default it would share."""
     p = argparse.ArgumentParser(
         prog="cdcbranch",
         description="Ideal formulations of combinatorial disjunctive "

@@ -1,19 +1,23 @@
 """Exact rational linear programming and vertex/facet enumeration.
 
-The simplex gives each variable one column and each row one slack column,
-on which the row starts basic: a GE row is negated, and an equality is
-two rows, one per side.  A free variable is pivoted out on the first row
-that holds it, and that row is set aside and back-substituted when x is
-read, so every optimum is a basic solution: a vertex whenever the
-feasible set is a polytope.  Phase 1 is the dual simplex on an all-zero
-objective row, for which the slack basis is dual feasible; phase 2 is the
-primal simplex.  Both use the lowest-index rule, so they cannot cycle.  An
+The simplex keeps a condensed integer tableau: each row holds its entries
+on the n nonbasic variables, its rhs and the entry of its basic variable,
+and a pivot swaps one basic variable with one nonbasic one.  Every row
+starts basic on its own slack: a GE row is negated, and an equality is two
+rows, one per side.  A free variable is pivoted in on the first row that
+holds it, and that row is set aside, kept reduced but never left, so x is
+read off the rows and every optimum is a basic solution: a vertex
+whenever the feasible set is a polytope.  Phase 1 is the dual simplex on
+an all-zero objective row, for which the slack basis is dual feasible;
+phase 2 is the primal simplex.  Both use the lowest-index rule on each
+variable's column in the full tableau (variables, then one slack per
+row), so they cannot cycle and take the full tableau's pivots.  An
 optimal result keeps its tableau; solve_lp given that result adds rows
-to its LP the same way and re-optimizes by the same dual simplex, which
-is how branch and bound solves every node below the root.  Vertex
-enumeration runs the double description method on the homogenization of
-the input system, which keeps the work proportional to the actual face
-structure instead of the number of basis subsets.
+to its LP the same way, no wider than before, and re-optimizes by the
+same dual simplex, which is how branch and bound solves every node below
+the root.  Vertex enumeration runs the double description method on the
+homogenization of the input system, which keeps the work proportional to
+the actual face structure instead of the number of basis subsets.
 
 Both work in Python ints, with Fraction only at their boundary.  The
 simplex scales each standard-form row to coprime integers as it builds
@@ -28,7 +32,7 @@ either.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 
 from .numerics import (
     _coprime,
@@ -50,28 +54,26 @@ class LpError(Exception):
     pass
 
 
+def _ints_or_vec(a):
+    """a as it is when it is a tuple of ints, else vec(a)."""
+    if type(a) is tuple and all(map(isinstance, a, repeat(int))):
+        return a
+    return vec(a)
+
+
 class LpProblem:
     """maximize c . x subject to rows (a, rel, rhs) and bounds.
 
     bounds is a list of (lb, ub) pairs per variable, None meaning
     unbounded on that side.  Omitted bounds default to free variables.
+    The objective and each row a are kept as they are when they are tuples
+    of ints; vec makes any other Fractions.
     """
 
     def __init__(self, n, objective, rows, bounds=None):
         self.n = n
-        self.objective = vec(objective)
-        if len(self.objective) != n:
-            raise ValueError("objective length mismatch")
-        self.rows = []
-        for a, rel, rhs in rows:
-            # a tuple of ints is kept as it is; vec makes any other Fractions
-            if type(a) is not tuple or not all(map(isinstance, a, repeat(int))):
-                a = vec(a)
-            if len(a) != n:
-                raise ValueError("row length mismatch")
-            if rel not in (LE, GE, EQ):
-                raise ValueError("unknown relation %r" % (rel,))
-            self.rows.append((a, rel, rat(rhs)))
+        self.objective = self._objective(objective)
+        self.rows = self._rows(rows)
         if bounds is None:
             bounds = [(None, None)] * n
         if len(bounds) != n:
@@ -81,20 +83,55 @@ class LpProblem:
             for lb, ub in bounds
         ]
 
+    def with_rows(self, rows, objective=None):
+        """This LP with rows in place of its own, and objective in place of
+        its own when one is given.  Only what is given is checked and
+        coerced; n, the bounds and a kept objective are shared as they are,
+        so a child LP built this way matches its parent's at no cost."""
+        new = object.__new__(LpProblem)
+        new.n, new.bounds, new.objective = self.n, self.bounds, self.objective
+        if objective is not None:
+            new.objective = self._objective(objective)
+        new.rows = new._rows(rows)
+        return new
+
+    def _objective(self, c):
+        c = _ints_or_vec(c)
+        if len(c) != self.n:
+            raise ValueError("objective length mismatch")
+        return c
+
+    def _rows(self, rows):
+        out = []
+        for a, rel, rhs in rows:
+            a = _ints_or_vec(a)
+            if len(a) != self.n:
+                raise ValueError("row length mismatch")
+            if rel not in (LE, GE, EQ):
+                raise ValueError("unknown relation %r" % (rel,))
+            out.append((a, rel, rat(rhs)))
+        return out
+
 
 @dataclass
 class _Tableau:
     """An optimal tableau, kept so that rows can be added to its LP.
 
-    T and basis are the integer tableau, row 0 the reduced costs.  aside
-    lists (column, row) for each eliminated free variable, in elimination
-    order.  cols maps variable j to column j as (offset, sign), and problem
-    is the LP whose rows T holds, for its n, objective and bounds.
+    T is the condensed integer tableau.  Each row holds its entries on the
+    nonbasic variables N, in that order, then its rhs, then the entry of
+    its own basic variable (its scale, positive); row 0 holds the reduced
+    costs and a scale of 0.  basis lists the basic variable of rows 1..,
+    whose first aside rows hold the eliminated free variables.  A variable
+    is known by its column in the full tableau: j for variable j, then one
+    slack per standard row, in the order the rows came.  cols maps variable
+    j to that column as (offset, sign), and problem is the LP whose rows T
+    holds, for its n, objective and bounds.
     """
 
     T: list
     basis: list
-    aside: list
+    N: list
+    aside: int
     cols: list
     problem: LpProblem
 
@@ -112,95 +149,89 @@ class LpResult:
     tableau: _Tableau = field(default=None, repr=False, compare=False)
 
 
-def _pivot(T, basis, r, c):
-    """Pivot the integer tableau on (r, c).  Row r keeps its scale, made
-    positive at c; every other row becomes row*p - f*prow, a positive
-    multiple of what the Fraction pivot gives, divided by its gcd."""
+def _pivot(T, basis, N, r, q):
+    """Pivot the condensed integer tableau on row r and nonbasic column q:
+    basis[r - 1] and N[q] change places.  Row r keeps its scale, made
+    positive at q, and the entry of its old basic variable moves to column
+    q.  Every other row becomes row*p - f*prow, a positive multiple of what
+    the Fraction pivot gives, divided by its gcd: the full tableau's row
+    without its zero entries, so the gcd is the same.  No row is changed in
+    place, so a child tableau shares its parent's rows until they pivot."""
     prow = T[r]
-    p = prow[c]
-    if p < 0:
-        prow = T[r] = [-x for x in prow]
-        p = -p
+    prow = [-x for x in prow] if prow[q] < 0 else list(prow)
+    p, s = prow[q], prow[-1]
     for i, row in enumerate(T):
-        f = row[c]
+        f = row[q]
         if i != r and f != 0:
-            T[i] = _coprime([x * p - f * y for x, y in zip(row, prow)])
-    basis[r - 1] = c
+            new = [x * p - f * y for x, y in zip(row, prow)]
+            new[q] = -f * s
+            new[-1] = row[-1] * p
+            T[i] = _coprime(new)
+    prow[q], prow[-1] = s, p
+    T[r] = prow
+    basis[r - 1], N[q] = N[q], basis[r - 1]
 
 
-def _reduce(row, pivots):
-    """row with column c eliminated by prow, for each (c, prow) in turn,
-    as _pivot eliminates it; prow[c] must be positive."""
-    for c, prow in pivots:
-        f = row[c]
-        if f != 0:
-            p = prow[c]
-            row = _coprime([x * p - f * y for x, y in zip(row, prow)])
-    return row
-
-
-def _run_simplex(T, basis):
+def _run_simplex(T, basis, N, aside):
     """Pivot until optimal or unbounded.  Row 0 holds reduced costs for a
-    maximization; entering variable is the lowest index with a negative
+    maximization; entering variable is the lowest one with a negative
     entry, leaving row breaks ratio ties on the lowest basic variable
-    (Bland's rule).  Returns ('optimal' or 'unbounded', pivots).
+    (Bland's rule).  The rows of free variables, the first aside, never
+    leave.  Returns ('optimal' or 'unbounded', pivots).
 
     T holds Python ints: each row is a positive multiple of its Fraction
     row, so every sign is the same, and the ratio rhs_i / a_i is compared
     by cross-multiplication, where the row scale cancels."""
-    m = len(T) - 1
     pivots = 0
     while True:
-        enter = None
-        for j in range(len(T[0]) - 1):
-            if T[0][j] < 0:
-                enter = j
-                break
+        cost = T[0]
+        negative = (q for q in range(len(N)) if cost[q] < 0)
+        enter = min(negative, key=N.__getitem__, default=None)
         if enter is None:
             return "optimal", pivots
         leave = None
-        for i in range(1, m + 1):
+        for i in range(aside + 1, len(T)):
             a = T[i][enter]
             if a > 0:
                 if leave is None:
-                    leave, best_rhs, best_a = i, T[i][-1], a
+                    leave, best_rhs, best_a = i, T[i][-2], a
                     continue
-                lhs, rhs = T[i][-1] * best_a, best_rhs * a
+                lhs, rhs = T[i][-2] * best_a, best_rhs * a
                 if lhs < rhs or (lhs == rhs and basis[i - 1] < basis[leave - 1]):
-                    leave, best_rhs, best_a = i, T[i][-1], a
+                    leave, best_rhs, best_a = i, T[i][-2], a
         if leave is None:
             return "unbounded", pivots
-        _pivot(T, basis, leave, enter)
+        _pivot(T, basis, N, leave, enter)
         pivots += 1
 
 
-def _run_dual(T, basis):
+def _run_dual(T, basis, N, aside):
     """Dual simplex from a tableau with no negative reduced cost, until
     every basic value is nonnegative.  The leaving row is the negative one
-    with the lowest basic variable; the entering column has the least
-    ratio T[0][j] / -T[r][j] over the row's negative entries, the lowest
-    column on ties: Bland's rule on the dual, so it cannot cycle even when
-    row 0 is all zero and every ratio ties.  Returns ('optimal' or
-    'infeasible', pivots): with no negative entry, the row sums
-    nonnegative terms to a negative value."""
+    with the lowest basic variable, past the first aside rows, whose free
+    variables may be negative; the entering variable has the least ratio
+    T[0][q] / -T[r][q] over the row's negative entries, the lowest one on
+    ties: Bland's rule on the dual, so it cannot cycle even when row 0 is
+    all zero and every ratio ties.  Returns ('optimal' or 'infeasible',
+    pivots): with no negative entry, the row sums nonnegative terms to a
+    negative value."""
     pivots = 0
     while True:
         leave = None
-        for i in range(1, len(T)):
-            if T[i][-1] < 0 and (leave is None or basis[i - 1] < basis[leave - 1]):
+        for i in range(aside + 1, len(T)):
+            if T[i][-2] < 0 and (leave is None or basis[i - 1] < basis[leave - 1]):
                 leave = i
         if leave is None:
             return "optimal", pivots
         row, cost = T[leave], T[0]
         enter = None
-        for j in range(len(row) - 1):
-            a = row[j]
+        for q in sorted((q for q in range(len(N)) if row[q] < 0), key=N.__getitem__):
             # d / -a < best_d / -best_a, both denominators positive
-            if a < 0 and (enter is None or cost[j] * best_a > best_d * a):
-                enter, best_d, best_a = j, cost[j], a
+            if enter is None or cost[q] * best_a > best_d * row[q]:
+                enter, best_d, best_a = q, cost[q], row[q]
         if enter is None:
             return "infeasible", pivots
-        _pivot(T, basis, leave, enter)
+        _pivot(T, basis, N, leave, enter)
         pivots += 1
 
 
@@ -215,16 +246,47 @@ def _standard(a, rhs, cols):
     return out, rhs
 
 
-def solve_lp(problem, parent=None):
-    """Exact simplex.  Returns an LpResult.
+def _condense(rows, T, basis, N):
+    """rows, each a row's entries on the structural variables and then its
+    rhs and scale, as rows of the condensed tableau T.  An entry on a
+    nonbasic variable moves to its column in N.  One on a basic variable
+    rides at the end of the row until it is eliminated on that variable's
+    row, as _pivot eliminates a column.  The row that results is the full
+    tableau's reduced row, in any order of elimination: the one coprime
+    positive multiple of the row over the nonbasic variables.  Before any
+    pivot N is the structural variables in order and none is basic, so the
+    rows are kept as they are."""
+    n = len(N)
+    held = {j: i for i, j in enumerate(basis, 1) if j < n}
+    if not held and N == list(range(n)):
+        return rows
+    out = []
+    for row in rows:
+        pend = [(held[j], x) for j, x in enumerate(row[:n]) if x and j in held]
+        w = [row[j] if j < n else 0 for j in N] + row[n:] + [x for _, x in pend]
+        for c, (i, _) in enumerate(pend, n + 2):
+            prow = T[i]
+            p, f, s = prow[-1], w[c], w[n + 1]
+            # f is never 0: no row holds another row's basic variable
+            w = [x * p - f * y for x, y in zip(w, prow)] + [x * p for x in w[n + 2:]]
+            w[n + 1], w[c] = s * p, 0
+            w = _coprime(w)
+        out.append(w[:n + 2])
+    return out
 
-    Without parent the LP is solved cold: its rows enter an empty tableau
-    by _add_rows, free variables are eliminated, and phase 1 is _run_dual
-    on an all-zero row 0, which ends on a feasible basis or on a row that
-    proves the LP infeasible.  The objective is then priced out for phase
-    2.  parent is an optimal LpResult of an LP with problem's n, objective
-    and bounds; problem.rows are then added to parent's tableau by
-    _add_rows, and _run_dual re-optimizes it.
+
+def solve_lp(problem, parent=None):
+    """Exact simplex on a condensed tableau.  Returns an LpResult.
+
+    The tableau keeps only the nonbasic columns, n of them in every row, and
+    compares variables by their full-tableau columns, so every pivot is the
+    one the full tableau takes.  Without parent the LP is solved cold: its
+    rows enter an empty tableau by _add_rows, free variables are eliminated,
+    and phase 1 is _run_dual on an all-zero row 0, which ends on a feasible
+    basis or on a row that proves the LP infeasible.  The objective is then
+    priced out for phase 2.  parent is an optimal LpResult of an LP with
+    problem's n, objective and bounds; problem.rows are then added to
+    parent's tableau by _add_rows, and _run_dual re-optimizes it.
     """
     if parent is not None:
         tab = parent.tableau
@@ -235,11 +297,12 @@ def solve_lp(problem, parent=None):
             base.n, base.objective, base.bounds,
         ):
             raise ValueError("added rows need the parent's n, objective and bounds")
-        T, basis, aside = _add_rows(tab.T, tab.basis, tab.aside, problem.rows, tab.cols)
-        status, pivots = _run_dual(T, basis)
+        T, basis, N = list(tab.T), list(tab.basis), list(tab.N)
+        _add_rows(T, basis, N, problem.rows, tab.cols)
+        status, pivots = _run_dual(T, basis, N, tab.aside)
         if status == "infeasible":
             return LpResult("infeasible", pivots=pivots)
-        return _optimum(_Tableau(T, basis, aside, tab.cols, base), pivots)
+        return _optimum(_Tableau(T, basis, N, tab.aside, tab.cols, base), pivots)
     n = problem.n
 
     # Variable j is column j: x_j = offset + sign * column.  A lower bound
@@ -263,109 +326,96 @@ def solve_lp(problem, parent=None):
         else:
             cols.append((zero, 1))
             free.append(j)
-    T, basis, _ = _add_rows([[0] * (n + 1)], [], [], problem.rows + extra_rows, cols)
+    T, basis, N = [[0] * (n + 2)], [], list(range(n))
+    _add_rows(T, basis, N, problem.rows + extra_rows, cols)
 
     # Each free variable is pivoted on the first row that holds it, and
-    # that row is set aside: no other row holds the variable, and x_j is
-    # read off the set-aside row.  Row k then holds no earlier free column,
-    # so the set-aside rows are triangular.
+    # that row is set aside: moved up to follow the rows set aside before
+    # it, where no ratio test reads it.  The pivots keep it reduced, so no
+    # other row holds the variable and x_j is read off its row.  Before its
+    # own pivot a free variable is nonbasic at column j.
     pivots = 0
-    aside = []
+    aside = 0
     unheld = []
     for j in free:
-        i = next((i for i in range(1, len(T)) if T[i][j] != 0), None)
+        i = next((i for i in range(aside + 1, len(T)) if T[i][j] != 0), None)
         if i is None:
             unheld.append(j)
             continue
-        _pivot(T, basis, i, j)
+        _pivot(T, basis, N, i, j)
         pivots += 1
-        aside.append((j, T.pop(i)))
-        del basis[i - 1]
+        aside += 1
+        T.insert(aside, T.pop(i))
+        basis.insert(aside - 1, basis.pop(i - 1))
 
     # Phase 1: row 0 is all zero, so every reduced cost is nonnegative.
-    status, done = _run_dual(T, basis)
+    status, done = _run_dual(T, basis, N, aside)
     pivots += done
     if status == "infeasible":
         return LpResult("infeasible", pivots=pivots)
 
     # Phase 2 objective: the objective row in standard form, priced out on
-    # the set-aside rows, in their order, and then on the basic columns.
+    # the rows of its basic variables.
     c_std = _standard(problem.objective, 0, cols)[0]
-    z = [-c for c in _integer_rows([c_std + [0] * (len(T[0]) - n)])[0]]
-    z = _reduce(z, aside)
-    T[0] = _reduce(z, [(b, T[i]) for i, b in enumerate(basis, 1)])
-    # a free column that no row holds moves the objective both ways
+    z = [-c for c in _integer_rows([c_std])[0]]
+    T[0] = _condense([z + [0, 0]], T, basis, N)[0]
+    # a free variable that no row holds, nonbasic at column j since no
+    # pivot can take it, moves the objective both ways
     if any(T[0][j] != 0 for j in unheld):
         return LpResult("unbounded", pivots=pivots)
 
-    status, done = _run_simplex(T, basis)
+    status, done = _run_simplex(T, basis, N, aside)
     pivots += done
     if status == "unbounded":
         return LpResult("unbounded", pivots=pivots)
-    return _optimum(_Tableau(T, basis, aside, cols, problem), pivots)
+    return _optimum(_Tableau(T, basis, N, aside, cols, problem), pivots)
 
 
-def _add_rows(T, basis, aside, rows, cols):
-    """The tableau T, basis and aside with rows (a, rel, rhs) added, as new
-    lists; the ones given are not changed.
+def _add_rows(T, basis, N, rows, cols):
+    """Append rows (a, rel, rhs) to the tableau T and its basis.
 
-    Each row gets a new slack column with entry 1 and starts basic on it:
+    Each row gets a new slack variable with entry 1 and starts basic on it:
     a GE row is negated, and an EQ row becomes two rows, one per side.  The
-    row is scaled to coprime integers and reduced on the set-aside rows and
-    then on the basic columns, so the tableau keeps its form and its
-    reduced costs; a basic value can be negative, which _run_dual mends.
+    row is reduced on the rows of its basic structural variables, free ones
+    included, and scaled to coprime integers, so the tableau keeps its
+    form, its width and its reduced costs; a basic value can be negative,
+    which _run_dual mends.  A row of ints over columns that are neither shifted nor
+    negated needs only its rhs's denominator to be scaled.
     """
+    plain = not any(offset or sign < 0 for offset, sign in cols)
     new = []
     for a, rel, rhs in rows:
-        coeffs, r = _standard(a, rhs, cols)
+        if plain and a and type(a[0]) is int:
+            # LpProblem keeps a row of ints only when every entry is one
+            d = rhs.denominator
+            new.append([x * d for x in a] + [rhs.numerator, d])
+        else:
+            coeffs, r = _standard(a, rhs, cols)
+            new.append(_integer_rows([coeffs + [r, 1]])[0])
+    for w, (_, rel, _) in zip(_condense(new, T, basis, N), rows):
+        w = _coprime(w)
         if rel != GE:
-            new.append((coeffs, r))
+            T.append(w)
+            basis.append(len(N) + len(basis))
         if rel != LE:
-            new.append(([-x for x in coeffs], -r))
-    total = len(T[0]) - 1
-    pad = [0] * len(new)
-    T = [row[:-1] + pad + row[-1:] for row in T]
-    aside = [(j, row[:-1] + pad + row[-1:]) for j, row in aside]
-    basis = list(basis)
-    basic = [(b, T[i]) for i, b in enumerate(basis, 1)]
-    for s, (coeffs, r) in enumerate(new, total):
-        # scaled before the zeros go in, which change no lcm or gcd
-        head = _coprime(_integer_rows([coeffs + [1, r]])[0])
-        row = head[:-2] + [0] * (total - len(coeffs)) + pad + head[-1:]
-        row[s] = head[-2]
-        T.append(_reduce(_reduce(row, aside), basic))
-        basis.append(s)
-    return T, basis, aside
+            T.append([-x for x in w[:-1]] + w[-1:])
+            basis.append(len(N) + len(basis))
 
 
 def _optimum(tab, pivots):
-    """The optimal LpResult of a tableau: basic columns take their rhs,
-    free variables are back-substituted from the set-aside rows, last
-    first, and every other column is zero.  Column values are kept in ints
-    over one common denominator, as numerics._nullspace keeps its vectors."""
-    T = tab.T
-    basic = [(b, T[i]) for i, b in enumerate(tab.basis, 1) if T[i][-1]]
-    den = lcm(*(row[b] for b, row in basic))
-    num = {b: row[-1] * (den // row[b]) for b, row in basic}
-    for j, row in reversed(tab.aside):
-        s = row[-1] * den - sum(row[k] * v for k, v in num.items())
-        if s:
-            # x_j = s / (den * p); scaling den by p / g keeps it integral
-            p = row[j]
-            g = gcd(s, p)
-            if p != g:
-                num = {k: v * (p // g) for k, v in num.items()}
-                den *= p // g
-            num[j] = s // g
-    # a zero offset is skipped as in _standard
-    x = []
-    for j, (offset, sign) in enumerate(tab.cols):
-        v = num.get(j)
-        if v is None:
-            x.append(offset)
-            continue
-        v = Fraction(v if sign > 0 else -v, den)
-        x.append(offset + v if offset else v)
+    """The optimal LpResult of a tableau: each basic structural variable,
+    free ones included, takes its row's rhs over its scale, and every
+    nonbasic one is zero."""
+    T, n = tab.T, len(tab.cols)
+    x = [offset for offset, _ in tab.cols]
+    for i, j in enumerate(tab.basis, 1):
+        row = T[i]
+        v = row[-2]
+        if j < n and v:
+            offset, sign = tab.cols[j]
+            v = Fraction(v if sign > 0 else -v, row[-1])
+            # a zero offset is skipped as in _standard
+            x[j] = offset + v if offset else v
     x = tuple(x)
     problem = tab.problem
     value = sum((problem.objective[j] * x[j] for j in range(problem.n)), Fraction(0))

@@ -108,11 +108,13 @@ def check_projection(form, values):
     are int tuples built once; per alternative only the right-hand sides
     change: D[k][i] and -D[k][i], b - a . h_i, which is nonzero at an
     off-hull code, and 1.  lam keeps its bounds (an artificial component
-    stays at zero).  stats counts the LPs (probes) and their simplex
-    pivots.
+    stays at zero), coerced once; a probe's objective is a tuple of ints,
+    which LpProblem keeps, and only its rows are checked and coerced.
+    stats counts the LPs (probes) and their simplex pivots.
     """
     n = form.n
     bounds = [(0, None)] * (n - 1) + [(0, 0) if form.artificial else (0, None)]
+    slice_lp = LpProblem(n, (0,) * n, (), bounds=bounds)
     lam_rows = [(a, LE) for r in form.rows for a in (r.lower, tuple(map(neg, r.upper)))]
     lam_rows += [((0,) * n, EQ)] * len(form.hull_equations) + [((1,) * n, EQ)]
     failures = []
@@ -120,8 +122,8 @@ def check_projection(form, values):
 
     def probe(fixed, ws):
         # maximize the total weight of the components in ws over the slice
-        c = [int(w in ws) for w in range(1, n + 1)]
-        res = solve_lp(LpProblem(n, c, fixed, bounds=bounds))
+        c = tuple(int(w in ws) for w in range(1, n + 1))
+        res = solve_lp(slice_lp.with_rows(fixed, objective=c))
         pivots.append(res.pivots)
         return res
 

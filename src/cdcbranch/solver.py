@@ -108,10 +108,12 @@ def solve(
 
     # A heap entry holds its parent's optimal LpResult and its own cuts:
     # the root is solved cold, and every child adds its cuts to its
-    # parent's LP.  with_cuts on a system with no rows of its own gives
-    # the cuts alone, each padded with zeros over lam or x.  The root's
-    # region is built only when the root branches, since only a split
-    # reads it; until then its state is None.
+    # parent's LP, which shares the root's coerced objective and bounds.
+    # with_cuts on a system with no rows of its own gives the cuts alone,
+    # each padded with zeros over lam or x.  The root's region is built
+    # only when the root branches, since only a split reads it; until then
+    # its state is None.
+    root = LpProblem(base.nvars, c_int, base.rows, bounds=base.bounds)
     bare = replace(base, rows=[])
     counter = 0
     heap = [((0, Fraction(0), counter), None, (), None)]
@@ -128,8 +130,8 @@ def solve(
         if key[0] == 1 and incumbent is not None and -key[1] <= incumbent[0]:
             pruned_bound += 1
             continue
-        rows = (base if parent is None else bare.with_cuts(cuts)).rows
-        res = solve_lp(LpProblem(base.nvars, c_int, rows, bounds=base.bounds), parent)
+        problem = root if parent is None else root.with_rows(bare.with_cuts(cuts).rows)
+        res = solve_lp(problem, parent)
         pivots += res.pivots
         if res.status == "infeasible":
             pruned_infeasible += 1

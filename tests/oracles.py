@@ -4,14 +4,23 @@ They restate a fact in the simplest way, independently of the package
 code it checks.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
 from cdcbranch.encodings import EncodingError, exotic_code
 from cdcbranch.formulation import _LINE_SPAN, FormulationError
-from cdcbranch.lp import EQ, LpError, lp_feasible
-from cdcbranch.numerics import dot, is_zero_vector, nullspace_basis, rank, vec
+from cdcbranch.lp import EQ, GE, LE, LpError, LpProblem, LpResult, lp_feasible
+from cdcbranch.numerics import (
+    _coprime,
+    _integer_rows,
+    dot,
+    is_zero_vector,
+    nullspace_basis,
+    rank,
+    vec,
+)
 
 
 def canonical_inequality(a, rhs):
@@ -150,3 +159,285 @@ def classify_rows_by_rank(form, vertices):
             cls = "facet" if dim(tight) == full - 1 else "tight-nonfacet"
         out.append({"row": row, "side": side, "class": cls, "coeffs": a, "rhs": rhs})
     return out
+
+
+# The simplex as it stood with one column per variable and one per slack
+# (the full tableau), kept verbatim as the reference that lp.solve_lp, which
+# stores only the nonbasic columns, must match pivot for pivot.  Its entry
+# point is full_tableau_solve_lp, the old lp.solve_lp.
+
+@dataclass
+class _Tableau:
+    """An optimal tableau, kept so that rows can be added to its LP.
+
+    T and basis are the integer tableau, row 0 the reduced costs.  aside
+    lists (column, row) for each eliminated free variable, in elimination
+    order.  cols maps variable j to column j as (offset, sign), and problem
+    is the LP whose rows T holds, for its n, objective and bounds.
+    """
+
+    T: list
+    basis: list
+    aside: list
+    cols: list
+    problem: LpProblem
+
+
+def _pivot(T, basis, r, c):
+    """Pivot the integer tableau on (r, c).  Row r keeps its scale, made
+    positive at c; every other row becomes row*p - f*prow, a positive
+    multiple of what the Fraction pivot gives, divided by its gcd."""
+    prow = T[r]
+    p = prow[c]
+    if p < 0:
+        prow = T[r] = [-x for x in prow]
+        p = -p
+    for i, row in enumerate(T):
+        f = row[c]
+        if i != r and f != 0:
+            T[i] = _coprime([x * p - f * y for x, y in zip(row, prow)])
+    basis[r - 1] = c
+
+
+def _reduce(row, pivots):
+    """row with column c eliminated by prow, for each (c, prow) in turn,
+    as _pivot eliminates it; prow[c] must be positive."""
+    for c, prow in pivots:
+        f = row[c]
+        if f != 0:
+            p = prow[c]
+            row = _coprime([x * p - f * y for x, y in zip(row, prow)])
+    return row
+
+
+def _run_simplex(T, basis):
+    """Pivot until optimal or unbounded.  Row 0 holds reduced costs for a
+    maximization; entering variable is the lowest index with a negative
+    entry, leaving row breaks ratio ties on the lowest basic variable
+    (Bland's rule).  Returns ('optimal' or 'unbounded', pivots).
+
+    T holds Python ints: each row is a positive multiple of its Fraction
+    row, so every sign is the same, and the ratio rhs_i / a_i is compared
+    by cross-multiplication, where the row scale cancels."""
+    m = len(T) - 1
+    pivots = 0
+    while True:
+        enter = None
+        for j in range(len(T[0]) - 1):
+            if T[0][j] < 0:
+                enter = j
+                break
+        if enter is None:
+            return "optimal", pivots
+        leave = None
+        for i in range(1, m + 1):
+            a = T[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave, best_rhs, best_a = i, T[i][-1], a
+                    continue
+                lhs, rhs = T[i][-1] * best_a, best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[i - 1] < basis[leave - 1]):
+                    leave, best_rhs, best_a = i, T[i][-1], a
+        if leave is None:
+            return "unbounded", pivots
+        _pivot(T, basis, leave, enter)
+        pivots += 1
+
+
+def _run_dual(T, basis):
+    """Dual simplex from a tableau with no negative reduced cost, until
+    every basic value is nonnegative.  The leaving row is the negative one
+    with the lowest basic variable; the entering column has the least
+    ratio T[0][j] / -T[r][j] over the row's negative entries, the lowest
+    column on ties: Bland's rule on the dual, so it cannot cycle even when
+    row 0 is all zero and every ratio ties.  Returns ('optimal' or
+    'infeasible', pivots): with no negative entry, the row sums
+    nonnegative terms to a negative value."""
+    pivots = 0
+    while True:
+        leave = None
+        for i in range(1, len(T)):
+            if T[i][-1] < 0 and (leave is None or basis[i - 1] < basis[leave - 1]):
+                leave = i
+        if leave is None:
+            return "optimal", pivots
+        row, cost = T[leave], T[0]
+        enter = None
+        for j in range(len(row) - 1):
+            a = row[j]
+            # d / -a < best_d / -best_a, both denominators positive
+            if a < 0 and (enter is None or cost[j] * best_a > best_d * a):
+                enter, best_d, best_a = j, cost[j], a
+        if enter is None:
+            return "infeasible", pivots
+        _pivot(T, basis, leave, enter)
+        pivots += 1
+
+
+def _standard(a, rhs, cols):
+    """Row a . x (rel) rhs over the columns: column j is sign * (x_j -
+    offset), so its entry is sign * a_j and a_j * offset moves to rhs."""
+    out = []
+    for aj, (offset, sign) in zip(a, cols):
+        out.append(aj if sign > 0 else -aj)
+        if offset and aj:
+            rhs -= aj * offset
+    return out, rhs
+
+
+def full_tableau_solve_lp(problem, parent=None):
+    """Exact simplex.  Returns an LpResult.
+
+    Without parent the LP is solved cold: its rows enter an empty tableau
+    by _add_rows, free variables are eliminated, and phase 1 is _run_dual
+    on an all-zero row 0, which ends on a feasible basis or on a row that
+    proves the LP infeasible.  The objective is then priced out for phase
+    2.  parent is an optimal LpResult of an LP with problem's n, objective
+    and bounds; problem.rows are then added to parent's tableau by
+    _add_rows, and _run_dual re-optimizes it.
+    """
+    if parent is not None:
+        tab = parent.tableau
+        if tab is None:
+            raise ValueError("rows can be added only to an optimal LpResult")
+        base = tab.problem
+        if (problem.n, problem.objective, problem.bounds) != (
+            base.n, base.objective, base.bounds,
+        ):
+            raise ValueError("added rows need the parent's n, objective and bounds")
+        T, basis, aside = _add_rows(tab.T, tab.basis, tab.aside, problem.rows, tab.cols)
+        status, pivots = _run_dual(T, basis)
+        if status == "infeasible":
+            return LpResult("infeasible", pivots=pivots)
+        return _optimum(_Tableau(T, basis, aside, tab.cols, base), pivots)
+    n = problem.n
+
+    # Variable j is column j: x_j = offset + sign * column.  A lower bound
+    # gives (lb, 1), an upper bound alone (ub, -1), and a free variable
+    # (0, 1), its 0 one shared Fraction so that x is a Fraction even when
+    # the variable is held by no row.  An upper bound next to a lower one
+    # becomes an extra row.
+    zero = Fraction(0)
+    cols = []
+    free = []
+    extra_rows = []
+    for j, (lb, ub) in enumerate(problem.bounds):
+        if lb is not None:
+            if ub is not None:
+                if ub < lb:
+                    return LpResult("infeasible")
+                extra_rows.append(([int(k == j) for k in range(n)], LE, ub))
+            cols.append((lb, 1))
+        elif ub is not None:
+            cols.append((ub, -1))
+        else:
+            cols.append((zero, 1))
+            free.append(j)
+    T, basis, _ = _add_rows([[0] * (n + 1)], [], [], problem.rows + extra_rows, cols)
+
+    # Each free variable is pivoted on the first row that holds it, and
+    # that row is set aside: no other row holds the variable, and x_j is
+    # read off the set-aside row.  Row k then holds no earlier free column,
+    # so the set-aside rows are triangular.
+    pivots = 0
+    aside = []
+    unheld = []
+    for j in free:
+        i = next((i for i in range(1, len(T)) if T[i][j] != 0), None)
+        if i is None:
+            unheld.append(j)
+            continue
+        _pivot(T, basis, i, j)
+        pivots += 1
+        aside.append((j, T.pop(i)))
+        del basis[i - 1]
+
+    # Phase 1: row 0 is all zero, so every reduced cost is nonnegative.
+    status, done = _run_dual(T, basis)
+    pivots += done
+    if status == "infeasible":
+        return LpResult("infeasible", pivots=pivots)
+
+    # Phase 2 objective: the objective row in standard form, priced out on
+    # the set-aside rows, in their order, and then on the basic columns.
+    c_std = _standard(problem.objective, 0, cols)[0]
+    z = [-c for c in _integer_rows([c_std + [0] * (len(T[0]) - n)])[0]]
+    z = _reduce(z, aside)
+    T[0] = _reduce(z, [(b, T[i]) for i, b in enumerate(basis, 1)])
+    # a free column that no row holds moves the objective both ways
+    if any(T[0][j] != 0 for j in unheld):
+        return LpResult("unbounded", pivots=pivots)
+
+    status, done = _run_simplex(T, basis)
+    pivots += done
+    if status == "unbounded":
+        return LpResult("unbounded", pivots=pivots)
+    return _optimum(_Tableau(T, basis, aside, cols, problem), pivots)
+
+
+def _add_rows(T, basis, aside, rows, cols):
+    """The tableau T, basis and aside with rows (a, rel, rhs) added, as new
+    lists; the ones given are not changed.
+
+    Each row gets a new slack column with entry 1 and starts basic on it:
+    a GE row is negated, and an EQ row becomes two rows, one per side.  The
+    row is scaled to coprime integers and reduced on the set-aside rows and
+    then on the basic columns, so the tableau keeps its form and its
+    reduced costs; a basic value can be negative, which _run_dual mends.
+    """
+    new = []
+    for a, rel, rhs in rows:
+        coeffs, r = _standard(a, rhs, cols)
+        if rel != GE:
+            new.append((coeffs, r))
+        if rel != LE:
+            new.append(([-x for x in coeffs], -r))
+    total = len(T[0]) - 1
+    pad = [0] * len(new)
+    T = [row[:-1] + pad + row[-1:] for row in T]
+    aside = [(j, row[:-1] + pad + row[-1:]) for j, row in aside]
+    basis = list(basis)
+    basic = [(b, T[i]) for i, b in enumerate(basis, 1)]
+    for s, (coeffs, r) in enumerate(new, total):
+        # scaled before the zeros go in, which change no lcm or gcd
+        head = _coprime(_integer_rows([coeffs + [1, r]])[0])
+        row = head[:-2] + [0] * (total - len(coeffs)) + pad + head[-1:]
+        row[s] = head[-2]
+        T.append(_reduce(_reduce(row, aside), basic))
+        basis.append(s)
+    return T, basis, aside
+
+
+def _optimum(tab, pivots):
+    """The optimal LpResult of a tableau: basic columns take their rhs,
+    free variables are back-substituted from the set-aside rows, last
+    first, and every other column is zero.  Column values are kept in ints
+    over one common denominator, as numerics._nullspace keeps its vectors."""
+    T = tab.T
+    basic = [(b, T[i]) for i, b in enumerate(tab.basis, 1) if T[i][-1]]
+    den = lcm(*(row[b] for b, row in basic))
+    num = {b: row[-1] * (den // row[b]) for b, row in basic}
+    for j, row in reversed(tab.aside):
+        s = row[-1] * den - sum(row[k] * v for k, v in num.items())
+        if s:
+            # x_j = s / (den * p); scaling den by p / g keeps it integral
+            p = row[j]
+            g = gcd(s, p)
+            if p != g:
+                num = {k: v * (p // g) for k, v in num.items()}
+                den *= p // g
+            num[j] = s // g
+    # a zero offset is skipped as in _standard
+    x = []
+    for j, (offset, sign) in enumerate(tab.cols):
+        v = num.get(j)
+        if v is None:
+            x.append(offset)
+            continue
+        v = Fraction(v if sign > 0 else -v, den)
+        x.append(offset + v if offset else v)
+    x = tuple(x)
+    problem = tab.problem
+    value = sum((problem.objective[j] * x[j] for j in range(problem.n)), Fraction(0))
+    return LpResult("optimal", x=x, value=value, pivots=pivots, tableau=tab)

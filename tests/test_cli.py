@@ -180,6 +180,23 @@ def test_bad_builder_is_an_argparse_error_on_solve_and_verify(tmp_path, capsys):
         assert "invalid choice: 'bogus'" in err and "missing.json" not in err
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process; an argparse error and a run
+    # with other options leave nothing behind for the next call
+    assert cli.build_parser() is cli.build_parser()
+    inst = str(gen(tmp_path, "--family", "grid"))
+    with pytest.raises(SystemExit):
+        run("solve", "--instance", inst, "--encoding", "moment", "--scheme", "bogus")
+    capsys.readouterr()
+    out = tmp_path / "s.json"
+    assert run("solve", "--instance", inst, "--encoding", "moment", "--scheme", "moment",
+               "--sense", "min", "--debug-checks", "-o", str(out)) == 0
+    args = cli.build_parser().parse_args(["solve", "--instance", inst, "--encoding", "moment",
+                                          "--scheme", "moment"])
+    assert (args.sense, args.debug_checks, args.seed, args.output) == ("max", False, 0, "-")
+    assert args.func is cli.cmd_solve and json.loads(out.read_text())["status"] == "optimal"
+
+
 def test_verify_grid_moment(tmp_path):
     inst = gen(tmp_path, "--family", "grid")
     out = tmp_path / "v.json"

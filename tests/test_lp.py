@@ -23,6 +23,7 @@ from cdcbranch.lp import (
     solve_lp,
 )
 from cdcbranch.numerics import dot, vec
+from oracles import full_tableau_solve_lp
 
 F = Fraction
 
@@ -572,6 +573,66 @@ def test_warm_rows_match_a_cold_solve_of_the_full_list(lp, data):
         assert res.value == dot(vec(c), res.x)
 
 
+def _summary(res):
+    return res.status, res.x, res.value, res.pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_lps(), st.data())
+def test_condensed_tableau_pivots_as_the_full_tableau(lp, data):
+    # the same LP, then two rounds of added rows, through solve_lp and
+    # through the full-tableau reference: the same pivots, point and value
+    n, c, rows, bounds = lp
+    problem = LpProblem(n, c, rows, bounds=bounds)
+    res, ref = solve_lp(problem), full_tableau_solve_lp(problem)
+    assert _summary(res) == _summary(ref)
+    coeffs = st.lists(rationals, min_size=n, max_size=n).map(tuple)
+    cut = st.tuples(coeffs, st.sampled_from((LE, GE, EQ)), rationals)
+    for _ in range(2):
+        if res.status != "optimal":
+            return
+        extra = LpProblem(n, c, data.draw(st.lists(cut, min_size=1, max_size=3)), bounds=bounds)
+        res, ref = solve_lp(extra, res), full_tableau_solve_lp(extra, ref)
+        assert _summary(res) == _summary(ref)
+
+
+def test_a_child_tableau_is_no_wider_than_its_parent():
+    # rows added to an optimal LP are reduced onto its nonbasic columns, so
+    # every row keeps n entries, its rhs and its scale however deep it goes
+    bounds = [(0, 4), (None, None)]
+    lps = [
+        [((1, 2), LE, 9), ((0, 1), GE, -3)],
+        [((1, -1), EQ, 0), ((1, 0), LE, 3)],
+        [((1, 1), LE, 5), ((0, 1), GE, 1)],
+    ]
+    results = []
+    for rows in lps:
+        parent = results[-1] if results else None
+        results.append(solve_lp(LpProblem(2, [1, 1], rows, bounds=bounds), parent))
+    assert [res.status for res in results] == ["optimal"] * 3
+    assert [res.value for res in results] == [F(13, 2), F(6), F(5)]
+    heights = [len(res.tableau.T) for res in results]
+    assert heights == sorted(heights) and heights[0] < heights[-1]
+    assert {len(row) for res in results for row in res.tableau.T} == {2 + 2}
+
+
+def test_with_rows_shares_what_it_keeps():
+    # a child LP shares n, the objective and the bounds with its parent;
+    # only the rows, and an objective when one is given, are coerced
+    parent = LpProblem(2, [F(1, 2), 1], [((1, 1), LE, 3)], bounds=[(0, None), (None, 2)])
+    child = parent.with_rows([((1, F(-1, 3)), GE, "1/2")])
+    assert child.objective is parent.objective and child.bounds is parent.bounds
+    assert child.rows == [((F(1), F(-1, 3)), GE, F(1, 2))] and len(parent.rows) == 1
+    probe = parent.with_rows([((1, 0), LE, 1)], objective=(0, 1))
+    assert probe.objective == (0, 1) and probe.bounds is parent.bounds
+    res = solve_lp(probe)
+    assert (res.x, res.value) == ((F(0), F(2)), F(2)) and type(res.value) is F
+    with pytest.raises(ValueError):
+        parent.with_rows([((1,), LE, 1)])
+    with pytest.raises(ValueError):
+        parent.with_rows([], objective=(1, 2, 3))
+
+
 def test_warm_rows_cover_equalities_and_infeasible_children():
     # max x + y over the box [0, 4]^2, then x == y as two rows, then a row
     # that the equality leaves no room for
@@ -595,9 +656,9 @@ def test_pivots_count_every_pivot(monkeypatch):
     calls = []
     pivot = lp_module._pivot
 
-    def spy(T, basis, r, c):
-        calls.append((r, c))
-        return pivot(T, basis, r, c)
+    def spy(T, basis, N, r, q):
+        calls.append((r, q))
+        return pivot(T, basis, N, r, q)
 
     monkeypatch.setattr(lp_module, "_pivot", spy)
     # x is free and eliminated on the first row; then y enters in phase 2

@@ -16,6 +16,7 @@ from cdcbranch.formulation import (
     build_general,
     build_moment_curve,
 )
+from cdcbranch import oracle as oracle_module
 from cdcbranch.lp import LpError
 from cdcbranch.oracle import (
     brute_force_optimum,
@@ -95,6 +96,25 @@ def test_check_projection_passes_on_grid():
     fam, _ = grid()
     form = build_moment_curve(fam)
     assert check_projection(form, code_values(form)).ok
+
+
+def test_check_projection_probes_share_their_bounds(monkeypatch):
+    # the bounds are coerced once per formulation; each probe's objective
+    # is a tuple of ints, kept as it is
+    problems = []
+    real = oracle_module.solve_lp
+
+    def spy(problem, parent=None):
+        problems.append(problem)
+        return real(problem, parent)
+
+    monkeypatch.setattr(oracle_module, "solve_lp", spy)
+    fam, _ = grid()
+    form = build_moment_curve(fam)
+    rep = check_projection(form, code_values(form))
+    assert rep.ok and rep.stats["probes"] == len(problems) == len(fam.sets)
+    assert all(p.bounds is problems[0].bounds for p in problems)
+    assert all(type(p.objective) is tuple and {type(c) for c in p.objective} == {int} for p in problems)
 
 
 def test_check_projection_names_each_missing_unit_vector():

@@ -23,6 +23,7 @@ from cdcbranch.oracle import (
     brute_force_optimum_hrep,
     objective_from_vertex_map,
 )
+from cdcbranch import solver as solver_module
 from cdcbranch.solver import SolveError, check_branch_soundness, solve
 
 
@@ -116,6 +117,25 @@ def test_the_root_region_is_built_only_when_the_root_branches():
     rep = solve(build_bigm_moment(pieces), [F(1)], counted("moment"), debug_checks=True)
     assert rep.status == "optimal" and rep.nodes > 1
     assert calls == ["moment"]
+
+
+def test_child_lps_share_the_root_objective_and_bounds(monkeypatch):
+    # every node's LP is the root's with its own rows: the objective and
+    # bounds are coerced once per solve, not once per node
+    problems = []
+    real = solver_module.solve_lp
+
+    def spy(problem, parent=None):
+        problems.append(problem)
+        return real(problem, parent)
+
+    monkeypatch.setattr(solver_module, "solve_lp", spy)
+    pieces = [HRepPiece([[1], [-1]], [i + 1, -i]) for i in range(0, 8, 2)]
+    rep = solve(build_bigm_moment(pieces), [F(1)], "moment")
+    assert rep.status == "optimal" and rep.nodes >= len(problems) > 1
+    root = problems[0]
+    assert all(p.objective is root.objective and p.bounds is root.bounds for p in problems)
+    assert all(len(p.rows) < len(root.rows) for p in problems[1:])
 
 
 def test_pivot_total_is_reported_next_to_nodes_and_stable():
