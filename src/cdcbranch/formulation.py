@@ -31,6 +31,7 @@ from .encodings import (
 from .lp import EQ, LE, LpProblem, solve_lp
 from .numerics import (
     _common_denominator,
+    _integer_rows,
     _nullspace,
     affine_hull,
     format_ratio,
@@ -87,7 +88,8 @@ class TwoSidedRow:
 class AssembledSystem:
     """A flat system over (lam, z) or (x, z) variables: rows (a, rel, rhs)
     and per-variable bounds, both as LpProblem takes them; a formulation's
-    rows are its int numerators.  z is the last r of the nvars variables,
+    rows are its int numerators, and a big-M row is scaled to ints by the
+    lcm of its denominators.  z is the last r of the nvars variables,
     so it starts at nvars - r."""
 
     nvars: int
@@ -454,7 +456,8 @@ class BigMSystem:
 
     def assemble(self):
         nvars = self.m + self.codes.r
-        rows = [(tuple(a_x) + tuple(a_z), LE, rhs) for a_x, a_z, rhs in self.rows]
+        ints = _integer_rows([(*a_x, *a_z, rhs) for a_x, a_z, rhs in self.rows])
+        rows = [(tuple(a), LE, rhs) for *a, rhs in ints]
         return AssembledSystem(nvars, rows, [(None, None)] * nvars, self.codes.r)
 
 
@@ -468,10 +471,10 @@ def build_bigm_moment(pieces):
     d = len(pieces)
     if d < 1:
         raise FormulationError("no pieces")
-    M = compute_bigm(pieces)
     m = pieces[0].m
     if any(p.m != m for p in pieces):
         raise FormulationError("pieces live in different spaces")
+    M = compute_bigm(pieces)
     rows = []
     for i in range(1, d + 1):
         piece = pieces[i - 1]

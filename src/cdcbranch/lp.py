@@ -7,17 +7,19 @@ starts basic on its own slack: a GE row is negated, and an equality is two
 rows, one per side.  A free variable is pivoted in on the first row that
 holds it, and that row is set aside, kept reduced but never left, so x is
 read off the rows and every optimum is a basic solution: a vertex
-whenever the feasible set is a polytope.  Phase 1 is the dual simplex on
-an all-zero objective row, for which the slack basis is dual feasible;
-phase 2 is the primal simplex.  Both use the lowest-index rule on each
-variable's column in the full tableau (variables, then one slack per
-row), so they cannot cycle and take the full tableau's pivots.  An
-optimal result keeps its tableau; solve_lp given that result adds rows
-to its LP the same way, no wider than before, and re-optimizes by the
-same dual simplex, which is how branch and bound solves every node below
-the root.  Vertex enumeration runs the double description method on the
-homogenization of the input system, which keeps the work proportional to
-the actual face structure instead of the number of basis subsets.
+whenever the feasible set is a polytope.  Rows reach an optimal tableau by
+one path: they are added, the free variables they hold are pivoted in, and
+the dual simplex restores feasibility.  A cold solve starts from the empty
+tableau, whose all-zero objective row makes the slack basis dual feasible,
+so this is its phase 1, and the primal simplex is its phase 2.  A warm
+solve starts from an optimal result's tableau and ends no wider, which is
+how branch and bound solves every node below the root.  Both simplex
+methods use the lowest-index rule on each variable's column in the full
+tableau (variables, then one slack per row), so they cannot cycle and take
+the full tableau's pivots.  Vertex enumeration runs the double description
+method on the homogenization of the input system, which keeps the work
+proportional to the actual face structure instead of the number of basis
+subsets.
 
 Both work in Python ints, with Fraction only at their boundary.  The
 simplex scales each standard-form row to coprime integers as it builds
@@ -124,8 +126,9 @@ class _Tableau:
     whose first aside rows hold the eliminated free variables.  A variable
     is known by its column in the full tableau: j for variable j, then one
     slack per standard row, in the order the rows came.  cols maps variable
-    j to that column as (offset, sign), and problem is the LP whose rows T
-    holds, for its n, objective and bounds.
+    j to that column as (offset, sign), and problem is the LP that the
+    first rows came from, for its n, objective and bounds.  A cold solve
+    starts from the empty tableau: row 0 all zero, no basis, N = range(n).
     """
 
     T: list
@@ -280,95 +283,83 @@ def solve_lp(problem, parent=None):
 
     The tableau keeps only the nonbasic columns, n of them in every row, and
     compares variables by their full-tableau columns, so every pivot is the
-    one the full tableau takes.  Without parent the LP is solved cold: its
-    rows enter an empty tableau by _add_rows, free variables are eliminated,
-    and phase 1 is _run_dual on an all-zero row 0, which ends on a feasible
-    basis or on a row that proves the LP infeasible.  The objective is then
-    priced out for phase 2.  parent is an optimal LpResult of an LP with
-    problem's n, objective and bounds; problem.rows are then added to
-    parent's tableau by _add_rows, and _run_dual re-optimizes it.
+    one the full tableau takes.  Cold and warm solves take one path from a
+    starting tableau: _add_rows adds the rows, each free variable still
+    nonbasic is pivoted in on the first row that holds it, and _run_dual
+    ends on a feasible basis or on a row that proves the LP infeasible.  A
+    warm solve starts from parent, an optimal LpResult of an LP with
+    problem's n, objective and bounds, and adds problem.rows.  A cold solve
+    starts from the empty tableau and adds problem.rows, then the bound
+    rows; _run_dual is its phase 1, and it then prices its objective out
+    for _run_simplex.
     """
-    if parent is not None:
+    n = problem.n
+    if parent is None:
+        # Variable j is column j: x_j = offset + sign * column.  A lower
+        # bound gives (lb, 1), an upper bound alone (ub, -1), and a free
+        # variable (0, 1), its 0 a Fraction so that x is a Fraction even
+        # when no row holds the variable.  An upper bound next to a lower
+        # one becomes a row.
+        cols, bound_rows = [], []
+        for j, (lb, ub) in enumerate(problem.bounds):
+            if lb is not None:
+                if ub is not None:
+                    if ub < lb:
+                        return LpResult("infeasible")
+                    bound_rows.append(([int(k == j) for k in range(n)], LE, ub))
+                cols.append((lb, 1))
+            else:
+                cols.append((Fraction(0), 1) if ub is None else (ub, -1))
+        tab = _Tableau([[0] * (n + 2)], [], list(range(n)), 0, cols, problem)
+        rows = problem.rows + bound_rows
+    else:
         tab = parent.tableau
         if tab is None:
             raise ValueError("rows can be added only to an optimal LpResult")
         base = tab.problem
-        if (problem.n, problem.objective, problem.bounds) != (
-            base.n, base.objective, base.bounds,
-        ):
+        if (n, problem.objective, problem.bounds) != (base.n, base.objective, base.bounds):
             raise ValueError("added rows need the parent's n, objective and bounds")
-        T, basis, N = list(tab.T), list(tab.basis), list(tab.N)
-        _add_rows(T, basis, N, problem.rows, tab.cols)
-        status, pivots = _run_dual(T, basis, N, tab.aside)
-        if status == "infeasible":
-            return LpResult("infeasible", pivots=pivots)
-        return _optimum(_Tableau(T, basis, N, tab.aside, tab.cols, base), pivots)
-    n = problem.n
+        rows = problem.rows
+    T, basis, N, aside = list(tab.T), list(tab.basis), list(tab.N), tab.aside
+    _add_rows(T, basis, N, rows, tab.cols)
 
-    # Variable j is column j: x_j = offset + sign * column.  A lower bound
-    # gives (lb, 1), an upper bound alone (ub, -1), and a free variable
-    # (0, 1), its 0 one shared Fraction so that x is a Fraction even when
-    # the variable is held by no row.  An upper bound next to a lower one
-    # becomes an extra row.
-    zero = Fraction(0)
-    cols = []
-    free = []
-    extra_rows = []
-    for j, (lb, ub) in enumerate(problem.bounds):
-        if lb is not None:
-            if ub is not None:
-                if ub < lb:
-                    return LpResult("infeasible")
-                extra_rows.append(([int(k == j) for k in range(n)], LE, ub))
-            cols.append((lb, 1))
-        elif ub is not None:
-            cols.append((ub, -1))
-        else:
-            cols.append((zero, 1))
-            free.append(j)
-    T, basis, N = [[0] * (n + 2)], [], list(range(n))
-    _add_rows(T, basis, N, problem.rows + extra_rows, cols)
-
-    # Each free variable is pivoted on the first row that holds it, and
-    # that row is set aside: moved up to follow the rows set aside before
-    # it, where no ratio test reads it.  The pivots keep it reduced, so no
-    # other row holds the variable and x_j is read off its row.  Before its
-    # own pivot a free variable is nonbasic at column j.
+    # A free variable is pivoted on the first row that holds it, and that
+    # row is set aside: moved up to follow the rows set aside before it,
+    # where no ratio test reads it.  The pivots keep it reduced, so no other
+    # row holds the variable and x_j is read off its row.  A free variable
+    # that no row holds stays nonbasic at 0; its reduced cost is 0 in an
+    # optimal parent, so its pivot leaves row 0 as it is.
+    free = {j for j, bound in enumerate(problem.bounds) if bound == (None, None)}
     pivots = 0
-    aside = 0
-    unheld = []
-    for j in free:
-        i = next((i for i in range(aside + 1, len(T)) if T[i][j] != 0), None)
-        if i is None:
-            unheld.append(j)
-            continue
-        _pivot(T, basis, N, i, j)
-        pivots += 1
-        aside += 1
-        T.insert(aside, T.pop(i))
-        basis.insert(aside - 1, basis.pop(i - 1))
+    for q in range(n):
+        if N[q] in free:
+            i = next((i for i in range(aside + 1, len(T)) if T[i][q] != 0), None)
+            if i is not None:
+                _pivot(T, basis, N, i, q)
+                pivots += 1
+                aside += 1
+                T.insert(aside, T.pop(i))
+                basis.insert(aside - 1, basis.pop(i - 1))
 
-    # Phase 1: row 0 is all zero, so every reduced cost is nonnegative.
     status, done = _run_dual(T, basis, N, aside)
     pivots += done
     if status == "infeasible":
         return LpResult("infeasible", pivots=pivots)
-
-    # Phase 2 objective: the objective row in standard form, priced out on
-    # the rows of its basic variables.
-    c_std = _standard(problem.objective, 0, cols)[0]
-    z = [-c for c in _integer_rows([c_std])[0]]
-    T[0] = _condense([z + [0, 0]], T, basis, N)[0]
-    # a free variable that no row holds, nonbasic at column j since no
-    # pivot can take it, moves the objective both ways
-    if any(T[0][j] != 0 for j in unheld):
-        return LpResult("unbounded", pivots=pivots)
-
-    status, done = _run_simplex(T, basis, N, aside)
-    pivots += done
-    if status == "unbounded":
-        return LpResult("unbounded", pivots=pivots)
-    return _optimum(_Tableau(T, basis, N, aside, cols, problem), pivots)
+    if parent is None:
+        # Phase 2 objective: the objective row in standard form, priced out
+        # on the rows of its basic variables.
+        c_std = _standard(problem.objective, 0, tab.cols)[0]
+        z = [-c for c in _integer_rows([c_std])[0]]
+        T[0] = _condense([z + [0, 0]], T, basis, N)[0]
+        # a free variable that no row holds, which no pivot can take, moves
+        # the objective both ways
+        if any(T[0][q] != 0 for q in range(n) if N[q] in free):
+            return LpResult("unbounded", pivots=pivots)
+        status, done = _run_simplex(T, basis, N, aside)
+        pivots += done
+        if status == "unbounded":
+            return LpResult("unbounded", pivots=pivots)
+    return _optimum(_Tableau(T, basis, N, aside, tab.cols, tab.problem), pivots)
 
 
 def _add_rows(T, basis, N, rows, cols):
@@ -379,8 +370,10 @@ def _add_rows(T, basis, N, rows, cols):
     row is reduced on the rows of its basic structural variables, free ones
     included, and scaled to coprime integers, so the tableau keeps its
     form, its width and its reduced costs; a basic value can be negative,
-    which _run_dual mends.  A row of ints over columns that are neither shifted nor
-    negated needs only its rhs's denominator to be scaled.
+    which _run_dual mends.  A free variable that the row holds and no row
+    before it did stays in its column, for solve_lp to pivot in.  A row of
+    ints over columns that are neither shifted nor negated needs only its
+    rhs's denominator to be scaled.
     """
     plain = not any(offset or sign < 0 for offset, sign in cols)
     new = []

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per shipped guarantee, run with pytest -v."""
 
 import hashlib
+import importlib.util
 import json
+import pathlib
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -273,6 +276,78 @@ def test_build_workload_artifacts_pinned():
     assert got == BUILD_WORKLOAD_SHA256
 
 
+BENCHMARK_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def load_benchmark_module(name, monkeypatch):
+    """benchmark/<name>.py as a module, read in place: workloads.py imports
+    reference as a top-level module, so that name is set for the test."""
+    spec = importlib.util.spec_from_file_location(name, BENCHMARK_DIR / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reports_sha256(reports):
+    """sha256 of the solve reports as JSON, each without its wall_micros."""
+    h = hashlib.sha256()
+    for rep in reports:
+        data = rep.to_json()
+        del data["wall_micros"]
+        h.update((json.dumps(data, sort_keys=True) + "\n").encode())
+    return h.hexdigest()
+
+
+# reports_sha256 of the solve workload's 12 pairings, each under three
+# objectives drawn from random.Random(0) in the workload's range -9..9, and
+# of the union workload's 8 unions in its 4 directions: statuses, points,
+# nodes, pivots and split histograms, frozen.
+SOLVE_WORKLOAD_SHA256 = "7043953c3e09823b143c1bda0c8010d3758bea86f33e94a9485caa6ecbfad78c"
+UNION_WORKLOAD_SHA256 = "d77bcbef81ca948542b2569645bc63180f99c7b8b72eaa4e2abdc10121dc9d4f"
+
+
+def test_solve_workload_reports_pinned():
+    instances = [
+        sos2_family(16),
+        sos2_family(32),
+        annulus_instance("1", "3", 8)[0],
+        grid_triangulation_fixture()[0],
+    ]
+    pairings = []
+    for fam in instances:
+        k = (fam.d - 1).bit_length()
+        pairings += [
+            ("variable", build_general(fam, gray_code(k))),
+            ("moment", build_moment_curve(fam)),
+            ("exotic", build_general(fam, exotic_code(fam.d))),
+        ]
+    rng = random.Random(0)
+    reports = [
+        solve(form, [F(rng.randint(-9, 9)) for _ in range(form.n)], scheme)
+        for _ in range(3)
+        for scheme, form in pairings
+    ]
+    assert reports_sha256(reports) == SOLVE_WORKLOAD_SHA256
+
+
+def test_union_workload_reports_pinned(monkeypatch):
+    load_benchmark_module("reference", monkeypatch)
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    Union = workloads.Union
+    reports = []
+    for j in range(Union.instances):
+        pieces = workloads.union_pieces(random.Random(j), j)
+        system = build_bigm_moment([HRepPiece(A, b) for A, b in pieces])
+        reports += [solve(system, c, "moment") for c in Union.objectives]
+    assert reports_sha256(reports) == UNION_WORKLOAD_SHA256
+
+
+# sha256 of check_projection's stats, probes and pivots, per builder_matrix()
+# formulation in order.
+PROJECTION_STATS_SHA256 = "58a9099dcaf1f301c44ef7b7f9d6fc294d25fc15def577300d1008020b1e18db"
+
+
 def test_every_builder_is_valid_ideal_and_sharp():
     start = time.monotonic()
     matrix = builder_matrix()
@@ -283,6 +358,7 @@ def test_every_builder_is_valid_ideal_and_sharp():
     )
     spent = {kind: 0.0 for kind, _ in checks}
     per_form = []
+    projection_stats = []
     for label, form in matrix:
         form_start = time.monotonic()
         for kind, check in checks:
@@ -290,8 +366,12 @@ def test_every_builder_is_valid_ideal_and_sharp():
             rep = check(form)
             spent[kind] += time.monotonic() - t0
             assert rep.ok, (label, kind, rep.failures[:3])
+            if kind == "projection":
+                projection_stats.append((label, rep.stats))
         per_form.append((time.monotonic() - form_start, label))
     elapsed = time.monotonic() - start
+    stats_json = json.dumps(projection_stats, sort_keys=True).encode()
+    assert hashlib.sha256(stats_json).hexdigest() == PROJECTION_STATS_SHA256
     slowest_time, slowest = max(per_form)
     assert elapsed < 120.0, "%.1fs in total: %s; slowest formulation %s at %.1fs" % (
         elapsed,

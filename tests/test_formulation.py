@@ -3,6 +3,7 @@
 import copy
 import warnings
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -475,6 +476,28 @@ def test_bigm_moment_assemble():
     assert sys.nvars == 3
     assert sys.bounds == [(None, None)] * 3
     assert len(sys.rows) == len(system.rows)
+
+
+def test_bigm_assemble_scales_each_row_to_ints():
+    # the slanted row 2x + y <= 7/2 makes fractional gaps; each assembled
+    # row is its Fraction row times the lcm of that row's denominators
+    p1 = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 1]], [2, 0, 2, 0, F(7, 2)])
+    p2 = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1]], [5, -3, 1, 0])
+    system = build_bigm_moment([p1, p2])
+    rows = system.assemble().rows
+    assert any(x.denominator > 1 for a_x, a_z, rhs in system.rows for x in (*a_x, *a_z, rhs))
+    for (a, rel, rhs), (a_x, a_z, b) in zip(rows, system.rows):
+        assert rel == LE and type(rhs) is int and all(type(x) is int for x in a)
+        full = [F(x) for x in (*a_x, *a_z, b)]
+        scale = lcm(*(x.denominator for x in full))
+        assert list(a) + [rhs] == [x * scale for x in full]
+
+
+def test_bigm_refuses_pieces_of_different_dimension():
+    line = HRepPiece([[1], [-1]], [1, 0])
+    box = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1]], [3, -2, 1, 0])
+    with pytest.raises(FormulationError, match="different spaces"):
+        build_bigm_moment([line, box])
 
 
 def test_with_cuts_pads_each_cut_and_keeps_its_relation():

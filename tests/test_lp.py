@@ -71,6 +71,15 @@ def test_unbounded():
     assert res.status == "unbounded"
 
 
+def test_a_free_variable_that_no_row_holds_is_unbounded_both_ways():
+    # y is free and in no row, so it stays nonbasic at 0: a nonzero
+    # objective entry on it is unbounded whatever its sign
+    rows = [((1, 0), LE, 1)]
+    for c in ((0, 1), (0, -1), (1, F(-1, 2))):
+        assert solve_lp(LpProblem(2, c, rows)).status == "unbounded"
+    assert solve_lp(LpProblem(2, (1, 0), rows)).x == (F(1), F(0))
+
+
 def test_free_variable_with_negative_optimum():
     res = solve_lp(LpProblem(1, [1], [((1,), LE, -5)]))
     assert res.status == "optimal"
@@ -554,14 +563,24 @@ def test_int_rows_solve_as_their_fraction_values(lp):
 @given(bounded_lps(), st.data())
 def test_warm_rows_match_a_cold_solve_of_the_full_list(lp, data):
     # rows added to an optimal LP twice over, by dual simplex from the
-    # parent's tableau, against one cold solve of every row
+    # parent's tableau, against one cold solve of every row.  In some draws
+    # one more free variable, with objective entry 0, is held by no row of
+    # the LP; the first added rows are the first to hold it, and bound it.
     n, c, rows, bounds = lp
+    late = []
+    if data.draw(st.booleans()):
+        rows = [(tuple(a) + (0,), rel, rhs) for a, rel, rhs in rows]
+        c, bounds = tuple(c) + (0,), bounds + [(None, None)]
+        e = (0,) * n + (1,)
+        late = [(e, LE, data.draw(rationals) + 3), (e, GE, data.draw(rationals) - 3)]
+        n += 1
     res = solve_lp(LpProblem(n, c, rows, bounds=bounds))
     assume(res.status == "optimal")
     coeffs = st.lists(rationals, min_size=n, max_size=n).map(tuple)
     cut = st.tuples(coeffs, st.sampled_from((LE, GE, EQ)), rationals)
     for _ in range(2):
-        extra = data.draw(st.lists(cut, min_size=1, max_size=3))
+        extra = late + data.draw(st.lists(cut, min_size=1, max_size=3))
+        late = []
         rows = rows + extra
         res = solve_lp(LpProblem(n, c, extra, bounds=bounds), res)
         cold = solve_lp(LpProblem(n, c, rows, bounds=bounds))
@@ -571,6 +590,18 @@ def test_warm_rows_match_a_cold_solve_of_the_full_list(lp, data):
             return
         assert res.x in enumerate_vertices(n, rows, bounds)
         assert res.value == dot(vec(c), res.x)
+
+
+def test_a_free_variable_first_held_by_added_rows_is_pivoted_in():
+    # x is free and held by no row of the root, so it sits nonbasic at 0;
+    # the added row is the first to hold it and needs it negative
+    p = LpProblem(2, [0, 1], [((0, 1), LE, 1)])
+    root = solve_lp(p)
+    assert (root.status, root.x, root.value) == ("optimal", (F(0), F(1)), F(1))
+    child = solve_lp(p.with_rows([((1, 0), LE, -1)]), root)
+    cold = solve_lp(LpProblem(2, [0, 1], [((0, 1), LE, 1), ((1, 0), LE, -1)]))
+    assert (child.status, child.x, child.value) == ("optimal", (F(-1), F(1)), F(1))
+    assert (cold.status, cold.x, cold.value) == (child.status, child.x, child.value)
 
 
 def _summary(res):
