@@ -8,9 +8,20 @@ checkout, for the run_seconds of the parent's BENCHMARK.json: the parent
 first in even pairs and the change first in odd ones, so a drift in the
 machine's speed falls on both sides alike.  For every end-to-end metric
 there, it prints each side's median and quartiles, the change of the
-medians, the parent's quartile spread (q3 - q1) and the number of pairs in
-which the change did better, by the metric's "better"; then how many runs
-were correct and how many operations failed on each side.  Each run writes
+medians, the parent's quartile spread (q3 - q1), the number of pairs in
+which the change did better, by the metric's "better", and a verdict:
+
+    better      the change did better in at least nine tenths of the pairs,
+                and its median beats the parent's by more than q3 - q1;
+    unresolved  q3 - q1 is wider than the metric's bound, a share of the
+                parent's median, and some change run does not beat every
+                parent run;
+    worse       the change's median is worse than the parent's by more than
+                the bound;
+    no worse    otherwise: the median is inside the bound.
+
+Then it prints how many runs were correct and how many operations failed on
+each side.  Each run writes
 only what benchmark/run.py writes in its own checkout; this script writes
 nothing.
 """
@@ -38,6 +49,24 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(old, new, sign, bound):
+    """The verdict on one metric, by the rules in this module's docstring.
+    old and new are the parent's and the change's values, pair by pair;
+    sign is 1 when lower is better and -1 when higher is; bound is a share
+    of the parent's median."""
+    o1, om, o3 = quartiles(old)
+    gain = sign * (om - quartiles(new)[1])
+    wins = sum(sign * (a - b) > 0 for a, b in zip(old, new))
+    if wins >= 0.9 * len(old) and gain > o3 - o1:
+        return "better"
+    if o3 - o1 > bound * abs(om) and not all(
+            sign * (a - b) > 0 for a in old for b in new):
+        return "unresolved"
+    if -gain > bound * abs(om):
+        return "worse"
+    return "no worse"
+
+
 def summarize(metrics, parent_runs, change_runs):
     """One text line per end-to-end metric of `metrics` (BENCHMARK.json's
     end_to_end list), then the correct and failed counts.  parent_runs and
@@ -54,9 +83,9 @@ def summarize(metrics, parent_runs, change_runs):
         delta = (nm - om) / om * 100 if om else 0.0
         lines.append(
             "%-17s parent %.6g (%.6g-%.6g)  change %.6g (%.6g-%.6g)  %+.1f%%  "
-            "parent q3-q1 %.3g  change better in %d of %d  bound %+.0f%%"
+            "parent q3-q1 %.3g  change better in %d of %d  bound %+.0f%%  %s"
             % (name, om, o1, o3, nm, n1, n3, delta, o3 - o1, wins, pairs,
-               sign * m["bound"] * 100))
+               sign * m["bound"] * 100, verdict(old, new, sign, m["bound"])))
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
         lines.append("%s: %d of %d runs correct, %d of %d operations failed" % (
             side, sum(r["correct"] for r in runs), len(runs),

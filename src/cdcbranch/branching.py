@@ -7,11 +7,10 @@ every split can be audited.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .encodings import EncodingError, exotic_code, is_hole_free, moment_code
 from .lp import EQ, GE, LE, facets_of_hull
-from .numerics import dot, rat, vec
+from .numerics import _integer_rows, dot, vec
 
 
 class BranchError(Exception):
@@ -19,14 +18,16 @@ class BranchError(Exception):
 
 
 class CodeRelaxation:
-    """A region of code space as rows (a, rel, rhs); rel is <=, >=, or ==."""
+    """A region of code space as rows (a, rel, rhs); rel is <=, >=, or ==.
+    Each row is kept as an int tuple a and an int rhs, scaled by its lcm."""
 
     def __init__(self, rows, interval=None):
-        self.rows = []
-        for a, rel, rhs in rows:
+        rows = list(rows)
+        for _, rel, _ in rows:
             if rel not in (LE, GE, EQ):
                 raise BranchError("unknown relation %r" % (rel,))
-            self.rows.append((vec(a), rel, rat(rhs)))
+        ints = _integer_rows([(*a, rhs) for a, _, rhs in rows])
+        self.rows = [(tuple(w[:-1]), rel, w[-1]) for w, (_, rel, _) in zip(ints, rows)]
         self.interval = interval
 
     def contains(self, z):
@@ -88,18 +89,16 @@ def psi(d, l, u):
         raise BranchError("need 1 <= l <= u <= d")
     rows = []
     if l == u:
-        rows.append(((Fraction(1), Fraction(0)), EQ, Fraction(l)))
-        rows.append(((Fraction(0), Fraction(1)), EQ, Fraction(l * l)))
+        rows.append(((1, 0), EQ, l))
+        rows.append(((0, 1), EQ, l * l))
     else:
         for i in range(l, u):
             # z2 - i*i >= (2i+1)(z1 - i)
-            rows.append(
-                ((Fraction(2 * i + 1), Fraction(-1)), LE, Fraction(i * (i + 1)))
-            )
+            rows.append(((2 * i + 1, -1), LE, i * (i + 1)))
         # chord from (l, l*l) to (u, u*u)
-        rows.append(((Fraction(-(l + u)), Fraction(1)), LE, Fraction(-l * u)))
-        rows.append(((Fraction(1), Fraction(0)), GE, Fraction(l)))
-        rows.append(((Fraction(1), Fraction(0)), LE, Fraction(u)))
+        rows.append(((-(l + u), 1), LE, -l * u))
+        rows.append(((1, 0), GE, l))
+        rows.append(((1, 0), LE, u))
     return CodeRelaxation(rows, interval=(l, u))
 
 
@@ -121,8 +120,8 @@ def branch_variable(Q, zhat):
     r = len(zhat)
     for k in range(r):
         if zhat[k].denominator != 1:
-            e = tuple(Fraction(int(i == k)) for i in range(r))
-            lo = Fraction(zhat[k].numerator // zhat[k].denominator)
+            e = tuple(int(i == k) for i in range(r))
+            lo = zhat[k].numerator // zhat[k].denominator
             cuts1 = [(e, LE, lo)]
             cuts2 = [(e, GE, lo + 1)]
             return BranchOutcome.split(
@@ -186,8 +185,8 @@ def branch_exotic(Q, H, zhat):
     if tuple(zhat) in set(codes):
         return BranchOutcome.verify()
     if zhat[0].denominator != 1:
-        e1 = (Fraction(1), Fraction(0))
-        lo = Fraction(zhat[0].numerator // zhat[0].denominator)
+        e1 = (1, 0)
+        lo = zhat[0].numerator // zhat[0].denominator
         cuts1 = [(e1, LE, lo)]
         cuts2 = [(e1, GE, lo + 1)]
         return BranchOutcome.split(
@@ -195,7 +194,7 @@ def branch_exotic(Q, H, zhat):
         )
     levels = _exotic_levels(codes)
     ys = sorted(levels)
-    e2 = (Fraction(0), Fraction(1))
+    e2 = (0, 1)
     if zhat[1] not in levels:
         below = [t for t in ys if t < zhat[1]]
         above = [t for t in ys if t > zhat[1]]

@@ -33,6 +33,7 @@ from .numerics import (
     _common_denominator,
     _integer_rows,
     _nullspace,
+    _scaled,
     affine_hull,
     format_ratio,
     format_rational,
@@ -51,8 +52,9 @@ _LINE_SPAN = "code differences span a line, no hyperplane family exists"
 class TwoSidedRow:
     """lower . lam <= direction . z <= upper . lam as tuples of int numerators
     over one positive int den, divided by their common gcd.  Both sides have
-    right-hand side 0, so den is read only to print the row.  Fraction
-    entries are brought over one den; a float raises TypeError."""
+    right-hand side 0, so den is read only to print the row.  Other entries
+    are brought over one den (numerics._scaled), which reads a 'p/q' string
+    and raises TypeError on a float."""
 
     __slots__ = ("direction", "lower", "upper", "den")
 
@@ -60,10 +62,8 @@ class TwoSidedRow:
         parts = (tuple(direction), tuple(lower), tuple(upper))
         if len(parts[1]) != len(parts[2]):
             raise FormulationError("lower and upper lengths differ")
-        flat = [x for part in parts for x in part]
-        if set(map(type, flat)) != {int}:
-            scale, (flat,) = _common_denominator([vec(flat)])
-            den *= scale
+        scale, flat = _scaled([x for part in parts for x in part])
+        den *= scale
         if type(den) is not int or den < 1:
             raise FormulationError("den must be a positive int")
         g = gcd(den, *flat)
@@ -88,9 +88,9 @@ class TwoSidedRow:
 class AssembledSystem:
     """A flat system over (lam, z) or (x, z) variables: rows (a, rel, rhs)
     and per-variable bounds, both as LpProblem takes them; a formulation's
-    rows are its int numerators, and a big-M row is scaled to ints by the
-    lcm of its denominators.  z is the last r of the nvars variables,
-    so it starts at nvars - r."""
+    rows are its int numerators, and a big-M system's rows are the ints it
+    holds.  z is the last r of the nvars variables, so it starts at
+    nvars - r."""
 
     nvars: int
     rows: list
@@ -99,9 +99,9 @@ class AssembledSystem:
 
     def with_cuts(self, cuts):
         """New system with z-space rows (a_z, rel, rhs) appended: each a_z
-        is padded with Fraction zeros over lam or x, as the schemes' cuts
-        are Fractions, and rel and rhs are kept for LpProblem to coerce."""
-        pad = (Fraction(0),) * (self.nvars - self.r)
+        is padded with int zeros over lam or x, and rel and rhs are kept for
+        LpProblem to coerce."""
+        pad = (0,) * (self.nvars - self.r)
         rows = [(pad + tuple(a_z), rel, rhs) for a_z, rel, rhs in cuts]
         return AssembledSystem(self.nvars, self.rows + rows, self.bounds, self.r)
 
@@ -262,7 +262,7 @@ def _rows_from_normals(family, codes, normals):
     members = [[i - 1 for i in family.members(v)] for v in range(1, family.n + 1)]
     rows = []
     for b in normals:
-        s, (ints,) = _common_denominator([b])
+        s, ints = _scaled(b)
         values = [sum(map(mul, ints, h)) for h in H]
         lower = [min(map(values.__getitem__, ms)) for ms in members]
         upper = [max(map(values.__getitem__, ms)) for ms in members]
@@ -406,11 +406,16 @@ def compute_bigm(pieces):
 
     M[i][s] is the maximum of row s of piece i over every other piece.
     Unbounded maxima raise; empty foreign pieces are skipped with a
-    warning (they never constrain the bound).
+    warning (they never constrain the bound).  Each piece's LpProblem is
+    built once; each bound varies only its objective.
     """
     d = len(pieces)
     if d == 0:
         raise FormulationError("no pieces")
+    lps = [
+        LpProblem(p.m, (0,) * p.m, [(a, LE, b) for a, b in zip(p.A, p.b)])
+        for p in pieces
+    ]
     M = []
     for i, piece in enumerate(pieces):
         row_bounds = []
@@ -419,13 +424,7 @@ def compute_bigm(pieces):
             for k in range(d):
                 if k == i:
                     continue
-                other = pieces[k]
-                prob = LpProblem(
-                    other.m,
-                    piece.A[s],
-                    [(other.A[t], LE, other.b[t]) for t in range(len(other.A))],
-                )
-                res = solve_lp(prob)
+                res = solve_lp(lps[k].with_rows(lps[k].rows, objective=piece.A[s]))
                 if res.status == "unbounded":
                     raise FormulationError(
                         "piece %d is unbounded along a foreign row" % (k + 1,)
@@ -446,18 +445,19 @@ class BigMSystem:
     """A relaxation-based union formulation over (x, z).
 
     Each piece's rows are active exactly when z sits at that piece's code
-    in codes; elsewhere they relax by the precomputed bound.
+    in codes; elsewhere they relax by the precomputed bound.  rows are
+    (a_x, a_z, rhs), meaning a_x . x + a_z . z <= rhs, as int tuples and an
+    int rhs.
     """
 
     def __init__(self, rows, m, codes):
-        self.rows = rows  # (a_x, a_z, rhs) meaning a_x . x + a_z . z <= rhs
+        self.rows = rows
         self.m = m
         self.codes = codes
 
     def assemble(self):
         nvars = self.m + self.codes.r
-        ints = _integer_rows([(*a_x, *a_z, rhs) for a_x, a_z, rhs in self.rows])
-        rows = [(tuple(a), LE, rhs) for *a, rhs in ints]
+        rows = [(a_x + a_z, LE, rhs) for a_x, a_z, rhs in self.rows]
         return AssembledSystem(nvars, rows, [(None, None)] * nvars, self.codes.r)
 
 
@@ -466,7 +466,8 @@ def build_bigm_moment(pieces):
     the system carries them, moment_code(d), as its codes.
 
     The activation weight at code (i, i*i) is i*i - 2*i*z1 + z2, which is
-    zero at the code and a positive integer at every other code.
+    zero at the code and a positive integer at every other code.  Each row
+    is scaled to ints here, once, by the lcm of its denominators.
     """
     d = len(pieces)
     if d < 1:
@@ -482,15 +483,17 @@ def build_bigm_moment(pieces):
             Mis = M[i - 1][s]
             if Mis is None:
                 # single piece: no relaxation needed, row holds outright
-                rows.append((piece.A[s], (Fraction(0), Fraction(0)), piece.b[s]))
+                rows.append((piece.A[s], (0, 0), piece.b[s]))
                 continue
             # a negative gap would tighten the row at foreign codes and
             # cut off their pieces, so it is clamped at zero
             gap = max(Mis - piece.b[s], Fraction(0))
             # A_s . x <= b_s + gap * (i*i - 2*i*z1 + z2)
-            a_z = (Fraction(2 * i) * gap, -gap)
+            a_z = (2 * i * gap, -gap)
             rhs = piece.b[s] + gap * i * i
             rows.append((piece.A[s], a_z, rhs))
     for a_z, rhs in branching.psi(d, 1, d).ineq_rows():
-        rows.append(((Fraction(0),) * m, a_z, rhs))
+        rows.append(((0,) * m, a_z, rhs))
+    ints = _integer_rows([(*a_x, *a_z, rhs) for a_x, a_z, rhs in rows])
+    rows = [(tuple(a[:m]), tuple(a[m:-1]), a[-1]) for a in ints]
     return BigMSystem(rows, m, moment_code(d))

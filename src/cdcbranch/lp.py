@@ -21,19 +21,19 @@ method on the homogenization of the input system, which keeps the work
 proportional to the actual face structure instead of the number of basis
 subsets.
 
-Both work in Python ints, with Fraction only at their boundary.  The
-simplex scales each standard-form row to coprime integers as it builds
-the tableau, prices out its objective rows in integers, and turns column
-values into Fraction only when it reads them.  Double description scales
-its rows to integers on the way in and takes its starting rays from an
-integer nullspace; vertices become Fraction only on the way out, and
-facets are returned as the coprime int rays themselves.  No float enters
-either.
+Both work in Python ints, with Fraction only at their boundary.  LpProblem
+holds each row as ints, scaled once where it takes the row; the simplex
+scales a row again only by its rhs's denominator, which a bound or a
+shifted column can leave, prices out its objective rows in integers, and
+turns column values into Fraction only when it reads them.  Double
+description scales its rows to integers on the way in and takes its
+starting rays from an integer nullspace; vertices become Fraction only on
+the way out, and facets are returned as the coprime int rays themselves.
+No float enters either.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 
 from .numerics import (
@@ -43,7 +43,6 @@ from .numerics import (
     affine_hull,
     independent_rows,
     is_zero_vector,
-    nullspace_basis,
     rat,
     rank,
     vec,
@@ -56,20 +55,14 @@ class LpError(Exception):
     pass
 
 
-def _ints_or_vec(a):
-    """a as it is when it is a tuple of ints, else vec(a)."""
-    if type(a) is tuple and all(map(isinstance, a, repeat(int))):
-        return a
-    return vec(a)
-
-
 class LpProblem:
     """maximize c . x subject to rows (a, rel, rhs) and bounds.
 
     bounds is a list of (lb, ub) pairs per variable, None meaning
     unbounded on that side.  Omitted bounds default to free variables.
-    The objective and each row a are kept as they are when they are tuples
-    of ints; vec makes any other Fractions.
+    Each row is kept as a tuple of ints a and an int rhs, scaled by the lcm
+    of its denominators.  An objective that is a tuple of ints is kept as it
+    is; vec makes any other Fractions.
     """
 
     def __init__(self, n, objective, rows, bounds=None):
@@ -98,21 +91,21 @@ class LpProblem:
         return new
 
     def _objective(self, c):
-        c = _ints_or_vec(c)
+        if type(c) is not tuple or not all(type(x) is int for x in c):
+            c = vec(c)
         if len(c) != self.n:
             raise ValueError("objective length mismatch")
         return c
 
     def _rows(self, rows):
-        out = []
-        for a, rel, rhs in rows:
-            a = _ints_or_vec(a)
+        rows = list(rows)
+        for a, rel, _ in rows:
             if len(a) != self.n:
                 raise ValueError("row length mismatch")
             if rel not in (LE, GE, EQ):
                 raise ValueError("unknown relation %r" % (rel,))
-            out.append((a, rel, rat(rhs)))
-        return out
+        ints = _integer_rows([(*a, rhs) for a, _, rhs in rows])
+        return [(tuple(w[:-1]), rel, w[-1]) for w, (_, rel, _) in zip(ints, rows)]
 
 
 @dataclass
@@ -371,20 +364,18 @@ def _add_rows(T, basis, N, rows, cols):
     included, and scaled to coprime integers, so the tableau keeps its
     form, its width and its reduced costs; a basic value can be negative,
     which _run_dual mends.  A free variable that the row holds and no row
-    before it did stays in its column, for solve_lp to pivot in.  A row of
-    ints over columns that are neither shifted nor negated needs only its
-    rhs's denominator to be scaled.
+    before it did stays in its column, for solve_lp to pivot in.  Each row
+    holds ints, as LpProblem keeps it, but a bound row's rhs and the rhs
+    that a shifted column leaves can be Fractions, so every row is scaled
+    by its rhs's denominator.
     """
     plain = not any(offset or sign < 0 for offset, sign in cols)
     new = []
     for a, rel, rhs in rows:
-        if plain and a and type(a[0]) is int:
-            # LpProblem keeps a row of ints only when every entry is one
-            d = rhs.denominator
-            new.append([x * d for x in a] + [rhs.numerator, d])
-        else:
-            coeffs, r = _standard(a, rhs, cols)
-            new.append(_integer_rows([coeffs + [r, 1]])[0])
+        if not plain:
+            a, rhs = _standard(a, rhs, cols)
+        d = rhs.denominator
+        new.append([x * d for x in a] + [rhs.numerator, d])
     for w, (_, rel, _) in zip(_condense(new, T, basis, N), rows):
         w = _coprime(w)
         if rel != GE:
@@ -542,21 +533,22 @@ def enumerate_vertices(n, rows, bounds=None):
         else:
             hom_eq.append(row)
     for j, (lb, ub) in enumerate(problem.bounds):
-        e = tuple(Fraction(int(k == j)) for k in range(n))
+        e = tuple(int(k == j) for k in range(n))
         if lb is not None:
             hom_ineq.append(tuple(-x for x in e) + (lb,))
         if ub is not None:
             hom_ineq.append(e + (-ub,))
-    hom_ineq.append((Fraction(0),) * n + (Fraction(-1),))
+    hom_ineq.append((0,) * n + (-1,))
 
-    N = nullspace_basis(hom_eq, ncols=n + 1)
-    if not N:
-        return []
-    # Each basis vector is scaled to integers.  A positive scale per vector
+    # The nullspace of the equalities in ints; a zero row stands in for
+    # none, whose nullspace is the unit vectors.  Each basis vector is
+    # nullspace_basis's times a positive int: a positive scale per vector
     # changes neither the rays nor their order, and y = sum of ray entry
     # times basis vector keeps its direction, so every vertex y/t is the
     # same; the rows are projected and the rays combined in ints.
-    N = _integer_rows(N)
+    N = [v for v, _ in _nullspace(hom_eq or [(0,) * (n + 1)])]
+    if not N:
+        return []
     k = len(N)
     G = [
         [sum(a * b for a, b in zip(row, v)) for v in N]

@@ -1,11 +1,12 @@
 """Exact rational linear algebra: ranks, nullspaces, affine hulls.
 
-Everything operates on fractions.Fraction scalars, tuples for vectors,
-and lists/tuples of tuples for matrices.  No floats are accepted; callers
-that start from floating point must convert explicitly.
+Scalars are ints and Fractions, vectors tuples, matrices lists/tuples of
+tuples; no floats are accepted.  Every row is scaled to ints through
+_scaled, the one place that reads an entry's kind.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 
@@ -40,21 +41,6 @@ def vec(values):
     return tuple(rat(x) for x in values)
 
 
-def _int_matrix(M):
-    """M as integer rows, each scaled by the lcm of its denominators.  A
-    row of ints is kept as it is, so int input never becomes Fraction;
-    other entries go through rat, which rejects floats."""
-    out = []
-    for row in M:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-        else:
-            out += _integer_rows([[rat(x) for x in row]])
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged matrix")
-    return out
-
-
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch: %d vs %d" % (len(u), len(v)))
@@ -71,21 +57,39 @@ def is_zero_vector(u):
     return all(a == 0 for a in u)
 
 
+def _scaled(row):
+    """(s, ints): s the lcm of the row's denominators and ints the row times
+    s, a new list.  An int is read as it is and any other entry goes through
+    rat, which reads 'p/q' strings and raises TypeError on a float."""
+    if all(map(isinstance, row, repeat(int))):
+        return 1, list(row)
+    row = list(row)
+    odd = [i for i, x in enumerate(row) if type(x) is not int]
+    for i in odd:
+        row[i] = rat(row[i])
+    s = lcm(*[row[i].denominator for i in odd])
+    if s > 1:
+        return s, [x.numerator * (s // x.denominator) for x in row]
+    for i in odd:
+        row[i] = row[i].numerator
+    return 1, row
+
+
 def _integer_rows(M):
-    """Scale each row of ints and Fractions by the lcm of its denominators;
-    rank is unchanged."""
-    out = []
-    for row in M:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
+    """Each row of M scaled to ints by the lcm of its own denominators, as
+    _scaled reads it; rank is unchanged.  A ragged M raises ValueError."""
+    out = [_scaled(row)[1] for row in M]
+    if len(set(map(len, out))) > 1:
+        raise ValueError("ragged matrix")
     return out
 
 
 def _common_denominator(M):
-    """(den, rows): every entry of M, ints and Fractions, times den, the
-    lcm of all their denominators, as integer rows."""
-    den = lcm(*(x.denominator for row in M for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in M]
+    """(den, rows): every entry of M, read as _scaled reads it, times den,
+    the lcm of all their denominators, as integer rows."""
+    rows = [_scaled(row) for row in M]
+    den = lcm(*(s for s, _ in rows))
+    return den, [[x * (den // s) for x in ints] if s < den else ints for s, ints in rows]
 
 
 def _coprime(row):
@@ -133,7 +137,7 @@ def _bareiss_echelon(rows):
 
 def rank(M):
     """Rank of a rational matrix via fraction-free elimination."""
-    rows = _int_matrix(M)
+    rows = _integer_rows(M)
     if not rows or not rows[0]:
         return 0
     return len(_bareiss_echelon(rows)[1])
@@ -147,7 +151,7 @@ def nullspace_basis(M, ncols=None):
     yields the standard basis of dimension ncols, which must then be
     supplied.
     """
-    rows = _int_matrix(M)
+    rows = _integer_rows(M)
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for a matrix with no rows")
@@ -211,4 +215,4 @@ def independent_rows(M):
     operations keep every linear relation among columns, so these are the
     pivot columns of the fraction-free echelon form of the transpose.
     """
-    return _bareiss_echelon([list(col) for col in zip(*_int_matrix(M))])[1]
+    return _bareiss_echelon([list(col) for col in zip(*_integer_rows(M))])[1]

@@ -18,6 +18,7 @@ from cdcbranch.cdc import (
     grid_triangulation_fixture,
     sos2_family,
 )
+from cdcbranch.cli import main as cli_main
 from cdcbranch.encodings import (
     exotic_code,
     gray_code,
@@ -341,6 +342,30 @@ def test_union_workload_reports_pinned(monkeypatch):
         system = build_bigm_moment([HRepPiece(A, b) for A, b in pieces])
         reports += [solve(system, c, "moment") for c in Union.objectives]
     assert reports_sha256(reports) == UNION_WORKLOAD_SHA256
+
+
+# sha256 of the verify workload's report files, as `cdcbranch verify` writes
+# them through cli.main, each followed by its exit code: the 38 pairings of
+# verify_pairings() in order, then the three SLOW_VERIFY ones, sorted.
+VERIFY_WORKLOAD_SHA256 = "853e905f4420406d12e23caac02e2117f5ffee043682e5b934e784fe4ddf12a4"
+
+
+def test_verify_workload_reports_pinned(monkeypatch, tmp_path):
+    load_benchmark_module("reference", monkeypatch)
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    paths = {}
+    for label, args in workloads.VERIFY_INSTANCES:
+        paths[label] = str(tmp_path / (label + ".json"))
+        assert cli_main(["gen"] + args + ["-o", paths[label]]) == 0
+    pairings = workloads.verify_pairings() + sorted(workloads.SLOW_VERIFY)
+    assert len(pairings) == 41
+    out = tmp_path / "report.json"
+    h = hashlib.sha256()
+    for inst, encoding, builder in pairings:
+        rc = cli_main(["verify", "--instance", paths[inst], "--encoding", encoding,
+                       "--builder", builder, "-o", str(out)])
+        h.update(out.read_bytes() + b"%d\n" % rc)
+    assert h.hexdigest() == VERIFY_WORKLOAD_SHA256
 
 
 # sha256 of check_projection's stats, probes and pivots, per builder_matrix()

@@ -30,7 +30,26 @@ def test_summary_counts_wins_by_each_metrics_direction():
     # parent quartiles of 1..5 are 1.5 and 4.5; the change's median is 2.5
     assert wall.startswith("wall_s") and "parent 3 (1.5-4.5)" in wall
     assert "change 2.5 " in wall and "-16.7%" in wall and "q3-q1 3 " in wall
-    assert "change better in 3 of 5" in wall
-    assert "change better in 2 of 5" in rows
+    assert "change better in 3 of 5" in wall and wall.endswith("unresolved")
+    assert "change better in 2 of 5" in rows and rows.endswith("no worse")
     assert old == "parent: 5 of 5 runs correct, 0 of 50 operations failed"
     assert new == "change: 5 of 5 runs correct, 2 of 50 operations failed"
+
+
+def test_verdict_follows_the_pipeline_rules():
+    verdict = load_script().verdict
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04]
+    # lower is better: every pair better, the median 0.2 below, q3-q1 0.03
+    assert verdict(parent, [0.80, 0.82, 0.81, 0.83, 0.84], 1, 0.24) == "better"
+    # a median 20% worse is inside a 24% bound, 30% worse is past it
+    assert verdict(parent, [1.22, 1.21, 1.20, 1.23, 1.24], 1, 0.24) == "no worse"
+    assert verdict(parent, [1.32, 1.31, 1.30, 1.33, 1.34], 1, 0.24) == "worse"
+    # a parent spread (q3-q1) of 3 on a median of 3 is wider than a 24%
+    # bound: no median settles it unless every change run beats every
+    # parent run, and a gain of 2.5 inside that spread is no claim
+    wide = [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert verdict(wide, [0.9, 2.5, 2.0, 3.0, 6.0], 1, 0.24) == "unresolved"
+    assert verdict(wide, [0.5] * 5, 1, 0.24) == "no worse"
+    # higher is better: the same rules with the sign turned
+    assert verdict(parent, [1.30, 1.32, 1.31, 1.33, 1.34], -1, 0.24) == "better"
+    assert verdict(parent, [0.70, 0.72, 0.71, 0.73, 0.74], -1, 0.24) == "worse"

@@ -18,7 +18,7 @@ from cdcbranch.branching import (
     psi,
 )
 from cdcbranch.encodings import exotic_code, gray_code, moment_code, zigzag_code
-from cdcbranch.lp import GE, LE, enumerate_vertices
+from cdcbranch.lp import EQ, GE, LE, enumerate_vertices
 
 
 def zz(*vals):
@@ -254,6 +254,15 @@ def test_outcome_constructors():
 def test_relaxation_rejects_bad_relation():
     with pytest.raises(BranchError):
         CodeRelaxation([((F(1), F(0)), "<", F(0))])
+
+
+def test_relaxation_holds_int_rows():
+    # each row is scaled by the lcm of its denominators, entries read as rat
+    # reads them; psi writes its rows as ints
+    Q = CodeRelaxation([((F(1, 2), "1/3"), LE, 1), ((2, 4), GE, F(3, 2)), ((1, 0), EQ, 2)])
+    assert Q.rows == [((3, 2), LE, 6), ((4, 8), GE, 3), ((1, 0), EQ, 2)]
+    for region in (Q, psi(5, 2, 4), psi(5, 3, 3)):
+        assert all(type(x) is int for a, _, rhs in region.rows for x in (*a, rhs))
 
 
 def test_relaxation_rejects_a_float_rhs():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cdcbranch.branching import psi
 from cdcbranch.cdc import CdcFamily, HRepPiece, annulus_instance, grid_triangulation_fixture, sos2_family
 from cdcbranch.encodings import EncodingError, Encoding, exotic_code, gray_code, moment_code, zigzag_code
 from cdcbranch.formulation import (
@@ -479,17 +480,26 @@ def test_bigm_moment_assemble():
 
 
 def test_bigm_assemble_scales_each_row_to_ints():
-    # the slanted row 2x + y <= 7/2 makes fractional gaps; each assembled
-    # row is its Fraction row times the lcm of that row's denominators
+    # the slanted row 2x + y <= 7/2 makes fractional gaps; the system holds
+    # each big-M row times the lcm of that row's denominators, as ints, and
+    # assemble() only joins a_x and a_z
     p1 = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 1]], [2, 0, 2, 0, F(7, 2)])
     p2 = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1]], [5, -3, 1, 0])
+    M = compute_bigm([p1, p2])
+    unscaled = []
+    for i, piece in enumerate((p1, p2), start=1):
+        for a, b, bound in zip(piece.A, piece.b, M[i - 1]):
+            gap = max(bound - b, 0)
+            unscaled.append((*a, 2 * i * gap, -gap, b + gap * i * i))
+    unscaled += [(0, 0, *a_z, rhs) for a_z, rhs in psi(2, 1, 2).ineq_rows()]
+    assert any(F(x).denominator > 1 for row in unscaled for x in row)
     system = build_bigm_moment([p1, p2])
     rows = system.assemble().rows
-    assert any(x.denominator > 1 for a_x, a_z, rhs in system.rows for x in (*a_x, *a_z, rhs))
-    for (a, rel, rhs), (a_x, a_z, b) in zip(rows, system.rows):
-        assert rel == LE and type(rhs) is int and all(type(x) is int for x in a)
-        full = [F(x) for x in (*a_x, *a_z, b)]
-        scale = lcm(*(x.denominator for x in full))
+    assert len(rows) == len(system.rows) == len(unscaled)
+    for (a, rel, rhs), (a_x, a_z, b), full in zip(rows, system.rows, unscaled):
+        assert all(type(x) is int for x in (*a_x, *a_z, b))
+        assert (a, rel, rhs) == (a_x + a_z, LE, b)
+        scale = lcm(*(F(x).denominator for x in full))
         assert list(a) + [rhs] == [x * scale for x in full]
 
 

@@ -532,6 +532,70 @@ def test_solve_lp_matches_vertex_enumeration_on_every_bound_kind(lp):
     assert x in verts
 
 
+def _exact_forms(q):
+    """q as a Fraction, as a 'p/q' string and, when it is whole, as an int."""
+    forms = [q, "%d/%d" % (q.numerator, q.denominator)]
+    return st.sampled_from(forms + [int(q)] if q.denominator == 1 else forms)
+
+
+@st.composite
+def open_lps(draw):
+    """An LP with one of the five bound kinds per variable and rows whose
+    entries are ints, Fractions and 'p/q' strings.  No row closes a side
+    that the bounds leave open, so some LPs are unbounded, and some rows
+    leave nothing, so some are infeasible."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    bounds = []
+    for _ in range(n):
+        lo, hi, v = draw(rationals) - 3, draw(rationals) + 3, draw(rationals)
+        kind = draw(st.sampled_from(BOUND_KINDS))
+        bounds.append({"free": (None, None), "lower": (lo, None), "upper only": (None, hi),
+                       "two-sided": (lo, hi), "fixed": (v, v)}[kind])
+    entries = rationals.flatmap(_exact_forms)
+    coeffs = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(st.tuples(coeffs, st.sampled_from((LE, GE, EQ)), entries), max_size=4))
+    return n, draw(st.lists(rationals, min_size=n, max_size=n)), rows, bounds
+
+
+def test_solve_lp_agrees_with_scipy_linprog():
+    # an oracle outside this package, scipy's HiGHS, works in floats: its
+    # values are compared within a tolerance here, and no float reaches
+    # solve_lp.  Feasibility is asked first, with a zero objective, so an
+    # LP that is both infeasible and unbounded reads infeasible on both sides
+    optimize = pytest.importorskip("scipy.optimize")
+
+    @settings(max_examples=200, deadline=None)
+    @given(open_lps())
+    def agrees(lp):
+        n, c, rows, bounds = lp
+        res = solve_lp(LpProblem(n, c, rows, bounds=bounds))
+        ub, eq = ([], []), ([], [])
+        for a, rel, rhs in rows:
+            sign = -1 if rel == GE else 1
+            side = eq if rel == EQ else ub
+            side[0].append([sign * float(F(x)) for x in a])
+            side[1].append(sign * float(F(rhs)))
+        box = [tuple(None if v is None else float(v) for v in b) for b in bounds]
+
+        def linprog(objective):
+            return optimize.linprog(
+                objective, A_ub=ub[0] or None, b_ub=ub[1] or None, A_eq=eq[0] or None,
+                b_eq=eq[1] or None, bounds=box, method="highs")
+
+        feasible = linprog([0.0] * n)
+        assert feasible.status in (0, 2), feasible.message
+        if feasible.status == 2:
+            assert res.status == "infeasible"
+            return
+        ref = linprog([-float(x) for x in c])
+        assert ref.status in (0, 3), ref.message
+        assert res.status == ("optimal" if ref.status == 0 else "unbounded")
+        if ref.status == 0:
+            assert float(res.value) == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
+
+    agrees()
+
+
 @settings(max_examples=200, deadline=None)
 @given(bounded_lps())
 def test_int_rows_solve_as_their_fraction_values(lp):
@@ -545,9 +609,10 @@ def test_int_rows_solve_as_their_fraction_values(lp):
         nums = tuple(x.numerator * (s // x.denominator) for x in full)
         ints.append((nums[:-1], rel, nums[-1]))
     fracs = [(tuple(map(F, a)), rel, F(rhs)) for a, rel, rhs in ints]
-    problem = LpProblem(n, c, ints, bounds=bounds)
-    # an int tuple is kept as it is, with no copy
-    assert all(got[0] is a for got, (a, _, _) in zip(problem.rows, ints))
+    # all three are held as the same int rows
+    held = [LpProblem(n, c, r, bounds=bounds).rows for r in (ints, fracs, rows)]
+    assert held == [ints] * 3
+    assert all(type(x) is int for a, _, rhs in held[1] for x in (*a, rhs))
     results = [solve_lp(LpProblem(n, c, r, bounds=bounds)) for r in (ints, fracs, rows)]
     summaries = [(res.status, res.x, res.value, res.pivots) for res in results]
     assert summaries[0] == summaries[1] == summaries[2]
@@ -653,7 +718,7 @@ def test_with_rows_shares_what_it_keeps():
     parent = LpProblem(2, [F(1, 2), 1], [((1, 1), LE, 3)], bounds=[(0, None), (None, 2)])
     child = parent.with_rows([((1, F(-1, 3)), GE, "1/2")])
     assert child.objective is parent.objective and child.bounds is parent.bounds
-    assert child.rows == [((F(1), F(-1, 3)), GE, F(1, 2))] and len(parent.rows) == 1
+    assert child.rows == [((6, -2), GE, 3)] and len(parent.rows) == 1
     probe = parent.with_rows([((1, 0), LE, 1)], objective=(0, 1))
     assert probe.objective == (0, 1) and probe.bounds is parent.bounds
     res = solve_lp(probe)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,8 @@ from cdcbranch.oracle import (
     brute_force_optimum_hrep,
     objective_from_vertex_map,
 )
+from cdcbranch import lp as lp_module
+from cdcbranch import numerics
 from cdcbranch import solver as solver_module
 from cdcbranch.solver import SolveError, check_branch_soundness, solve
 
@@ -313,3 +316,36 @@ def test_soundness_moment_children_vertices_are_codes():
     rep = check_branch_soundness(sch, enc, sch.root(enc), (F(7, 2), F(35, 2)), outcome=fake)
     assert not rep.ok
     assert any(f["condition"] == "hull" for f in rep.failures)
+
+
+def test_a_bigm_solve_scales_rows_only_in_lp_problem(monkeypatch):
+    # build_bigm_moment holds its rows as ints, fractional gaps included,
+    # so a solve that branches scales each row only where a holder takes
+    # it: LpProblem for the LPs and CodeRelaxation for the scheme's regions.
+    # Neither assemble() nor solve_lp scales a row; solve_lp's one call is
+    # on the root's objective row
+    p1 = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 1]], [2, 0, 2, 0, F(7, 2)])
+    p2 = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1]], [5, -3, 1, 0])
+    p3 = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, 0, 4, -3])
+    system = build_bigm_moment([p1, p2, p3])
+    names = {
+        lp_module.LpProblem._rows.__code__: "LpProblem",
+        CodeRelaxation.__init__.__code__: "CodeRelaxation",
+        lp_module.solve_lp.__code__: "solve_lp",
+    }
+    callers = []
+    for name in ("_integer_rows", "_common_denominator"):
+        real = getattr(numerics, name)
+
+        def spy(M, real=real):
+            code = sys._getframe(1).f_code
+            callers.append(names.get(code, code.co_name))
+            return real(M)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("cdcbranch") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    rep = solve(system, [1, 2], "moment")
+    assert rep.status == "optimal" and rep.nodes == 5
+    assert sorted(set(callers)) == ["CodeRelaxation", "LpProblem", "solve_lp"]
+    assert callers.count("solve_lp") == 1
