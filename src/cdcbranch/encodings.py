@@ -4,16 +4,17 @@ Each constructor returns an Encoding whose codes are rational points in
 convex position (a requirement for the geometric construction to apply).
 The predicates for convex position and hole-freeness both read one
 facet description of the codes' hull, from lp.facets_of_hull, as the
-coprime int rows it returns, and test codes and points against it in
-ints.
+coprime int rows it returns, and test codes, as facet masks, and points
+against it in ints.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import and_, mul
 
 from .lp import facets_of_hull
 from .numerics import (
-    _bareiss_echelon,
     _common_denominator,
     _integer_rows,
     affine_hull,
@@ -122,21 +123,24 @@ def is_convex_position(encoding):
     """True when no code lies in the convex hull of the others.
 
     The codes are distinct, so this holds when each code is a vertex of
-    their hull: the facets tight at it have the rank of all the facets.
-    All of it runs in ints: the codes are scaled to one common
-    denominator den, so facet (a, gamma) is tight at code p when
-    a . (den p) == gamma den, and each rank is read off the fraction-free
-    echelon form of int rows.
+    their hull.  Each facet is kept as its tight mask, one bit per code, as
+    oracle.classify_rows keeps faces: code p is a vertex exactly when the
+    AND of the masks that hold p (every code when none does) is p's bit
+    alone.  All of it runs in ints: the codes are scaled to one common
+    denominator den, so facet (a, gamma) is tight at p when
+    a . (den p) == gamma den.
     """
     H = list(encoding)
     den, P = _common_denominator(H)
-    facets = [(a, gamma * den) for a, gamma in facets_of_hull(H)]
-    full = len(_bareiss_echelon([a for a, _ in facets])[1])
-    for p in P:
-        tight = [a for a, rhs in facets if sum(x * y for x, y in zip(a, p)) == rhs]
-        if len(_bareiss_echelon(tight)[1]) < full:
-            return False
-    return True
+    masks = [
+        sum(1 << j for j, p in enumerate(P) if sum(map(mul, a, p)) == gamma * den)
+        for a, gamma in facets_of_hull(H)
+    ]
+    full = (1 << len(P)) - 1
+    return all(
+        reduce(and_, (m for m in masks if m >> j & 1), full) == 1 << j
+        for j in range(len(P))
+    )
 
 
 def is_hole_free(encoding):

@@ -8,15 +8,18 @@ the general construction takes every hyperplane spanned by code
 differences across overlapping alternatives, the planar one the same
 construction over every pair of codes, and each closed form a fixed
 list: (t, -1) on the moment curve, the unit vectors for the exotic sos2
-codes, and the unit vectors plus a few more for the annulus.
+codes, and the unit vectors plus a few more for the annulus.  Each normal
+reaches the one row constructor, _rows_from_normals, as ints over a scale,
+and the constructor works by columns, in ints.
 """
 
 import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from math import gcd
-from operator import mul
+from operator import add, itemgetter
 
 from . import branching
 from .cdc import CdcFamily, annulus_family, edge_set, sos2_family
@@ -62,12 +65,12 @@ class TwoSidedRow:
         parts = (tuple(direction), tuple(lower), tuple(upper))
         if len(parts[1]) != len(parts[2]):
             raise FormulationError("lower and upper lengths differ")
-        scale, flat = _scaled([x for part in parts for x in part])
+        scale, flat = _scaled(parts[0] + parts[1] + parts[2])
         den *= scale
         if type(den) is not int or den < 1:
             raise FormulationError("den must be a positive int")
         g = gcd(den, *flat)
-        flat = iter([x // g for x in flat])
+        flat = iter([x // g for x in flat] if g > 1 else flat)
         self.direction, self.lower, self.upper = (
             tuple(itertools.islice(flat, len(part))) for part in parts
         )
@@ -227,9 +230,10 @@ def spanned_hyperplane_normals(C, ambient):
     of the distinct directions, together with the orthogonal complement of
     span(C), leaves a one-dimensional nullspace exactly when it spans a
     hyperplane of span(C); that nullspace is the normal.  Normals are
-    returned as Fractions with first nonzero entry 1, deduped in
-    first-seen order.  An empty or all-zero C gives []; a one-dimensional
-    span is rejected since no hyperplane family exists there.
+    returned as pairs (s, b), deduped in first-seen order, with no Fraction:
+    b the coprime int normal and s its first nonzero entry, positive, so
+    b / s has first nonzero entry 1.  An empty or all-zero C gives []; a
+    one-dimensional span is rejected since no hyperplane family exists there.
     """
     ints = _common_denominator(C)[1]
     dirs = list(dict.fromkeys(_direction(c) for c in ints if any(c)))
@@ -245,28 +249,38 @@ def spanned_hyperplane_normals(C, ambient):
         null = _nullspace(list(subset) + complement)
         if len(null) == 1:
             normals[_direction(null[0][0])] = None
-    return [
-        tuple(Fraction(x, next(y for y in b if y)) for x in b) for b in normals
-    ]
+    return [(next(x for x in b if x), b) for b in normals]
 
 
 def _rows_from_normals(family, codes, normals):
-    """One two-sided row per normal b: the coefficients of component v are
-    the least and the greatest b . h over the codes h of the alternatives
-    that hold v.
+    """One two-sided row per normal b / s, given as the pair (s, b) of a
+    positive int and an int vector that numerics._scaled returns: the
+    coefficients of component v are the least and the greatest b . h / s
+    over the codes h of the alternatives that hold v.
 
-    The work is in ints: the codes over their common denominator den, each
-    normal scaled by the lcm s of its own, and the row the ints over s * den.
+    The work is in ints and by columns: the codes over their common
+    denominator den, b . h for every code by one pass per code coordinate,
+    and the values at the r-th member of every component by one itemgetter
+    per rank r, each member list padded with its first member, which moves
+    no extreme.  The row is the ints over s * den.
     """
     den, H = _common_denominator(codes)
     members = [[i - 1 for i in family.members(v)] for v in range(1, family.n + 1)]
+    k = max(map(len, members))
+    ranks = zip(*[ms + ms[:1] * (k - len(ms)) for ms in members])
+    # itemgetter of one index returns the value, not a 1-tuple
+    gets = [itemgetter(*i) if len(i) > 1 else lambda v, i=i: (v[i[0]],) for i in ranks]
+    cols = list(zip(*H))
     rows = []
-    for b in normals:
-        s, ints = _scaled(b)
-        values = [sum(map(mul, ints, h)) for h in H]
-        lower = [min(map(values.__getitem__, ms)) for ms in members]
-        upper = [max(map(values.__getitem__, ms)) for ms in members]
-        rows.append(TwoSidedRow([x * den for x in ints], lower, upper, s * den))
+    for s, b in normals:
+        terms = [map(x.__mul__, col) for x, col in zip(b, cols)]
+        values = list(reduce(partial(map, add), terms))
+        lower = upper = gets[0](values)
+        for get in gets[1:]:
+            held = get(values)
+            lower = [x if x <= y else y for x, y in zip(lower, held)]
+            upper = [x if x >= y else y for x, y in zip(upper, held)]
+        rows.append(TwoSidedRow([x * den for x in b], lower, upper, s * den))
     return rows
 
 
@@ -353,7 +367,7 @@ def build_moment_curve(family):
     d = family.d
     if d < 3:
         raise FormulationError("need at least two alternatives" if d < 2 else _LINE_SPAN)
-    normals = [(t, -1) for t in range(3, 2 * d)]
+    normals = [(1, (t, -1)) for t in range(3, 2 * d)]
     return _formulation(family, moment_code(d), normals, "moment")
 
 
@@ -361,7 +375,7 @@ def build_sos2_exotic(d):
     """Closed-form two-row formulation of consecutive-pair constraints
     using the exotic codes; d must be a positive multiple of 4."""
     family = sos2_family(d)
-    normals = [(1, 0), (0, 1)]
+    normals = [(1, (1, 0)), (1, (0, 1))]
     return _formulation(family, exotic_code(d), normals, "sos2_exotic")
 
 
@@ -398,7 +412,8 @@ def build_annulus(d, kind):
     else:
         raise FormulationError("unknown annulus kind %r" % (kind,))
     units = [tuple(int(i == k) for i in range(enc.r)) for k in range(enc.r)]
-    return _formulation(family, enc, units + extra, "annulus_%s" % kind)
+    normals = list(map(_scaled, units + extra))
+    return _formulation(family, enc, normals, "annulus_%s" % kind)
 
 
 def compute_bigm(pieces):
@@ -407,7 +422,7 @@ def compute_bigm(pieces):
     M[i][s] is the maximum of row s of piece i over every other piece.
     Unbounded maxima raise; empty foreign pieces are skipped with a
     warning (they never constrain the bound).  Each piece's LpProblem is
-    built once; each bound varies only its objective.
+    built once; each bound shares its rows and varies only its objective.
     """
     d = len(pieces)
     if d == 0:

@@ -81,13 +81,13 @@ class LpProblem:
     def with_rows(self, rows, objective=None):
         """This LP with rows in place of its own, and objective in place of
         its own when one is given.  Only what is given is checked and
-        coerced; n, the bounds and a kept objective are shared as they are,
-        so a child LP built this way matches its parent's at no cost."""
+        coerced; n, the bounds, a kept objective and kept rows (this LP's
+        own list) are shared, so a child LP matches its parent's at no cost."""
         new = object.__new__(LpProblem)
         new.n, new.bounds, new.objective = self.n, self.bounds, self.objective
         if objective is not None:
             new.objective = self._objective(objective)
-        new.rows = new._rows(rows)
+        new.rows = self.rows if rows is self.rows else new._rows(rows)
         return new
 
     def _objective(self, c):

@@ -43,7 +43,7 @@ def _failure(where, alternative, component):
 def code_values(form):
     """The code-value table D: D[k][i] = direction_k . h_i, the z part of
     row k at the code of alternative i, from the row's int numerators over
-    the codes' common denominator.
+    the codes' common denominator, an int where whole (so probe rows stay ints).
 
     Every one-sided row has right-hand side 0, so with z fixed at h_i the
     lower side of row k reads lower . lam <= D[k][i] and the upper side
@@ -51,7 +51,8 @@ def code_values(form):
     check_projection.
     """
     den, H = _common_denominator(form.codes)
-    return [[Fraction(sum(map(mul, r.direction, h)), den) for h in H] for r in form.rows]
+    D = [[sum(map(mul, r.direction, h)) for h in H] for r in form.rows]
+    return [[x // den if x % den == 0 else Fraction(x, den) for x in row] for row in D]
 
 
 def check_valid(form, values):

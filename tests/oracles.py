@@ -63,6 +63,14 @@ def in_hull_lp(H, point):
     return lp_feasible(d, rows, bounds=[(0, None)] * d)
 
 
+def convex_position_lp(H):
+    """The LP oracle for convex position: no point of H is a convex
+    combination of the others.  A single point is in convex position."""
+    return len(H) == 1 or not any(
+        in_hull_lp(H[:i] + H[i + 1 :], h) for i, h in enumerate(H)
+    )
+
+
 def canonical_direction(v):
     """Scale a nonzero vector so its first nonzero entry is +1."""
     v = vec(v)

@@ -18,7 +18,7 @@ from cdcbranch.encodings import (
     zigzag_code,
 )
 from cdcbranch.numerics import vec, vec_sub
-from oracles import in_hull_lp, separation_certificates_exotic
+from oracles import convex_position_lp, in_hull_lp, separation_certificates_exotic
 
 F = Fraction
 
@@ -249,10 +249,7 @@ def random_codes(draw):
 @given(random_codes())
 def test_predicates_match_lp_oracle(H):
     enc = Encoding(H)
-    convex = len(H) == 1 or not any(
-        in_hull_lp(H[:i] + H[i + 1 :], h) for i, h in enumerate(H)
-    )
-    assert is_convex_position(enc) == convex
+    assert is_convex_position(enc) == convex_position_lp(H)
     if any(x.denominator != 1 for h in H for x in h):
         with pytest.raises(EncodingError):
             is_hole_free(enc)
@@ -260,3 +257,32 @@ def test_predicates_match_lp_oracle(H):
     box = product(*(range(int(min(c)), int(max(c)) + 1) for c in zip(*H)))
     holes = [p for p in box if p not in H and in_hull_lp(H, p)]
     assert is_hole_free(enc) == (not holes)
+
+
+@st.composite
+def int_point_sets(draw):
+    """Distinct int points in the plane or in 3-d, on a grid of step 12 so
+    that midpoints, centroids of three and centroids of four are ints too.
+    Some of them are added on purpose: a midpoint (collinear with two
+    points), a centroid of three (coplanar with them, inside their
+    triangle) and a centroid of four (inside a tetrahedron).  A third of the
+    3-d sets lie on one plane, and a third of the planar ones on one line."""
+    r = draw(st.sampled_from([2, 3]))
+    base = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r), min_size=1, max_size=6))
+    flat = draw(st.integers(0, 2)) == 0
+    if flat:
+        # the last coordinate a fixed combination of the others
+        coeffs = draw(st.tuples(*[st.integers(-1, 1)] * (r - 1)))
+        base = [p[:-1] + (sum(c * x for c, x in zip(coeffs, p)),) for p in base]
+    P = [tuple(12 * x for x in p) for p in base]
+    for k in draw(st.lists(st.sampled_from([2, 3, 4]), max_size=3)):
+        if len(P) >= k:
+            picks = draw(st.lists(st.sampled_from(P), min_size=k, max_size=k))
+            P.append(tuple(sum(xs) // k for xs in zip(*picks)))
+    return list(dict.fromkeys(P))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_point_sets())
+def test_convex_position_matches_lp_oracle_on_int_points(H):
+    assert is_convex_position(Encoding(H)) == convex_position_lp(H)

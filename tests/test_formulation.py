@@ -3,7 +3,7 @@
 import copy
 import warnings
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +28,7 @@ from cdcbranch.formulation import (
     compute_bigm,
     spanned_hyperplane_normals,
 )
-from cdcbranch.lp import EQ, GE, LE, enumerate_vertices
+from cdcbranch.lp import EQ, GE, LE, LpProblem, enumerate_vertices
 from cdcbranch.numerics import dot, rat, vec
 from oracles import (
     canonical_direction,
@@ -56,13 +56,13 @@ def test_canonical_inequality_scales():
 
 def test_normals_axis_cross():
     C = [vec((1, 0)), vec((-1, 0)), vec((0, 1)), vec((0, -1))]
-    assert spanned_hyperplane_normals(C, 2) == [(0, 1), (1, 0)]
+    assert spanned_hyperplane_normals(C, 2) == [(1, (0, 1)), (1, (1, 0))]
 
 
 def test_normals_unit_basis_r3():
     C = [vec((1, 0, 0)), vec((0, 1, 0)), vec((0, 0, 1))]
     got = set(spanned_hyperplane_normals(C, 3))
-    assert got == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert got == {(1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))}
 
 
 def test_normals_with_doubling_column():
@@ -70,12 +70,12 @@ def test_normals_with_doubling_column():
     C = [vec((1, 0, 0)), vec((0, 1, 0)), vec((0, 0, 1)), vec((4, 2, 1))]
     got = set(spanned_hyperplane_normals(C, 3))
     want = {
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (0, 1, -2),
-        (1, 0, -4),
-        (1, -2, 0),
+        (1, (1, 0, 0)),
+        (1, (0, 1, 0)),
+        (1, (0, 0, 1)),
+        (1, (0, 1, -2)),
+        (1, (1, 0, -4)),
+        (1, (1, -2, 0)),
     }
     assert got == want
 
@@ -131,14 +131,19 @@ def test_int_normals_match_fraction_reference(case):
             spanned_hyperplane_normals(C, r)
         assert str(got.value) == str(exc)
         return
+    # the reference's normals have first nonzero entry 1; times the lcm of
+    # their denominators they are coprime ints with a positive first entry
+    # s, the scale that each comes with
+    want = [as_pair(b) for b in want]
     got = spanned_hyperplane_normals(C, r)
     assert got == want
-    assert all(type(x) is F for b in got for x in b)
+    assert all(type(x) is int for s, b in got for x in (s, *b))
+    assert all(s == next(x for x in b if x) and gcd(*b) == 1 for s, b in got)
 
 
 def test_normals_annihilate_members():
     C = [vec((1, 0, 0)), vec((0, 1, 0)), vec((0, 0, 1)), vec((4, 2, 1))]
-    for b in spanned_hyperplane_normals(C, 3):
+    for _, b in spanned_hyperplane_normals(C, 3):
         hits = sum(1 for c in C if sum(x * y for x, y in zip(b, c)) == 0)
         assert hits >= 2
 
@@ -164,11 +169,18 @@ def family_codes_normals(draw):
     return CdcFamily(n, sets), codes, normals
 
 
-@settings(max_examples=200, deadline=None)
-@given(family_codes_normals())
-def test_rows_from_normals_take_extremes_per_component(case):
-    fam, codes, normals = case
-    rows = _rows_from_normals(fam, codes, normals)
+def as_pair(b):
+    """A rational normal b as the pair (s, ints) that _rows_from_normals
+    takes: s the lcm of b's denominators and ints the vector b * s."""
+    s = lcm(*(F(x).denominator for x in b))
+    return s, tuple(int(x * s) for x in b)
+
+
+def assert_extremes_per_component(fam, codes, normals):
+    """_rows_from_normals against the per-component reference: the row of
+    normal b has direction b and, for each component, the least and the
+    greatest b . h over the codes h of the alternatives that hold it."""
+    rows = _rows_from_normals(fam, codes, [as_pair(b) for b in normals])
     assert len(rows) == len(normals)
     for row, b in zip(rows, normals):
         values = [dot(b, h) for h in codes]
@@ -177,6 +189,43 @@ def test_rows_from_normals_take_extremes_per_component(case):
         assert direction == b
         assert lower == tuple(min(vals) for vals in held)
         assert upper == tuple(max(vals) for vals in held)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_codes_normals())
+def test_rows_from_normals_take_extremes_per_component(case):
+    assert_extremes_per_component(*case)
+
+
+def test_rows_from_normals_of_one_component():
+    # one member rank over one component: itemgetter of one index gives a
+    # value, not a tuple
+    fam = CdcFamily(1, [(1,)])
+    assert_extremes_per_component(fam, [vec((F(1, 2), 3))], [(2, F(-1, 3)), (0, 1)])
+
+
+def test_rows_from_normals_over_one_two_and_three_members():
+    # component 1 is held by one alternative, 2 and 4 by two, 3 by three
+    fam = CdcFamily(4, [(1, 2, 3), (2, 3, 4), (3, 4)])
+    codes = [vec((0, 0)), vec((1, F(1, 2))), vec((3, -1))]
+    assert_extremes_per_component(fam, codes, [(1, 0), (F(2, 3), -1), (-1, 5)])
+
+
+def test_rows_from_normals_zero_normal():
+    fam = CdcFamily(3, [(1, 2), (2, 3), (1, 3)])
+    codes = [vec((0, 0)), vec((1, 0)), vec((0, 1))]
+    assert_extremes_per_component(fam, codes, [(0, 0), (1, 1)])
+    (row,) = _rows_from_normals(fam, codes, [as_pair((0, 0))])
+    assert (row.direction, row.lower, row.upper, row.den) == ((0, 0), (0, 0, 0), (0, 0, 0), 1)
+
+
+def test_rows_from_normals_zigzag_fraction_normal():
+    # the annulus zigzag normal of coordinates 1 and 2: (1/4, -1/2, 0)
+    fam = annulus_instance("1", "3", 8)[0]
+    codes = list(zigzag_code(3))
+    normal = (F(1, 4), F(-1, 2), F(0))
+    assert_extremes_per_component(fam, codes, [normal])
+    assert as_pair(normal) == (4, (1, -2, 0))
 
 
 def test_general_sos2_16_golden_row():
@@ -421,6 +470,20 @@ def test_bigm_errors():
             compute_bigm([p1, empty])
     with pytest.raises(FormulationError):
         compute_bigm([p1, unbounded])
+
+
+def test_bigm_bounds_copy_no_rows(monkeypatch):
+    # each piece's rows become an LpProblem's once; its bounds keep them
+    copied = []
+    real = LpProblem._rows
+    monkeypatch.setattr(LpProblem, "_rows", lambda self, rows: copied.append(len(rows)) or real(self, rows))
+    pieces = [
+        HRepPiece([[1, 0], [-1, 0], [0, 1], [F(-1, 2), -1]], [k + 1, -k, 2, 0])
+        for k in range(3)
+    ]
+    M = compute_bigm(pieces)
+    assert copied == [4, 4, 4]
+    assert M[0] == [3, -1, 2, 0] and M[2] == [2, 0, 2, 0]
 
 
 def slice_at(system, z):

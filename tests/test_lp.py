@@ -723,6 +723,9 @@ def test_with_rows_shares_what_it_keeps():
     assert probe.objective == (0, 1) and probe.bounds is parent.bounds
     res = solve_lp(probe)
     assert (res.x, res.value) == ((F(0), F(2)), F(2)) and type(res.value) is F
+    # the parent's own rows list is shared, not checked and copied again
+    same = parent.with_rows(parent.rows, objective=(1, 0))
+    assert same.rows is parent.rows and same.objective == (1, 0)
     with pytest.raises(ValueError):
         parent.with_rows([((1,), LE, 1)])
     with pytest.raises(ValueError):

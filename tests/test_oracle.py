@@ -13,9 +13,11 @@ from cdcbranch.encodings import Encoding, exotic_code, gray_code
 from cdcbranch.formulation import (
     LinearFormulation,
     TwoSidedRow,
+    build_2d,
     build_general,
     build_moment_curve,
 )
+from cdcbranch import numerics as numerics_module
 from cdcbranch import oracle as oracle_module
 from cdcbranch.lp import LpError
 from cdcbranch.oracle import (
@@ -29,6 +31,7 @@ from cdcbranch.oracle import (
     objective_from_vertex_map,
     relaxation_vertices,
 )
+from cdcbranch.numerics import dot
 from oracles import classify_rows_by_rank
 
 
@@ -115,6 +118,29 @@ def test_check_projection_probes_share_their_bounds(monkeypatch):
     assert rep.ok and rep.stats["probes"] == len(problems) == len(fam.sets)
     assert all(p.bounds is problems[0].bounds for p in problems)
     assert all(type(p.objective) is tuple and {type(c) for c in p.objective} == {int} for p in problems)
+
+
+def test_code_values_are_ints_where_whole(monkeypatch):
+    # a value is an int where it is whole and a Fraction otherwise
+    half = LinearFormulation(
+        2, 1, [TwoSidedRow((2,), (0, 1), (0, 1), 3)],
+        family=CdcFamily(2, [(1,), (2,)]), codes=Encoding([(F(1, 4),), (F(3, 2),)]),
+    )
+    assert [[type(x) for x in row] for row in code_values(half)] == [[F, int]]
+    assert code_values(half) == [[F(1, 2), 3]]
+    # codes with denominators 3 and 5 give whole values, all ints, so no
+    # probe row of check_projection holds a whole Fraction and each takes
+    # the int path of numerics._scaled
+    square = [(F(1, 3), F(2, 5)), (F(4, 3), F(2, 5)), (F(4, 3), F(7, 5)), (F(1, 3), F(7, 5))]
+    form = build_2d(sos2_family(4), Encoding(square))
+    D = code_values(form)
+    assert D == [[dot(r.direction, h) for h in form.codes] for r in form.rows]
+    assert {type(x) for row in D for x in row} == {int}
+    rows = []
+    real = numerics_module._scaled
+    monkeypatch.setattr(numerics_module, "_scaled", lambda row: rows.append(tuple(row)) or real(row))
+    assert check_projection(form, D).ok
+    assert rows and not [r for r in rows if any(type(x) is F for x in r)]
 
 
 def test_check_projection_names_each_missing_unit_vector():
