@@ -9,7 +9,7 @@ every split can be audited.
 from dataclasses import dataclass
 
 from .encodings import EncodingError, exotic_code, is_hole_free, moment_code
-from .lp import EQ, GE, LE, facets_of_hull
+from .lp import EQ, GE, LE
 from .numerics import _integer_rows, dot, vec
 
 
@@ -245,12 +245,10 @@ def branch_exotic(Q, H, zhat):
 
 
 def hull_root(self, encoding):
-    """The facets of the codes' hull, the root region of each scheme that
-    cuts its regions from that hull.  Those classes assign it as `root` in
+    """The encoding's facets, the root region of each scheme that cuts its
+    regions from the codes' hull.  Those classes assign it as `root` in
     their own bodies, so every scheme class holds its `root` itself."""
-    return CodeRelaxation(
-        [(a, LE, rhs) for a, rhs in facets_of_hull(list(encoding))]
-    )
+    return CodeRelaxation([(a, LE, rhs) for a, rhs in encoding.facets])
 
 
 class VariableScheme:

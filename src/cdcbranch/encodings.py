@@ -2,24 +2,20 @@
 
 Each constructor returns an Encoding whose codes are rational points in
 convex position (a requirement for the geometric construction to apply).
-The predicates for convex position and hole-freeness both read one
-facet description of the codes' hull, from lp.facets_of_hull, as the
-coprime int rows it returns, and test codes, as facet masks, and points
-against it in ints.
+An Encoding keeps, once read, its codes as ints over one denominator
+(scaled), their affine hull (equations) and their hull's facets as coprime
+int rows (facets); the predicates for convex position and hole-freeness
+test codes, as facet masks, and points against those facets in ints.
 """
 
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
+from math import lcm
 from operator import and_, mul
 
 from .lp import facets_of_hull
-from .numerics import (
-    _common_denominator,
-    _integer_rows,
-    affine_hull,
-    vec,
-)
+from .numerics import _integer_rows, affine_hull, vec
 
 
 class EncodingError(Exception):
@@ -55,6 +51,23 @@ class Encoding:
 
     def __eq__(self, other):
         return isinstance(other, Encoding) and self.codes == other.codes
+
+    @cached_property
+    def scaled(self):
+        """(den, ints): the codes as int tuples over the lcm of their denominators."""
+        den = lcm(*(x.denominator for h in self for x in h))
+        ints = (tuple(x.numerator * (den // x.denominator) for x in h) for h in self)
+        return den, tuple(ints)
+
+    @cached_property
+    def equations(self):
+        """The codes' affine hull as (a, beta) pairs: a . z == beta."""
+        return affine_hull(self.codes)[0]
+
+    @cached_property
+    def facets(self):
+        """The hull's facets as coprime int rows (a, gamma): a . z <= gamma."""
+        return facets_of_hull(self.codes)
 
 
 def gray_code(r, d=None):
@@ -126,15 +139,14 @@ def is_convex_position(encoding):
     their hull.  Each facet is kept as its tight mask, one bit per code, as
     oracle.classify_rows keeps faces: code p is a vertex exactly when the
     AND of the masks that hold p (every code when none does) is p's bit
-    alone.  All of it runs in ints: the codes are scaled to one common
-    denominator den, so facet (a, gamma) is tight at p when
-    a . (den p) == gamma den.
+    alone.  All of it runs in ints, on the encoding's facets and its codes
+    over their common denominator den (Encoding.scaled), so facet
+    (a, gamma) is tight at p when a . (den p) == gamma den.
     """
-    H = list(encoding)
-    den, P = _common_denominator(H)
+    den, P = encoding.scaled
     masks = [
         sum(1 << j for j, p in enumerate(P) if sum(map(mul, a, p)) == gamma * den)
-        for a, gamma in facets_of_hull(H)
+        for a, gamma in encoding.facets
     ]
     full = (1 << len(P)) - 1
     return all(
@@ -146,30 +158,28 @@ def is_convex_position(encoding):
 def is_hole_free(encoding):
     """True when every integer point of Conv(codes) is itself a code.
 
-    Only defined for integer codes; rejects anything else.  The hull is
-    taken only once the codes' bounding box shows a non-code point; its
-    equations are then scaled to integer rows [a | b], and its facets come
-    as int rows already, so each box point is tested in ints.
+    Only defined for integer codes; rejects anything else.  The encoding's
+    hull is read only once the codes' bounding box shows a non-code point;
+    its equations are then scaled to integer rows [a | b], and its facets
+    are int rows already, so each box point is tested in ints.
     """
-    H = list(encoding)
-    for h in H:
+    for h in encoding:
         if any(x.denominator != 1 for x in h):
             raise EncodingError("hole-freeness is only defined for integer codes")
-    box = [range(int(min(c)), int(max(c)) + 1) for c in zip(*H)]
-    code_set = set(H)
+    box = [range(int(min(c)), int(max(c)) + 1) for c in zip(*encoding)]
+    code_set = set(encoding)
     eqs = None
     for point in product(*box):
         if point in code_set:
             continue
         if eqs is None:
-            eqs = _integer_rows([a + (b,) for a, b in affine_hull(H)[0]])
-            facets = facets_of_hull(H)
+            eqs = _integer_rows([a + (b,) for a, b in encoding.equations])
         # zip stops at the point's end, so a row's last entry b is left out
         on_hull = all(
             sum(x * y for x, y in zip(row, point)) == row[-1] for row in eqs
         )
         if on_hull and all(
-            sum(x * y for x, y in zip(a, point)) <= b for a, b in facets
+            sum(x * y for x, y in zip(a, point)) <= b for a, b in encoding.facets
         ):
             return False
     return True

@@ -33,11 +33,9 @@ from .encodings import (
 )
 from .lp import EQ, LE, LpProblem, solve_lp
 from .numerics import (
-    _common_denominator,
     _integer_rows,
     _nullspace,
     _scaled,
-    affine_hull,
     format_ratio,
     format_rational,
     rat,
@@ -114,7 +112,7 @@ class LinearFormulation:
 
     The weights lam lie on the unit simplex and z is free.  n counts lam
     components including a trailing artificial one when artificial is
-    set; that component is fixed to zero.
+    set; that component is fixed to zero.  codes are kept as an Encoding.
     """
 
     def __init__(
@@ -137,6 +135,8 @@ class LinearFormulation:
         self.hull_equations = [(vec(a), rat(b)) for a, b in hull_equations]
         self.artificial = artificial
         self.family = family
+        if codes is not None and not isinstance(codes, Encoding):
+            codes = Encoding(codes)
         self.codes = codes
         self.meta = dict(meta or {})
 
@@ -226,7 +226,7 @@ def spanned_hyperplane_normals(C, ambient):
     """Normals of all hyperplanes of span(C) spanned by members of C, the
     members being vectors of length ambient, ints or Fractions.
 
-    The work is in ints over C's common denominator.  Each (dim-1)-subset
+    The work is in ints, each member times its own lcm.  Each (dim-1)-subset
     of the distinct directions, together with the orthogonal complement of
     span(C), leaves a one-dimensional nullspace exactly when it spans a
     hyperplane of span(C); that nullspace is the normal.  Normals are
@@ -235,8 +235,7 @@ def spanned_hyperplane_normals(C, ambient):
     b / s has first nonzero entry 1.  An empty or all-zero C gives []; a
     one-dimensional span is rejected since no hyperplane family exists there.
     """
-    ints = _common_denominator(C)[1]
-    dirs = list(dict.fromkeys(_direction(c) for c in ints if any(c)))
+    dirs = list(dict.fromkeys(_direction(c) for c in _integer_rows(C) if any(c)))
     if not dirs:
         return []
     # a normal must be orthogonal to the complement to lie inside span(C)
@@ -258,30 +257,39 @@ def _rows_from_normals(family, codes, normals):
     coefficients of component v are the least and the greatest b . h / s
     over the codes h of the alternatives that hold v.
 
-    The work is in ints and by columns: the codes over their common
-    denominator den, b . h for every code by one pass per code coordinate,
-    and the values at the r-th member of every component by one itemgetter
-    per rank r, each member list padded with its first member, which moves
-    no extreme.  The row is the ints over s * den.
+    The work is in ints and by columns, on codes.scaled, the codes over
+    their common denominator den: b . h for every code by one pass per
+    code coordinate, and the values at the r-th member of every component
+    by one itemgetter per rank r.  Components go most members first, so
+    rank r reads and updates only a prefix, those with more than r
+    members, and a normal costs the total member count.  The row is the
+    ints, back in component order, over s * den.
     """
-    den, H = _common_denominator(codes)
+    den, H = codes.scaled
     members = [[i - 1 for i in family.members(v)] for v in range(1, family.n + 1)]
-    k = max(map(len, members))
-    ranks = zip(*[ms + ms[:1] * (k - len(ms)) for ms in members])
-    # itemgetter of one index returns the value, not a 1-tuple
-    gets = [itemgetter(*i) if len(i) > 1 else lambda v, i=i: (v[i[0]],) for i in ranks]
+    order = sorted(range(family.n), key=lambda v: -len(members[v]))
+    ranks = itertools.zip_longest(*[members[v] for v in order])
+    gets = [_getter([i for i in rank if i is not None]) for rank in ranks]
+    unsort = _getter(sorted(range(family.n), key=order.__getitem__))
     cols = list(zip(*H))
     rows = []
     for s, b in normals:
         terms = [map(x.__mul__, col) for x, col in zip(b, cols)]
         values = list(reduce(partial(map, add), terms))
-        lower = upper = gets[0](values)
+        lower = list(gets[0](values))
+        upper = lower[:]
         for get in gets[1:]:
             held = get(values)
-            lower = [x if x <= y else y for x, y in zip(lower, held)]
-            upper = [x if x >= y else y for x, y in zip(upper, held)]
-        rows.append(TwoSidedRow([x * den for x in b], lower, upper, s * den))
+            lower[: len(held)] = [x if x <= y else y for x, y in zip(lower, held)]
+            upper[: len(held)] = [x if x >= y else y for x, y in zip(upper, held)]
+        direction = [x * den for x in b]
+        rows.append(TwoSidedRow(direction, unsort(lower), unsort(upper), s * den))
     return rows
+
+
+def _getter(indices):
+    """itemgetter of indices, a tuple even of one index."""
+    return itemgetter(*indices) if len(indices) > 1 else lambda v, i=indices[0]: (v[i],)
 
 
 def _formulation(family, enc, normals, builder, padded=None):
@@ -293,12 +301,11 @@ def _formulation(family, enc, normals, builder, padded=None):
     the formulation's.
     """
     work = padded or family
-    hull_eqs, _ = affine_hull(list(enc))
     return LinearFormulation(
         work.n,
         enc.r,
         _rows_from_normals(work, enc, normals),
-        hull_equations=hull_eqs,
+        hull_equations=enc.equations,
         artificial=padded is not None,
         family=family,
         codes=enc,
@@ -334,7 +341,7 @@ def build_general(family, codes):
             family.n + 1, [tuple(T) + (family.n + 1,) for T in family.sets]
         )
         edges, _ = edge_set(padded)
-    H = _common_denominator(enc)[1]
+    H = enc.scaled[1]
     C = [[b - a for a, b in zip(H[i - 1], H[j - 1])] for i, j in edges]
     normals = spanned_hyperplane_normals(C, enc.r)
     return _formulation(family, enc, normals, "general", padded)
@@ -352,7 +359,7 @@ def build_2d(family, codes):
     if enc.r != 2:
         raise FormulationError("planar builder needs 2-dimensional codes")
     enc = _checked_codes(family, enc)
-    H = _common_denominator(enc)[1]
+    H = enc.scaled[1]
     C = [[b - a for a, b in zip(h, k)] for h, k in itertools.combinations(H, 2)]
     return _formulation(family, enc, spanned_hyperplane_normals(C, 2), "2d")
 

@@ -424,8 +424,8 @@ def _dd_extreme_rays(G):
     are the same combination of theirs, so no dot product is recomputed.
     G may hold ints or Fractions; its integer rows reach rank and
     independent_rows as ints, and the starting rays come from one integer
-    nullspace (numerics._nullspace), so no row becomes Fraction.  Rays are returned as coprime tuples of ints.
-    The zero cone yields [].
+    nullspace (numerics._nullspace), so no row becomes Fraction.  Rays are
+    returned as coprime tuples of ints.  The zero cone yields [].
     """
     G = _integer_rows(G)
     m = len(G)

@@ -84,14 +84,6 @@ def _integer_rows(M):
     return out
 
 
-def _common_denominator(M):
-    """(den, rows): every entry of M, read as _scaled reads it, times den,
-    the lcm of all their denominators, as integer rows."""
-    rows = [_scaled(row) for row in M]
-    den = lcm(*(s for s, _ in rows))
-    return den, [[x * (den // s) for x in ints] if s < den else ints for s, ints in rows]
-
-
 def _coprime(row):
     """An integer row divided by the gcd of its entries."""
     g = gcd(*row)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul, neg
 
 from .lp import EQ, LE, LpError, LpProblem, enumerate_vertices, solve_lp
-from .numerics import _common_denominator, dot, vec
+from .numerics import _integer_rows, dot, vec
 
 
 @dataclass
@@ -42,15 +42,15 @@ def _failure(where, alternative, component):
 
 def code_values(form):
     """The code-value table D: D[k][i] = direction_k . h_i, the z part of
-    row k at the code of alternative i, from the row's int numerators over
-    the codes' common denominator, an int where whole (so probe rows stay ints).
+    row k at the code of alternative i, from the row's int numerators and
+    the codes' Encoding.scaled, an int where whole (so probe rows stay ints).
 
     Every one-sided row has right-hand side 0, so with z fixed at h_i the
     lower side of row k reads lower . lam <= D[k][i] and the upper side
     -upper . lam <= -D[k][i].  verify builds D once for check_valid and
     check_projection.
     """
-    den, H = _common_denominator(form.codes)
+    den, H = form.codes.scaled
     D = [[sum(map(mul, r.direction, h)) for h in H] for r in form.rows]
     return [[x // den if x % den == 0 else Fraction(x, den) for x in row] for row in D]
 
@@ -172,10 +172,10 @@ def classify_rows(form, vertices):
     """
     if not vertices:
         raise LpError("empty relaxation cannot be classified")
-    # the vertices in ints over one common denominator, each kept as its
-    # nonzero (column, value) pairs; a one-sided row, right-hand side 0, is
-    # tight at v when a . v == 0 in ints, and a bound lam_c >= 0 when v_c == 0
-    V = _common_denominator(vertices)[1]
+    # each vertex in ints by its own lcm (a positive scale moves no zero),
+    # kept as its nonzero (column, value) pairs; a one-sided row, right-hand
+    # side 0, is tight at v when a . v == 0, and a bound lam_c >= 0 when v_c == 0
+    V = _integer_rows(vertices)
     support = [[(c, x) for c, x in enumerate(v) if x] for v in V]
     one_sided = form.one_sided()
     tight = [[not sum(a[c] * x for c, x in nz) for nz in support] for _, a, _ in one_sided]

@@ -1,12 +1,17 @@
 """Unit tests for the code families and their structural predicates."""
 
+import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdcbranch import lp
+from cdcbranch.branching import make_scheme
+from cdcbranch.cdc import sos2_family
 from cdcbranch.encodings import (
     Encoding,
     EncodingError,
@@ -17,6 +22,7 @@ from cdcbranch.encodings import (
     moment_code,
     zigzag_code,
 )
+from cdcbranch.formulation import build_general
 from cdcbranch.numerics import vec, vec_sub
 from oracles import convex_position_lp, in_hull_lp, separation_certificates_exotic
 
@@ -170,6 +176,65 @@ def test_hole_free_families():
     assert is_hole_free(zigzag_code(3))
     assert is_hole_free(moment_code(2))
     assert not is_hole_free(moment_code(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda r: st.lists(
+            st.tuples(*[st.fractions(-9, 9, max_denominator=12)] * r),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+)
+def test_scaled_codes_round_trip(points):
+    # the codes as ints over den give each code back, and den is the least
+    # such scale: no prime divides den and every int
+    den, ints = Encoding(points).scaled
+    assert all(type(x) is int for x in (den, *(x for h in ints for x in h)))
+    assert [tuple(Fraction(x, den) for x in h) for h in ints] == [vec(p) for p in points]
+    assert gcd(den, *(x for h in ints for x in h)) == 1
+
+
+def spy_facets_of_hull(monkeypatch):
+    """The codes of each facets_of_hull call, in order, through every
+    package module that holds the function."""
+    calls = []
+    real = lp.facets_of_hull
+
+    def spy(points):
+        calls.append(tuple(points))
+        return real(points)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cdcbranch") and (
+            getattr(module, "facets_of_hull", None) is real
+        ):
+            monkeypatch.setattr(module, "facets_of_hull", spy)
+    return calls
+
+
+def test_an_encoding_takes_its_hull_once(monkeypatch):
+    # convex position in build_general, the scheme root and the hole test
+    # all read the facets that the encoding keeps
+    calls = spy_facets_of_hull(monkeypatch)
+    fam = sos2_family(8)
+    zigzag, exotic = zigzag_code(3), exotic_code(8)
+    for _ in range(2):
+        build_general(fam, zigzag)
+        build_general(fam, exotic)
+        make_scheme("variable").root(zigzag)
+        make_scheme("exotic").root(exotic)
+        assert is_hole_free(zigzag)
+    assert calls == [zigzag.codes, exotic.codes]
+
+
+def test_hole_free_takes_no_hull_when_the_codes_fill_their_box(monkeypatch):
+    calls = spy_facets_of_hull(monkeypatch)
+    assert is_hole_free(gray_code(3))
+    assert calls == []
 
 
 def test_hole_free_rejects_fractional_codes():

@@ -164,7 +164,7 @@ def family_codes_normals(draw):
         sets[v % d].add(v)
     assume(len({frozenset(T) for T in sets}) == d)
     vector = st.tuples(*[small_rational] * r)
-    codes = draw(st.lists(vector, min_size=d, max_size=d))
+    codes = draw(st.lists(vector, min_size=d, max_size=d, unique=True))
     normals = draw(st.lists(vector, min_size=1, max_size=4))
     return CdcFamily(n, sets), codes, normals
 
@@ -179,8 +179,9 @@ def as_pair(b):
 def assert_extremes_per_component(fam, codes, normals):
     """_rows_from_normals against the per-component reference: the row of
     normal b has direction b and, for each component, the least and the
-    greatest b . h over the codes h of the alternatives that hold it."""
-    rows = _rows_from_normals(fam, codes, [as_pair(b) for b in normals])
+    greatest b . h over the codes h of the alternatives that hold it.
+    Returns the rows."""
+    rows = _rows_from_normals(fam, Encoding(codes), [as_pair(b) for b in normals])
     assert len(rows) == len(normals)
     for row, b in zip(rows, normals):
         values = [dot(b, h) for h in codes]
@@ -189,6 +190,7 @@ def assert_extremes_per_component(fam, codes, normals):
         assert direction == b
         assert lower == tuple(min(vals) for vals in held)
         assert upper == tuple(max(vals) for vals in held)
+    return rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,11 +213,24 @@ def test_rows_from_normals_over_one_two_and_three_members():
     assert_extremes_per_component(fam, codes, [(1, 0), (F(2, 3), -1), (-1, 5)])
 
 
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_rows_from_normals_of_a_disconnected_family(d):
+    # build_general appends an artificial component to every alternative
+    # of a disconnected family, so one component has d members and every
+    # other one has one
+    fam = CdcFamily(2 * d, [(2 * i - 1, 2 * i) for i in range(1, d + 1)])
+    form = build_general(fam, moment_code(d))
+    assert form.artificial and form.n == 2 * d + 1
+    padded = CdcFamily(2 * d + 1, [T + (2 * d + 1,) for T in fam.sets])
+    normals = [row_values(row)[0] for row in form.rows]
+    assert assert_extremes_per_component(padded, list(moment_code(d)), normals) == form.rows
+
+
 def test_rows_from_normals_zero_normal():
     fam = CdcFamily(3, [(1, 2), (2, 3), (1, 3)])
     codes = [vec((0, 0)), vec((1, 0)), vec((0, 1))]
     assert_extremes_per_component(fam, codes, [(0, 0), (1, 1)])
-    (row,) = _rows_from_normals(fam, codes, [as_pair((0, 0))])
+    (row,) = _rows_from_normals(fam, Encoding(codes), [as_pair((0, 0))])
     assert (row.direction, row.lower, row.upper, row.den) == ((0, 0), (0, 0, 0), (0, 0, 0), 1)
 
 

@@ -334,17 +334,16 @@ def test_a_bigm_solve_scales_rows_only_in_lp_problem(monkeypatch):
         lp_module.solve_lp.__code__: "solve_lp",
     }
     callers = []
-    for name in ("_integer_rows", "_common_denominator"):
-        real = getattr(numerics, name)
+    real = numerics._integer_rows
 
-        def spy(M, real=real):
-            code = sys._getframe(1).f_code
-            callers.append(names.get(code, code.co_name))
-            return real(M)
+    def spy(M):
+        code = sys._getframe(1).f_code
+        callers.append(names.get(code, code.co_name))
+        return real(M)
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("cdcbranch") and getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, spy)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cdcbranch") and getattr(module, "_integer_rows", None) is real:
+            monkeypatch.setattr(module, "_integer_rows", spy)
     rep = solve(system, [1, 2], "moment")
     assert rep.status == "optimal" and rep.nodes == 5
     assert sorted(set(callers)) == ["CodeRelaxation", "LpProblem", "solve_lp"]
