@@ -34,6 +34,7 @@ from .formulation import (
 from .numerics import format_rational, rat
 from .oracle import (
     brute_force_optimum,
+    certified_vertices,
     check_ideal,
     check_projection,
     check_valid,
@@ -197,13 +198,15 @@ def cmd_solve(args):
 def cmd_verify(args):
     family, _, meta = _load_instance(args.instance)
     form = _build(family, meta, args.encoding, args.builder)
-    # the two tables the checks read, each computed once
-    values, vertices = code_values(form), relaxation_vertices(form)
-    reports = (
-        check_valid(form, values),
-        check_ideal(form, vertices),
-        check_projection(form, values),
-    )
+    # the two tables the checks read, each computed once: the vertices are
+    # the embedding points when the certificate proves it, and come from
+    # double description of the relaxation only when it does not
+    values = code_values(form)
+    valid = check_valid(form, values)
+    vertices = certified_vertices(form, valid)
+    if vertices is None:
+        vertices = relaxation_vertices(form)
+    reports = (valid, check_ideal(form, vertices), check_projection(form, values))
     out = {rep.kind: rep.to_json() for rep in reports}
     out["row_classes"] = Counter(e["class"] for e in classify_rows(form, vertices))
     out["rows"] = 2 * len(form.rows)

@@ -35,6 +35,7 @@ No float enters either.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .numerics import (
     _coprime,
@@ -44,7 +45,6 @@ from .numerics import (
     independent_rows,
     is_zero_vector,
     rat,
-    rank,
     vec,
 )
 
@@ -422,10 +422,11 @@ def _dd_extreme_rays(G):
     same.  Each ray carries its values against all rows: a new ray is a
     positive combination of two old ones, divided by a gcd, and its values
     are the same combination of theirs, so no dot product is recomputed.
-    G may hold ints or Fractions; its integer rows reach rank and
-    independent_rows as ints, and the starting rays come from one integer
-    nullspace (numerics._nullspace), so no row becomes Fraction.  Rays are
-    returned as coprime tuples of ints.  The zero cone yields [].
+    G may hold ints or Fractions; its integer rows reach independent_rows
+    as ints, and the starting rays come from one integer nullspace
+    (numerics._nullspace), so no row becomes Fraction.  Rays are returned
+    as coprime tuples of ints.  The zero cone yields [], and a cone that
+    is not pointed (G of lower column rank) raises LpError.
     """
     G = _integer_rows(G)
     m = len(G)
@@ -440,7 +441,7 @@ def _dd_extreme_rays(G):
     start = _nullspace([G[i] + [int(i == j) for j in base_idx] for i in base_idx])
     rays = [tuple(_coprime(v[:k])) for v, _ in start]
     # vals[j][i] is row i of G applied to ray j
-    vals = [[sum(a * b for a, b in zip(g, r)) for g in G] for r in rays]
+    vals = [[sum(map(mul, g, r)) for g in G] for r in rays]
 
     # masks track which processed rows are tight at each ray
     bit = {row_i: (1 << pos) for pos, row_i in enumerate(base_idx)}
@@ -549,42 +550,41 @@ def enumerate_vertices(n, rows, bounds=None):
     N = [v for v, _ in _nullspace(hom_eq or [(0,) * (n + 1)])]
     if not N:
         return []
-    k = len(N)
     G = [
         [sum(a * b for a, b in zip(row, v)) for v in N]
         for row in _integer_rows(hom_ineq)
     ]
     G = [row for row in G if not is_zero_vector(row)]
-    if not G or rank(G) < k:
+    try:
+        # _dd_extreme_rays raises LpError when the cone is not pointed, so
+        # one elimination both tests it and starts the rays
+        rays = _dd_extreme_rays(G) if G else None
+    except LpError:
+        rays = None
+    if rays is None:
         # Lineality present: the set is empty or contains a line.
         if solve_lp(problem).status == "optimal":
             raise LpError("feasible set is unbounded")
         return []
 
-    rays = _dd_extreme_rays(G)
-    vertices = []
+    # each vertex as its coprime int (y, t), t > 0: two are the same vertex
+    # exactly when these are equal, so duplicates go before any Fraction
+    seen = {}
     unbounded_dir = False
     for r in rays:
         y = [sum(c * v[i] for c, v in zip(r, N)) for i in range(n + 1)]
         t = y[n]
         if t > 0:
-            vertices.append(tuple(Fraction(y[i], t) for i in range(n)))
+            seen.setdefault(tuple(_coprime(y)), None)
         elif t < 0:
             raise LpError("homogenization produced a negative-t ray")
-        else:
-            if not is_zero_vector(y):
-                unbounded_dir = True
-    if vertices and unbounded_dir:
-        raise LpError("feasible set is unbounded")
-    if not vertices and unbounded_dir:
+        elif not is_zero_vector(y):
+            unbounded_dir = True
+    if unbounded_dir:
+        if seen:
+            raise LpError("feasible set is unbounded")
         return []
-    seen = set()
-    out = []
-    for v in vertices:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return [tuple(Fraction(x, y[n]) for x in y[:n]) for y in seen]
 
 
 def facets_of_hull(points):

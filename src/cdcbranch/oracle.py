@@ -2,22 +2,28 @@
 
 Nothing here trusts the builders.  The checks read two tables, each
 computed once per formulation: the code-value table (code_values), each
-row's z part at each code, and the relaxation's vertices by double
-description (relaxation_vertices).  Validity is checked point by point
-against the embedding from the first, and the projection property by
-exact LP probes on every slice, each an LP in lam alone with z fixed at
-a code.  Idealness and the facet census, read off vertex-row
-incidences, come from the second.  These are the referees the rest of
-the package answers to.
+row's z part at each code, and the relaxation's vertices.  Validity is
+checked point by point against the embedding from the first, and the
+projection property by exact LP probes on every slice, each an LP in lam
+alone with z fixed at a code.  Idealness and the facet census, read off
+vertex-row incidences, come from the second.  The vertices are the
+embedding points (embedding_points) when a certificate proves the
+relaxation to be their hull (certified_vertices): double description of
+the few points, not of the relaxation, gives the hull's facets, and each
+must be the face of a row or a bound.  Only when it fails is the
+relaxation enumerated, by double description (relaxation_vertices).
+These are the referees the rest of the package answers to.
 """
 
 import warnings
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from operator import mul, neg
+from functools import partial, reduce
+from itertools import chain
+from operator import add, mul, neg
 
-from .lp import EQ, LE, LpError, LpProblem, enumerate_vertices, solve_lp
-from .numerics import _integer_rows, dot, vec
+from .lp import EQ, LE, LpError, LpProblem, _dd_extreme_rays, enumerate_vertices, solve_lp
+from .numerics import _integer_rows, dot, independent_rows, rank, vec
 
 
 @dataclass
@@ -76,11 +82,78 @@ def check_valid(form, values):
     return VerificationReport("valid", not failures, failures, {"points": points})
 
 
+def embedding_points(form):
+    """The embedding points (e_v, h_i), v in T^i, as int points over (lam, z).
+
+    Each is the point times den, the codes' common denominator
+    (Encoding.scaled): den e_v, then the code's ints.  The artificial
+    component is in no T^i, so it holds no point and reads 0 in every
+    one.  Every one-sided row has right-hand side 0, so the scale moves no
+    tight set.
+    """
+    den, H = form.codes.scaled
+    points = []
+    for T, h in zip(form.family.sets, H):
+        for v in T:
+            lam = [0] * form.n
+            lam[v - 1] = den
+            points.append(tuple(lam) + h)
+    return points
+
+
+def certified_vertices(form, valid):
+    """The relaxation's vertices, as Fraction tuples, when a certificate
+    proves them to be the embedding points; None when it does not.
+
+    valid is check_valid(form, ...), which proves Q, the hull of the
+    embedding points, inside the relaxation P.  A polytope is its affine
+    hull and its facets (Ziegler, Lectures on Polytopes, ch. 2), so P = Q
+    when P lies in Q's affine hull and each facet of Q is the face of a
+    one-sided row or a bound lam_c >= 0.  The certificate checks both.
+
+    - Affine hull.  Q lies in the solution set of P's equations (the hull
+      equations, the simplex row and an artificial lam_n = 0), so the two
+      are equal when their dimensions are.  When Q spans less, as it may
+      for a disconnected family, the certificate does not hold, and the
+      relaxation is enumerated instead.
+    - Facets.  Double description on one row (U p, -1) per point p, U a
+      basis of the point differences, puts the points in their affine
+      hull's own coordinates; each ray with a nonzero U part is a facet,
+      known by the points where it is tight.  Q is full-dimensional in its
+      affine hull, so a valid inequality holds that facet exactly when its
+      tight mask (_tight_masks) is the facet's.
+    """
+    if not valid.ok:
+        return None
+    n, r, den = form.n, form.r, form.codes.scaled[0]
+    points = embedding_points(form)
+    p0 = points[0]
+    diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
+    U = [diffs[i] for i in independent_rows(diffs)]
+    equations = [(0,) * n + a for a, _ in form.hull_equations] + [(1,) * n + (0,) * r]
+    if form.artificial:
+        equations.append((0,) * (n - 1) + (1,) + (0,) * r)
+    if len(U) < n + r - rank(equations):
+        return None
+    G = [[sum(map(mul, u, p)) for u in U] + [-1] for p in points]
+    masks = set(_tight_masks(form.one_sided(), n, points))
+    for ray in _dd_extreme_rays(G):
+        if any(ray[:-1]):
+            tight = sum(1 << j for j, g in enumerate(G) if not sum(map(mul, g, ray)))
+            if tight not in masks:
+                return None
+    # each distinct entry becomes a Fraction once
+    exact = {x: Fraction(x, den) for x in set(chain.from_iterable(points))}
+    return [tuple(map(exact.__getitem__, p)) for p in points]
+
+
 def relaxation_vertices(form):
     """The vertices of the relaxation over (lam, z), by double description.
 
-    Raises LpError when the relaxation is unbounded.  check_ideal and
-    classify_rows both read this list, so it is enumerated once.
+    Raises LpError when the relaxation is unbounded.  verify enumerates
+    the relaxation only when certified_vertices fails, and then once, for
+    check_ideal and classify_rows; the tests keep it as the certificate's
+    reference.
     """
     sys = form.assemble()
     return enumerate_vertices(sys.nvars, sys.rows, sys.bounds)
@@ -89,7 +162,11 @@ def relaxation_vertices(form):
 def check_ideal(form, vertices):
     """Every vertex of the relaxation must carry a code in its z part.
 
-    vertices is relaxation_vertices(form).
+    vertices is certified_vertices(form, ...) when that certificate holds:
+    the embedding points, each at a code.  Otherwise it is
+    relaxation_vertices(form).  Both are Fraction tuples, and when both
+    exist they hold the same vertices, so the report does not depend on
+    which one it read.
     """
     code_set = set(tuple(h) for h in form.codes)
     failures = [
@@ -160,28 +237,22 @@ def check_projection(form, values):
 def classify_rows(form, vertices):
     """Classify each one-sided row as facet, tight-nonfacet, or never-tight.
 
-    vertices is relaxation_vertices(form), the vertices of a polytope, so
-    each face is known by its tight mask: one bit per vertex it holds.
-    The masks come from the one-sided rows and the bounds lam_v >= 0; the
-    equations hold everywhere.  A facet is a maximal proper face, and it
-    is the face of some row or bound, so a row is a facet when its mask
-    is proper (neither empty nor every vertex) and lies strictly inside
-    no other proper mask; never-tight when its mask is empty, and
+    vertices is the list check_ideal reads, the vertices of a polytope, so
+    each face is known by its tight mask (_tight_masks): one bit per vertex
+    it holds.  The masks come from the one-sided rows and the bounds
+    lam_v >= 0; the equations hold everywhere.  A facet is a maximal proper
+    face, and it is the face of some row or bound, so a row is a facet when
+    its mask is proper (neither empty nor every vertex) and lies strictly
+    inside no other proper mask; never-tight when its mask is empty, and
     tight-nonfacet otherwise.  The artificial component's bound (0, 0)
     holds at every vertex, so its mask is never proper.
     """
     if not vertices:
         raise LpError("empty relaxation cannot be classified")
-    # each vertex in ints by its own lcm (a positive scale moves no zero),
-    # kept as its nonzero (column, value) pairs; a one-sided row, right-hand
-    # side 0, is tight at v when a . v == 0, and a bound lam_c >= 0 when v_c == 0
-    V = _integer_rows(vertices)
-    support = [[(c, x) for c, x in enumerate(v) if x] for v in V]
+    # each vertex in ints by its own lcm: a positive scale moves no zero
     one_sided = form.one_sided()
-    tight = [[not sum(a[c] * x for c, x in nz) for nz in support] for _, a, _ in one_sided]
-    tight += [[not v[c] for v in V] for c in range(form.n)]
-    masks = [sum(1 << j for j, t in enumerate(ts) if t) for ts in tight]
-    full = (1 << len(V)) - 1
+    masks = _tight_masks(one_sided, form.n, _integer_rows(vertices))
+    full = (1 << len(vertices)) - 1
     proper = {m for m in masks if m and m != full}
     out = []
     for ((row, side), a, rhs), m in zip(one_sided, masks):
@@ -193,6 +264,25 @@ def classify_rows(form, vertices):
             cls = "tight-nonfacet"
         out.append({"row": row, "side": side, "class": cls, "coeffs": a, "rhs": rhs})
     return out
+
+
+def _tight_masks(one_sided, n, V):
+    """The tight mask over V of each one-sided row (form.one_sided()), then
+    of each bound lam_c >= 0, c < n: bit j is set when the row or bound
+    holds at V[j] with equality.  V holds int points over (lam, z).  A
+    one-sided row has right-hand side 0, so it is tight at v when a . v
+    == 0, and a bound when v_c == 0.  The work is by columns: a . v for
+    every row at once, as the sum over v's nonzero entries x of x times
+    that column of the rows; every point of the relaxation has lam on the
+    simplex, so a nonzero entry."""
+    cols = [[a[c] for _, a, _ in one_sided] for c in range(len(V[0]))]
+    masks = [0] * len(one_sided)
+    for j, v in enumerate(V):
+        terms = [map(x.__mul__, cols[c]) for c, x in enumerate(v) if x]
+        for k, y in enumerate(reduce(partial(map, add), terms)):
+            if not y:
+                masks[k] |= 1 << j
+    return masks + [sum(1 << j for j, v in enumerate(V) if not v[c]) for c in range(n)]
 
 
 def brute_force_optimum(family, objective, sense="max"):

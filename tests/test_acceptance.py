@@ -18,6 +18,7 @@ from cdcbranch.cdc import (
     grid_triangulation_fixture,
     sos2_family,
 )
+from cdcbranch import oracle as oracle_module
 from cdcbranch.cli import main as cli_main
 from cdcbranch.encodings import (
     exotic_code,
@@ -39,6 +40,7 @@ from cdcbranch.numerics import dot
 from cdcbranch.oracle import (
     brute_force_optimum,
     brute_force_optimum_hrep,
+    certified_vertices,
     check_ideal,
     check_projection,
     check_valid,
@@ -368,6 +370,38 @@ def test_verify_workload_reports_pinned(monkeypatch, tmp_path):
     assert h.hexdigest() == VERIFY_WORKLOAD_SHA256
 
 
+# The three sos2-16 pairings that the benchmark's verify workload leaves
+# out, and the sos2-32 moment curve, with their row census: each is the
+# census double description gives, which takes over four minutes on the
+# sos2-32 moment curve (Python 3.11.7, 2 CPUs).
+SLOW_VERIFY_REPORTS = [
+    (16, "moment", "2d", {"facet": 30, "tight-nonfacet": 28}),
+    (16, "exotic", "2d", {"facet": 4, "tight-nonfacet": 124}),
+    (16, "moment", "moment", {"facet": 30, "tight-nonfacet": 28}),
+    (32, "moment", "moment", {"facet": 62, "tight-nonfacet": 60}),
+]
+
+
+@pytest.mark.parametrize("d, encoding, builder, row_classes", SLOW_VERIFY_REPORTS,
+                         ids=["sos2-%d-%s-%s" % case[:3] for case in SLOW_VERIFY_REPORTS])
+def test_slow_pairings_verify_by_the_certificate(d, encoding, builder, row_classes,
+                                                 tmp_path, monkeypatch):
+    # the certificate proves every one ideal, so no vertex is enumerated
+    def refuse(*_):
+        raise AssertionError("the relaxation was enumerated")
+
+    monkeypatch.setattr(oracle_module, "enumerate_vertices", refuse)
+    inst, out = str(tmp_path / "instance.json"), tmp_path / "report.json"
+    assert cli_main(["gen", "--family", "sos2", "--d", str(d), "-o", inst]) == 0
+    assert cli_main(["verify", "--instance", inst, "--encoding", encoding,
+                     "--builder", builder, "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert all(doc[kind]["ok"] for kind in ("valid", "ideal", "projection"))
+    points = sum(len(T) for T in sos2_family(d).sets)
+    assert doc["ideal"]["stats"] == {"vertices": points} == {"vertices": 2 * d}
+    assert doc["row_classes"] == row_classes
+
+
 # sha256 of check_projection's stats, probes and pivots, per builder_matrix()
 # formulation in order.
 PROJECTION_STATS_SHA256 = "58a9099dcaf1f301c44ef7b7f9d6fc294d25fc15def577300d1008020b1e18db"
@@ -376,9 +410,15 @@ PROJECTION_STATS_SHA256 = "58a9099dcaf1f301c44ef7b7f9d6fc294d25fc15def577300d100
 def test_every_builder_is_valid_ideal_and_sharp():
     start = time.monotonic()
     matrix = builder_matrix()
+    enumerated = []
+
+    def ideal(form):
+        enumerated.append(relaxation_vertices(form))
+        return check_ideal(form, enumerated[-1])
+
     checks = (
         ("valid", lambda form: check_valid(form, code_values(form))),
-        ("ideal", lambda form: check_ideal(form, relaxation_vertices(form))),
+        ("ideal", ideal),
         ("projection", lambda form: check_projection(form, code_values(form))),
     )
     spent = {kind: 0.0 for kind, _ in checks}
@@ -386,13 +426,18 @@ def test_every_builder_is_valid_ideal_and_sharp():
     projection_stats = []
     for label, form in matrix:
         form_start = time.monotonic()
+        reports = {}
         for kind, check in checks:
             t0 = time.monotonic()
-            rep = check(form)
+            rep = reports[kind] = check(form)
             spent[kind] += time.monotonic() - t0
             assert rep.ok, (label, kind, rep.failures[:3])
             if kind == "projection":
                 projection_stats.append((label, rep.stats))
+        # the certificate holds as well, and its vertices, the embedding
+        # points, are the ones double description found
+        vertices = certified_vertices(form, reports["valid"])
+        assert vertices is not None and sorted(vertices) == sorted(enumerated[-1]), label
         per_form.append((time.monotonic() - form_start, label))
     elapsed = time.monotonic() - start
     stats_json = json.dumps(projection_stats, sort_keys=True).encode()

@@ -1,13 +1,17 @@
 """End-to-end tests for the command line front end."""
 
 import csv
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
 from cdcbranch import cli, lp, oracle
+from cdcbranch.cdc import sos2_family
 from cdcbranch.cli import main
+from cdcbranch.encodings import exotic_code
+from cdcbranch.formulation import LinearFormulation, TwoSidedRow, build_general, build_sos2_exotic
 from cdcbranch.numerics import rat
 
 
@@ -214,8 +218,30 @@ def test_verify_grid_moment(tmp_path):
     assert again.read_bytes() == out.read_bytes()
 
 
-def test_verify_enumerates_the_relaxation_once(tmp_path, monkeypatch):
-    inst = gen(tmp_path, "--family", "grid")
+def sos2_exotic_without_its_second_row():
+    """build_sos2_exotic(8) without the row that bounds z2, which leaves
+    the relaxation unbounded: 2 of the 13 facets of the embedding points'
+    hull match no row."""
+    form = build_sos2_exotic(8)
+    return LinearFormulation(form.n, form.r, form.rows[:1], form.hull_equations,
+                             family=form.family, codes=form.codes, meta=form.meta)
+
+
+def sos2_exotic_loosened():
+    """build_general(sos2-4, exotic) with one lower coefficient lowered by
+    1: every row stays valid, but the relaxation gains a vertex whose z is
+    no code."""
+    form = build_general(sos2_family(4), exotic_code(4))
+    row = form.rows[0]
+    lower = list(row.lower)
+    lower[2] -= 1
+    rows = [TwoSidedRow(row.direction, lower, row.upper, row.den)] + form.rows[1:]
+    return LinearFormulation(form.n, form.r, rows, form.hull_equations,
+                             family=form.family, codes=form.codes, meta=form.meta)
+
+
+def test_verify_enumerates_the_relaxation_only_without_a_certificate(tmp_path, monkeypatch,
+                                                                      capsys):
     calls = {"enumerate_vertices": [], "code_values": []}
 
     def counted(name, real):
@@ -230,11 +256,41 @@ def test_verify_enumerates_the_relaxation_once(tmp_path, monkeypatch):
         for module in (lp, oracle, cli):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted(name, real))
-    assert run("verify", "--instance", str(inst), "--encoding", "moment",
-               "--builder", "moment", "-o", str(tmp_path / "v.json")) == 0
-    # one vertex enumeration and one code-value table per run
-    assert len(calls["enumerate_vertices"]) == 1
+
+    def verify(*argv):
+        for got in calls.values():
+            got.clear()
+        return run("verify", "--instance", inst, *argv, "-o", str(out))
+
+    out = tmp_path / "v.json"
+    inst = str(gen(tmp_path, "--family", "grid"))
+    # the ideal grid formulation is certified: its vertices are the
+    # embedding points, and no vertex is enumerated
+    assert verify("--encoding", "moment", "--builder", "moment") == 0
+    assert len(calls["enumerate_vertices"]) == 0
     assert len(calls["code_values"]) == 1
+    # two formulations the certificate refuses, each enumerated once and
+    # reported as before the certificate: an unbounded relaxation exits 2,
+    # and a bounded one that is not ideal writes its report and exits 1
+    inst = str(gen(tmp_path, "--family", "sos2", "--d", "8"))
+    out.write_text("")
+    monkeypatch.setattr(cli, "_build", lambda *_: sos2_exotic_without_its_second_row())
+    assert verify("--encoding", "exotic") == 2
+    assert capsys.readouterr().err == "error: feasible set is unbounded\n"
+    assert out.read_text() == ""
+    assert len(calls["enumerate_vertices"]) == 1
+    monkeypatch.setattr(cli, "_build", lambda *_: sos2_exotic_loosened())
+    assert verify("--encoding", "exotic") == 1
+    assert len(calls["enumerate_vertices"]) == len(calls["code_values"]) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LOOSENED_REPORT_SHA256
+    doc = json.loads(out.read_text())
+    assert doc["ideal"]["failures"] == [{"where": "vertex with off-code z", "z": ["1", "-1"]}]
+    assert doc["ideal"]["stats"] == {"vertices": 8} and doc["valid"]["ok"]
+
+
+# sha256 of the verify report of sos2_exotic_loosened(), written by
+# double description before the certificate existed
+LOOSENED_REPORT_SHA256 = "4edd8bcf52d4d4fc2050e3bd4c6f60cfdf2f1ee225d29ad80f33d290b29a421c"
 
 
 def test_two_codes_are_refused_by_build_solve_and_verify(tmp_path, capsys):

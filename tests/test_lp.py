@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdcbranch import lp as lp_module
+from cdcbranch import numerics
 from cdcbranch.branching import psi
 from cdcbranch.lp import (
     EQ,
@@ -194,6 +195,22 @@ def test_enumerate_vertices_lineality_fallback_reads_bounds():
     assert enumerate_vertices(2, rows, bounds=[(0, None), (None, None)]) == []
     with pytest.raises(LpError, match="feasible set is unbounded"):
         enumerate_vertices(2, rows)
+
+
+def test_enumerate_vertices_eliminates_the_cone_once(monkeypatch):
+    # three eliminations: the nullspace of the equalities, the independent
+    # rows of the cone, which start the rays and show it pointed, and the
+    # nullspace that gives the starting rays; no rank of the cone besides
+    calls = []
+    real = numerics._bareiss_echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(numerics, "_bareiss_echelon", counted)
+    verts = enumerate_vertices(3, [((1, 1, 1), EQ, 1)], bounds=[(0, None)] * 3)
+    assert len(verts) == 3 and len(calls) == 3
 
 
 def test_facets_of_triangle():

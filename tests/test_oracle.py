@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcbranch.cdc import CdcFamily, HRepPiece, grid_triangulation_fixture, sos2_family
-from cdcbranch.encodings import Encoding, exotic_code, gray_code
+from cdcbranch.cdc import CdcFamily, HRepPiece, edge_set, grid_triangulation_fixture, sos2_family
+from cdcbranch.encodings import Encoding, exotic_code, gray_code, moment_code
 from cdcbranch.formulation import (
     LinearFormulation,
     TwoSidedRow,
     build_2d,
     build_general,
     build_moment_curve,
+    build_sos2_exotic,
 )
 from cdcbranch import numerics as numerics_module
 from cdcbranch import oracle as oracle_module
@@ -23,11 +24,13 @@ from cdcbranch.lp import LpError
 from cdcbranch.oracle import (
     brute_force_optimum,
     brute_force_optimum_hrep,
+    certified_vertices,
     check_ideal,
     check_projection,
     check_valid,
     classify_rows,
     code_values,
+    embedding_points,
     objective_from_vertex_map,
     relaxation_vertices,
 )
@@ -447,6 +450,127 @@ def test_perturbed_census_has_every_class():
         "tight-nonfacet",
     ]
     assert entries == classify_rows_by_rank(form, vertices)
+
+
+def with_rows(base, rows):
+    return LinearFormulation(base.n, base.r, rows, hull_equations=base.hull_equations,
+                             artificial=base.artificial, family=base.family, codes=base.codes)
+
+
+# builder output small enough for double description of every drawn
+# relaxation: connected families, a disconnected one with the artificial
+# component, and one whose alternatives hold three, three and two members
+CERTIFIED_BASES = (
+    build_general(sos2_family(4), exotic_code(4)),
+    build_general(sos2_family(4), gray_code(2)),
+    build_moment_curve(sos2_family(5)),
+    build_2d(sos2_family(4), moment_code(4)),
+    build_sos2_exotic(8),
+    build_general(CdcFamily(6, [(1, 2), (3, 4), (5, 6)]), Encoding([(0, 0), (1, 0), (0, 1)])),
+    build_general(CdcFamily(4, [(1, 2, 3), (2, 3, 4), (1, 4)]), gray_code(2, 3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_certificate_holds_exactly_when_double_description_finds_the_embedding(data):
+    base = data.draw(st.sampled_from(CERTIFIED_BASES))
+    rows = list(base.rows)
+    change = data.draw(st.sampled_from(["none", "drop", "loosen"]))
+    if change == "drop":
+        rows.pop(data.draw(st.integers(0, len(rows) - 1)))
+    elif change == "loosen":
+        k = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(0, base.n - 1))
+        by = data.draw(st.sampled_from([F(1, 2), F(1), F(3)]))
+        lower, upper = list(rows[k].lower), list(rows[k].upper)
+        if data.draw(st.booleans()):
+            upper[c] += by * rows[k].den
+        else:
+            lower[c] -= by * rows[k].den
+        rows[k] = TwoSidedRow(rows[k].direction, lower, upper, rows[k].den)
+    form = with_rows(base, rows)
+    values = code_values(form)
+    valid = check_valid(form, values)
+    vertices = certified_vertices(form, valid)
+    den = form.codes.scaled[0]
+    points = [tuple(F(x, den) for x in p) for p in embedding_points(form)]
+    try:
+        enumerated = relaxation_vertices(form)
+    except LpError:
+        # unbounded: a point of the relaxation lies outside the hull
+        assert vertices is None
+        return
+    # the relaxation is the hull of the embedding points exactly when the
+    # three checks pass on the enumerated vertices; the certificate holds
+    # only then, and always then on a connected family, whose points span
+    # all that the relaxation's equations allow
+    same = sorted(enumerated) == sorted(points)
+    checks = valid.ok and check_ideal(form, enumerated).ok and check_projection(form, values).ok
+    assert same == checks
+    if vertices is not None:
+        assert same
+    elif edge_set(base.family)[1]:
+        assert not same
+    if vertices is not None:
+        assert vertices == points
+        assert check_ideal(form, vertices) == check_ideal(form, enumerated)
+        assert classify_rows(form, vertices) == classify_rows(form, enumerated)
+
+
+def test_certificate_refuses_code_vertices_off_the_embedding():
+    # raising the upper coefficient of component 2 on the z2 row lets
+    # (e_2, h_3) into the relaxation: its z is a code, so check_ideal
+    # passes, but component 2 is not in alternative 3, so the relaxation
+    # is not the hull and check_projection names the leak
+    base = CERTIFIED_BASES[-1]
+    row = base.rows[0]
+    assert row.direction == (0, 1) and 2 not in base.family.sets[2]
+    upper = list(row.upper)
+    upper[1] += 1
+    form = with_rows(base, [TwoSidedRow(row.direction, row.lower, upper)] + base.rows[1:])
+    values = code_values(form)
+    valid = check_valid(form, values)
+    assert valid.ok and certified_vertices(form, valid) is None
+    enumerated = relaxation_vertices(form)
+    assert (F(0), F(1), F(0), F(0), F(1), F(1)) in enumerated
+    assert check_ideal(form, enumerated).ok
+    projection = check_projection(form, values)
+    assert not projection.ok
+    assert {(f["alternative"], f["component"]) for f in projection.failures} == {(3, 2)}
+
+
+def test_certificate_leaves_a_disconnected_family_to_double_description():
+    # z is a function of lam on the hull of a disconnected family, so the
+    # points span less than the relaxation's equations allow and the
+    # certificate does not hold, though the relaxation is the hull
+    form = CERTIFIED_BASES[5]
+    assert form.artificial and not edge_set(form.family)[1]
+    valid = check_valid(form, code_values(form))
+    assert valid.ok and certified_vertices(form, valid) is None
+    den = form.codes.scaled[0]
+    points = [tuple(F(x, den) for x in p) for p in embedding_points(form)]
+    assert sorted(relaxation_vertices(form)) == sorted(points)
+    # without the (1, 1) row and with a higher upper coefficient of
+    # component 5 on the z2 row, z2 is no longer fixed by lam: every facet
+    # of the hull, a bound lam_v >= 0 within its affine hull, is still the
+    # face of that bound, so only the dimension test refuses
+    row = form.rows[0]
+    assert row.direction[0] == 0
+    upper = list(row.upper)
+    upper[4] += row.den
+    loose = with_rows(form, [TwoSidedRow(row.direction, row.lower, upper, row.den), form.rows[1]])
+    valid = check_valid(loose, code_values(loose))
+    assert valid.ok and certified_vertices(loose, valid) is None
+    assert len(relaxation_vertices(loose)) > len(points)
+
+
+def test_certificate_needs_a_valid_formulation():
+    form = build_general(sos2_family(4), exotic_code(4))
+    report = check_valid(form, code_values(form))
+    assert certified_vertices(form, report) is not None
+    report.ok = False
+    assert certified_vertices(form, report) is None
 
 
 def test_brute_force_optimum_grid():
