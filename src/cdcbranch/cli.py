@@ -203,12 +203,10 @@ def cmd_verify(args):
     # double description of the relaxation only when it does not
     values = code_values(form)
     valid = check_valid(form, values)
-    vertices = certified_vertices(form, valid)
-    if vertices is None:
-        vertices = relaxation_vertices(form)
+    vertices, masks = certified_vertices(form, valid) or (relaxation_vertices(form), None)
     reports = (valid, check_ideal(form, vertices), check_projection(form, values))
     out = {rep.kind: rep.to_json() for rep in reports}
-    out["row_classes"] = Counter(e["class"] for e in classify_rows(form, vertices))
+    out["row_classes"] = Counter(e["class"] for e in classify_rows(form, vertices, masks))
     out["rows"] = 2 * len(form.rows)
     _write_json(args.output, out)
     return 0 if all(reports) else 1

@@ -27,22 +27,22 @@ scales a row again only by its rhs's denominator, which a bound or a
 shifted column can leave, prices out its objective rows in integers, and
 turns column values into Fraction only when it reads them.  Double
 description scales its rows to integers on the way in and takes its
-starting rays from an integer nullspace; vertices become Fraction only on
-the way out, and facets are returned as the coprime int rays themselves.
+starting rays, and their values, from one integer reduction of
+[G^T | I]; vertices become Fraction only on the way out, and facets are
+returned as the coprime int rays themselves.
 No float enters either.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .numerics import (
     _coprime,
+    _gauss_jordan,
     _integer_rows,
     _nullspace,
     affine_hull,
-    independent_rows,
     is_zero_vector,
     rat,
     vec,
@@ -413,35 +413,54 @@ def lp_feasible(n, rows, bounds=None):
 
 
 def _dd_extreme_rays(G):
-    """Extreme rays of {u : Gu <= 0} for G of full column rank.
+    """Extreme rays of {u : Gu <= 0}, G of full column rank, as coprime
+    int tuples: the rays of _double_description(G)."""
+    return _double_description(G)[0]
+
+
+def _dd_start(G):
+    """(B, rays, vals): the starting rays of double description on the
+    integer rows G, k columns, from one reduction of [G^T | I].  Its pivot
+    columns in G^T are B, the greedy base rows of G; a pivot in I means G
+    has column rank below k, so the cone is not pointed and LpError is
+    raised.  Reduced row j is G M_j, then M_j, with G_B M_j a positive
+    multiple of e_j, so ray j is -M_j over the gcd of M_j: G_B ray_j <= 0,
+    tight on every base row but row j.  vals[j], its values against every
+    row of G, is minus the G M_j part over the same gcd."""
+    m, k = len(G), len(G[0])
+    cols = [list(col) + [int(c == j) for j in range(k)] for c, col in enumerate(zip(*G))]
+    red, B = _gauss_jordan(cols)
+    if B[-1] >= m:
+        raise LpError("cone is not pointed")
+    rays, vals = [], []
+    for row in red:
+        g = gcd(*row[m:])
+        rays.append(tuple(-x // g for x in row[m:]))
+        vals.append([-x // g for x in row[:m]])
+    return B, rays, vals
+
+
+def _double_description(G):
+    """(rays, vals): the extreme rays of {u : Gu <= 0}, as coprime int
+    tuples, and vals[j][i], row i of G applied to ray j.  The zero cone
+    yields ([], []); a cone that is not pointed (G of lower column rank)
+    raises LpError.
 
     Double description (Fukuda & Prodon, "Double description method
-    revisited", 1996) with the combinatorial adjacency test, run in Python
-    ints.  Each row of G is first scaled to integers; a positive row scale
-    changes no sign, so the cone, the row order and every ray stay the
-    same.  Each ray carries its values against all rows: a new ray is a
-    positive combination of two old ones, divided by a gcd, and its values
-    are the same combination of theirs, so no dot product is recomputed.
-    G may hold ints or Fractions; its integer rows reach independent_rows
-    as ints, and the starting rays come from one integer nullspace
-    (numerics._nullspace), so no row becomes Fraction.  Rays are returned
-    as coprime tuples of ints.  The zero cone yields [], and a cone that
-    is not pointed (G of lower column rank) raises LpError.
+    revisited", 1996) with the combinatorial adjacency test, in Python
+    ints.  Each row of G is first scaled to ints, which changes no sign,
+    so the cone, the row order and every ray stay the same; vals are
+    against these rows.  The starting rays come from _dd_start.  A new
+    ray is a positive combination of two old ones, divided by a gcd, and
+    its values the same combination of theirs, so no dot product is
+    computed.
     """
     G = _integer_rows(G)
     m = len(G)
     k = len(G[0]) if G else 0
     if k == 0:
-        return []
-    base_idx = independent_rows(G)
-    if len(base_idx) < k:
-        raise LpError("cone is not pointed")
-    # The nullspace of [G_B | I] has one vector per column of I, and its
-    # first k entries are that column of -inv(G_B): G_B r_j = -e_j <= 0.
-    start = _nullspace([G[i] + [int(i == j) for j in base_idx] for i in base_idx])
-    rays = [tuple(_coprime(v[:k])) for v, _ in start]
-    # vals[j][i] is row i of G applied to ray j
-    vals = [[sum(map(mul, g, r)) for g in G] for r in rays]
+        return [], []
+    base_idx, rays, vals = _dd_start(G)
 
     # masks track which processed rows are tight at each ray
     bit = {row_i: (1 << pos) for pos, row_i in enumerate(base_idx)}
@@ -506,7 +525,7 @@ def _dd_extreme_rays(G):
         masks = [masks[j] for j in neg] + [
             masks[j] | bit[row_i] for j in zero
         ] + new_masks
-    return rays
+    return rays, vals
 
 
 def enumerate_vertices(n, rows, bounds=None):

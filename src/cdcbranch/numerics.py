@@ -2,7 +2,10 @@
 
 Scalars are ints and Fractions, vectors tuples, matrices lists/tuples of
 tuples; no floats are accepted.  Every row is scaled to ints through
-_scaled, the one place that reads an entry's kind.
+_scaled, the one place that reads an entry's kind.  Every elimination is
+one integer Gauss-Jordan kernel, _gauss_jordan, which keeps its rows
+coprime: rank counts its pivots, a nullspace vector is read off its
+reduced rows, and lp's double description starts from one reduction.
 """
 
 from fractions import Fraction
@@ -90,49 +93,40 @@ def _coprime(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _bareiss_echelon(rows):
-    """Fraction-free elimination on integer rows.
+def _gauss_jordan(rows):
+    """Integer Gauss-Jordan elimination, every row kept coprime.
 
-    Returns (echelon rows, pivot column indices).  All intermediate
-    divisions are exact, which keeps entry growth polynomial.
+    Returns (reduced rows, pivot columns), one row per pivot: positive at
+    its own pivot column and zero at every other one.  Columns are taken
+    in order, each pivoting on the first row past the pivots found so far
+    that holds it; every other row that holds it becomes row*p - f*prow,
+    divided by its gcd, the update of lp._pivot.  The pivot columns are
+    those of any echelon form: each column that its predecessors do not
+    span.
     """
-    if not rows:
-        return [], []
-    m, n = len(rows), len(rows[0])
     rows = [list(r) for r in rows]
-    pivots = []
-    prev = 1
-    h = 0
-    for col in range(n):
-        if h >= m:
-            break
-        piv = None
-        for i in range(h, m):
-            if rows[i][col] != 0:
-                piv = i
-                break
+    m, pivots = len(rows), []
+    for col in range(len(rows[0]) if rows else 0):
+        h = len(pivots)
+        piv = next((i for i in range(h, m) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[h], rows[piv] = rows[piv], rows[h]
-        p = rows[h][col]
-        # every lower row is rescaled, even where the eliminated entry is
-        # zero; the exact divisibility of later steps depends on it
-        for i in range(h + 1, m):
-            f = rows[i][col]
-            for j in range(n):
-                rows[i][j] = (p * rows[i][j] - f * rows[h][j]) // prev
-        prev = p
+        prow = _coprime([-x for x in rows[piv]] if rows[piv][col] < 0 else rows[piv])
+        rows[piv], rows[h] = rows[h], prow
+        p = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != h:
+                rows[i] = _coprime([x * p - f * y for x, y in zip(row, prow)])
         pivots.append(col)
-        h += 1
+        if h + 1 == m:
+            break
     return rows[: len(pivots)], pivots
 
 
 def rank(M):
-    """Rank of a rational matrix via fraction-free elimination."""
-    rows = _integer_rows(M)
-    if not rows or not rows[0]:
-        return 0
-    return len(_bareiss_echelon(rows)[1])
+    """Rank of a rational matrix: the pivots of its integer rows."""
+    return len(_gauss_jordan(_integer_rows(M))[1])
 
 
 def nullspace_basis(M, ncols=None):
@@ -155,29 +149,23 @@ def nullspace_basis(M, ncols=None):
 
 def _nullspace(rows):
     """nullspace_basis of integer rows, each vector as (v, den) with v
-    integral and v / den the vector.  Pivot entries come from
-    back-substitution on the fraction-free echelon form, in ints over one
-    common denominator."""
+    integral and v / den the vector.  Each is read off the reduced rows,
+    with no back-substitution: free column f takes den, the lcm of the
+    pivots of the rows that hold it, and the pivot column c of such a row,
+    pivot p, takes -row[f] * (den // p)."""
     n = len(rows[0])
-    ech, pivots = _bareiss_echelon(rows)
+    red, pivots = _gauss_jordan(rows)
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        held = [(c, row[c], row[f]) for c, row in zip(pivots, red) if row[f]]
+        den = lcm(*(p for _, p, _ in held))
         v = [0] * n
-        v[f] = den = 1
-        # back-substitute pivot variables from the bottom row up
-        for k in range(len(pivots) - 1, -1, -1):
-            col = pivots[k]
-            row = ech[k]
-            s = sum(row[j] * v[j] for j in range(col + 1, n))
-            p = row[col]
-            # scaling v and den by p/g > 0 makes v[col] = -s/p integral
-            g = gcd(s, p) if p > 0 else -gcd(s, p)
-            if p != g:
-                v = [x * (p // g) for x in v]
-                den *= p // g
-            v[col] = -s // g
+        v[f] = den
+        for c, p, x in held:
+            v[c] = -x * (den // p)
         basis.append((v, den))
     return basis
 
@@ -198,13 +186,3 @@ def affine_hull(points):
     normals = nullspace_basis(directions, ncols=n)
     equations = [(a, dot(a, base)) for a in normals]
     return equations, n - len(normals)
-
-
-def independent_rows(M):
-    """Indices of a maximal linearly independent subset of rows, greedy order.
-
-    Row i is chosen when it is not in the span of the rows before it.  Row
-    operations keep every linear relation among columns, so these are the
-    pivot columns of the fraction-free echelon form of the transpose.
-    """
-    return _bareiss_echelon([list(col) for col in zip(*_integer_rows(M))])[1]

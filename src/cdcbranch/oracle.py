@@ -22,8 +22,8 @@ from functools import partial, reduce
 from itertools import chain
 from operator import add, mul, neg
 
-from .lp import EQ, LE, LpError, LpProblem, _dd_extreme_rays, enumerate_vertices, solve_lp
-from .numerics import _integer_rows, dot, independent_rows, rank, vec
+from .lp import EQ, LE, LpError, LpProblem, _double_description, enumerate_vertices, solve_lp
+from .numerics import _gauss_jordan, _integer_rows, dot, rank, vec
 
 
 @dataclass
@@ -102,8 +102,10 @@ def embedding_points(form):
 
 
 def certified_vertices(form, valid):
-    """The relaxation's vertices, as Fraction tuples, when a certificate
-    proves them to be the embedding points; None when it does not.
+    """(vertices, masks) when a certificate proves the relaxation's
+    vertices to be the embedding points; None when it does not.  vertices
+    are those points as Fraction tuples, and masks their tight masks
+    (_tight_masks), which classify_rows reads.
 
     valid is check_valid(form, ...), which proves Q, the hull of the
     embedding points, inside the relaxation P.  A polytope is its affine
@@ -111,40 +113,38 @@ def certified_vertices(form, valid):
     when P lies in Q's affine hull and each facet of Q is the face of a
     one-sided row or a bound lam_c >= 0.  The certificate checks both.
 
-    - Affine hull.  Q lies in the solution set of P's equations (the hull
-      equations, the simplex row and an artificial lam_n = 0), so the two
-      are equal when their dimensions are.  When Q spans less, as it may
-      for a disconnected family, the certificate does not hold, and the
-      relaxation is enumerated instead.
-    - Facets.  Double description on one row (U p, -1) per point p, U a
-      basis of the point differences, puts the points in their affine
-      hull's own coordinates; each ray with a nonzero U part is a facet,
-      known by the points where it is tight.  Q is full-dimensional in its
-      affine hull, so a valid inequality holds that facet exactly when its
-      tight mask (_tight_masks) is the facet's.
+    - Affine hull.  J, the pivot columns of the rows (1, p) after the
+      first, p a point, are coordinates that Q's affine hull maps one to
+      one, so it has dimension |J|.  Q lies in the solution set of P's
+      equations (the hull equations, the simplex row and an artificial
+      lam_n = 0), so the two are equal when their dimensions are.  When Q
+      spans less, as it may for a disconnected family, the certificate
+      does not hold, and the relaxation is enumerated instead.
+    - Facets.  Double description on one row (p_J, -1) per point finds
+      Q's facets in those coordinates: each ray with a nonzero p_J part,
+      known by the points where it is tight, read off the ray's values.
+      Q is full-dimensional in its affine hull, so a valid inequality
+      holds that facet exactly when its tight mask is the facet's.
     """
     if not valid.ok:
         return None
     n, r, den = form.n, form.r, form.codes.scaled[0]
     points = embedding_points(form)
-    p0 = points[0]
-    diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    U = [diffs[i] for i in independent_rows(diffs)]
+    J = [c - 1 for c in _gauss_jordan([(1,) + p for p in points])[1][1:]]
     equations = [(0,) * n + a for a, _ in form.hull_equations] + [(1,) * n + (0,) * r]
     if form.artificial:
         equations.append((0,) * (n - 1) + (1,) + (0,) * r)
-    if len(U) < n + r - rank(equations):
+    if len(J) < n + r - rank(equations):
         return None
-    G = [[sum(map(mul, u, p)) for u in U] + [-1] for p in points]
-    masks = set(_tight_masks(form.one_sided(), n, points))
-    for ray in _dd_extreme_rays(G):
-        if any(ray[:-1]):
-            tight = sum(1 << j for j, g in enumerate(G) if not sum(map(mul, g, ray)))
-            if tight not in masks:
-                return None
+    masks = _tight_masks(form.one_sided(), n, points)
+    known = set(masks)
+    rays, vals = _double_description([[p[j] for j in J] + [-1] for p in points])
+    for ray, v in zip(rays, vals):
+        if any(ray[:-1]) and sum(1 << j for j, x in enumerate(v) if not x) not in known:
+            return None
     # each distinct entry becomes a Fraction once
     exact = {x: Fraction(x, den) for x in set(chain.from_iterable(points))}
-    return [tuple(map(exact.__getitem__, p)) for p in points]
+    return [tuple(map(exact.__getitem__, p)) for p in points], masks
 
 
 def relaxation_vertices(form):
@@ -234,24 +234,27 @@ def check_projection(form, values):
     return VerificationReport("projection", not failures, failures, stats)
 
 
-def classify_rows(form, vertices):
+def classify_rows(form, vertices, masks=None):
     """Classify each one-sided row as facet, tight-nonfacet, or never-tight.
 
     vertices is the list check_ideal reads, the vertices of a polytope, so
     each face is known by its tight mask (_tight_masks): one bit per vertex
     it holds.  The masks come from the one-sided rows and the bounds
-    lam_v >= 0; the equations hold everywhere.  A facet is a maximal proper
-    face, and it is the face of some row or bound, so a row is a facet when
-    its mask is proper (neither empty nor every vertex) and lies strictly
-    inside no other proper mask; never-tight when its mask is empty, and
-    tight-nonfacet otherwise.  The artificial component's bound (0, 0)
-    holds at every vertex, so its mask is never proper.
+    lam_v >= 0; the equations hold everywhere.  masks, when given, are
+    the ones certified_vertices returns with vertices; otherwise they are
+    computed here.  A facet is a maximal proper face, and it is the face
+    of some row or bound, so a row is a facet when its mask is proper
+    (neither empty nor every vertex) and lies strictly inside no other
+    proper mask; never-tight when its mask is empty, and tight-nonfacet
+    otherwise.  The artificial component's bound (0, 0) holds at every
+    vertex, so its mask is never proper.
     """
     if not vertices:
         raise LpError("empty relaxation cannot be classified")
-    # each vertex in ints by its own lcm: a positive scale moves no zero
     one_sided = form.one_sided()
-    masks = _tight_masks(one_sided, form.n, _integer_rows(vertices))
+    if masks is None:
+        # each vertex in ints by its own lcm: a positive scale moves no zero
+        masks = _tight_masks(one_sided, form.n, _integer_rows(vertices))
     full = (1 << len(vertices)) - 1
     proper = {m for m in masks if m and m != full}
     out = []

@@ -80,6 +80,34 @@ def canonical_direction(v):
     raise ValueError("zero vector has no canonical direction")
 
 
+def independent_rows_by_rank(M):
+    """Indices of the rows of M that the rows before them do not span,
+    found one rank at a time."""
+    chosen, rows = [], []
+    for i, row in enumerate(M):
+        if rank(rows + [row]) > len(rows):
+            chosen.append(i)
+            rows.append(row)
+    return chosen
+
+
+def dd_start_by_nullspace(G):
+    """(B, rays, vals) as lp._dd_start gives them for the int rows G, k
+    columns, found by three separate steps: B the greedy independent rows,
+    then the nullspace of [G_B | I], whose vector for column j of I holds
+    -inv(G_B) e_j in its first k entries, as coprime ints, then each ray's
+    values against every row of G.  Raises LpError when G has column rank
+    below k."""
+    k = len(G[0])
+    B = independent_rows_by_rank(G)
+    if len(B) < k:
+        raise LpError("cone is not pointed")
+    start = nullspace_basis([list(G[i]) + [int(i == j) for j in B] for i in B])
+    rays = [tuple(_coprime(_integer_rows([v[:k]])[0])) for v in start]
+    vals = [[sum(a * b for a, b in zip(g, r)) for g in G] for r in rays]
+    return B, rays, vals
+
+
 def spanned_hyperplane_normals_by_rank(C, ambient):
     """formulation.spanned_hyperplane_normals in Fractions, with a rank test
     per subset: normals of all hyperplanes of span(C) spanned by members

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,13 +19,14 @@ from cdcbranch.lp import (
     LE,
     LpError,
     LpProblem,
+    _dd_extreme_rays,
     enumerate_vertices,
     facets_of_hull,
     lp_feasible,
     solve_lp,
 )
 from cdcbranch.numerics import dot, vec
-from oracles import full_tableau_solve_lp
+from oracles import dd_start_by_nullspace, full_tableau_solve_lp
 
 F = Fraction
 
@@ -198,19 +200,58 @@ def test_enumerate_vertices_lineality_fallback_reads_bounds():
 
 
 def test_enumerate_vertices_eliminates_the_cone_once(monkeypatch):
-    # three eliminations: the nullspace of the equalities, the independent
-    # rows of the cone, which start the rays and show it pointed, and the
-    # nullspace that gives the starting rays; no rank of the cone besides
+    # two eliminations: the nullspace of the equalities, and one reduction
+    # of [G^T | I] that shows the cone pointed and gives the starting rays
+    # with their values; no rank, nullspace or dot product of the cone
     calls = []
-    real = numerics._bareiss_echelon
+    real = numerics._gauss_jordan
 
     def counted(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(numerics, "_bareiss_echelon", counted)
+    monkeypatch.setattr(numerics, "_gauss_jordan", counted)
+    monkeypatch.setattr(lp_module, "_gauss_jordan", counted)
     verts = enumerate_vertices(3, [((1, 1, 1), EQ, 1)], bounds=[(0, None)] * 3)
-    assert len(verts) == 3 and len(calls) == 3
+    assert len(verts) == 3 and len(calls) == 2
+
+
+def test_cone_with_a_pivot_in_the_identity_is_not_pointed():
+    # G^T has rank 1, yet [G^T | I] still reaches two pivots, the second
+    # in I: counting pivots alone would take this cone as pointed
+    with pytest.raises(LpError, match="cone is not pointed"):
+        _dd_extreme_rays([[0, 0], [3, -3]])
+
+
+@st.composite
+def cone_rows(draw):
+    # int rows G, k columns; a column may be an earlier one times 0, 1 or
+    # -2, which leaves the cone not pointed
+    m, k = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    cols = []
+    for _ in range(k):
+        if cols and draw(st.integers(0, 3)) == 0:
+            f = draw(st.sampled_from([0, 1, -2]))
+            cols.append([f * x for x in draw(st.sampled_from(cols))])
+        else:
+            cols.append(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)))
+    return [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_rows())
+def test_dd_start_matches_the_nullspace_start(G):
+    try:
+        start = dd_start_by_nullspace(G)
+    except LpError:
+        with pytest.raises(LpError, match="cone is not pointed"):
+            _dd_extreme_rays(G)
+        return
+    assert lp_module._dd_start(G) == start
+    # the same rays in the same order, with the same values, at the end
+    with patch.object(lp_module, "_dd_start", dd_start_by_nullspace):
+        expected = lp_module._double_description(G)
+    assert lp_module._double_description(G) == expected
 
 
 def test_facets_of_triangle():

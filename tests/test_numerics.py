@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 from cdcbranch.encodings import gray_code
 from cdcbranch.numerics import (
+    _gauss_jordan,
+    _integer_rows,
     affine_hull,
     dot,
     format_rational,
-    independent_rows,
     nullspace_basis,
     rank,
     rat,
     vec,
     vec_sub,
 )
-from oracles import canonical_direction
+from oracles import canonical_direction, independent_rows_by_rank
 
 F = Fraction
 
@@ -109,9 +110,16 @@ def test_affine_hull_single_point():
         assert dot(a, vec((5, 8))) != b or dot(a, vec((6, 7))) != b
 
 
+def _pivot_rows(M):
+    # the pivot columns of the transpose: row operations keep every linear
+    # relation among columns, so these are the rows that the rows before
+    # them do not span
+    return _gauss_jordan([list(col) for col in zip(*_integer_rows(M))])[1]
+
+
 def test_independent_rows_greedy():
     M = [(0, 0), (1, 0), (2, 0), (1, 1)]
-    assert independent_rows(M) == [1, 3]
+    assert _pivot_rows(M) == [1, 3]
 
 
 small_rational = st.fractions(
@@ -181,18 +189,9 @@ def matrix_with_repeats(draw):
     return rows
 
 
-def _independent_rows_by_rank(M):
-    chosen, rows = [], []
-    for i, row in enumerate(M):
-        if rank(rows + [row]) > len(rows):
-            chosen.append(i)
-            rows.append(row)
-    return chosen
-
-
 @settings(max_examples=200, deadline=None)
 @given(matrix_with_repeats())
 def test_independent_rows_match_rank_per_row(M):
-    chosen = independent_rows(M)
-    assert chosen == _independent_rows_by_rank(M)
+    chosen = _pivot_rows(M)
+    assert chosen == independent_rows_by_rank(M)
     assert len(chosen) == rank(M)

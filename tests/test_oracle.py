@@ -492,14 +492,14 @@ def test_certificate_holds_exactly_when_double_description_finds_the_embedding(d
     form = with_rows(base, rows)
     values = code_values(form)
     valid = check_valid(form, values)
-    vertices = certified_vertices(form, valid)
+    certified = certified_vertices(form, valid)
     den = form.codes.scaled[0]
     points = [tuple(F(x, den) for x in p) for p in embedding_points(form)]
     try:
         enumerated = relaxation_vertices(form)
     except LpError:
         # unbounded: a point of the relaxation lies outside the hull
-        assert vertices is None
+        assert certified is None
         return
     # the relaxation is the hull of the embedding points exactly when the
     # three checks pass on the enumerated vertices; the certificate holds
@@ -508,14 +508,17 @@ def test_certificate_holds_exactly_when_double_description_finds_the_embedding(d
     same = sorted(enumerated) == sorted(points)
     checks = valid.ok and check_ideal(form, enumerated).ok and check_projection(form, values).ok
     assert same == checks
-    if vertices is not None:
+    if certified is not None:
         assert same
     elif edge_set(base.family)[1]:
         assert not same
-    if vertices is not None:
+    if certified is not None:
+        vertices, masks = certified
         assert vertices == points
         assert check_ideal(form, vertices) == check_ideal(form, enumerated)
-        assert classify_rows(form, vertices) == classify_rows(form, enumerated)
+        # the certificate's masks classify the rows as the enumeration does
+        entries = classify_rows(form, vertices, masks)
+        assert entries == classify_rows(form, vertices) == classify_rows(form, enumerated)
 
 
 def test_certificate_refuses_code_vertices_off_the_embedding():
@@ -538,6 +541,24 @@ def test_certificate_refuses_code_vertices_off_the_embedding():
     projection = check_projection(form, values)
     assert not projection.ok
     assert {(f["alternative"], f["component"]) for f in projection.failures} == {(3, 2)}
+
+
+def test_certificate_reads_each_facet_off_its_own_ray():
+    # lowering the lower coefficient of component 1 on the (1, 0) row
+    # adds a vertex to the relaxation: a facet of the hull that this side
+    # held is now the face of no row or bound, so the certificate must
+    # refuse; with each facet's mask read off another ray's values, it
+    # holds
+    base = CERTIFIED_BASES[0]
+    row = base.rows[1]
+    assert row.direction == (1, 0)
+    lower = list(row.lower)
+    lower[0] -= row.den
+    loose = TwoSidedRow(row.direction, lower, row.upper, row.den)
+    form = with_rows(base, [base.rows[0], loose])
+    valid = check_valid(form, code_values(form))
+    assert valid.ok and certified_vertices(form, valid) is None
+    assert len(relaxation_vertices(form)) == len(embedding_points(form)) + 1
 
 
 def test_certificate_leaves_a_disconnected_family_to_double_description():
