@@ -7,6 +7,7 @@ every split can be audited.
 """
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .encodings import EncodingError, exotic_code, is_hole_free, moment_code
 from .lp import EQ, GE, LE
@@ -244,6 +245,21 @@ def branch_exotic(Q, H, zhat):
     )
 
 
+def _kept_verdict(decide):
+    """A scheme's compatible(encoding), decided by decide once per scheme
+    and Encoding: the verdict (ok, why) is kept in encoding.verdicts under
+    the scheme's name, as the encoding keeps its hull, so however many
+    solves ask, the hole-free scan or the canonical code is made once."""
+
+    def compatible(self, encoding):
+        verdict = encoding.verdicts.get(self.name)
+        if verdict is None:
+            verdict = encoding.verdicts[self.name] = decide(self, encoding)
+        return verdict
+
+    return wraps(decide)(compatible)
+
+
 def hull_root(self, encoding):
     """The encoding's facets, the root region of each scheme that cuts its
     regions from the codes' hull.  Those classes assign it as `root` in
@@ -256,7 +272,9 @@ class VariableScheme:
 
     name = "variable"
 
+    @_kept_verdict
     def compatible(self, encoding):
+        """The codes must be integral and hole-free."""
         try:
             ok = is_hole_free(encoding)
         except EncodingError as exc:
@@ -276,7 +294,9 @@ class MomentScheme:
 
     name = "moment"
 
+    @_kept_verdict
     def compatible(self, encoding):
+        """The codes must equal moment_code(d)."""
         if encoding != moment_code(len(encoding)):
             return False, "codes are not the parabola family"
         return True, ""
@@ -293,7 +313,9 @@ class ExoticScheme:
 
     name = "exotic"
 
+    @_kept_verdict
     def compatible(self, encoding):
+        """The codes must equal exotic_code(d), d a multiple of 4."""
         d = len(encoding)
         if d % 4 != 0 or encoding != exotic_code(d):
             return False, "codes are not the two-per-level planar family"

@@ -5,7 +5,9 @@ convex position (a requirement for the geometric construction to apply).
 An Encoding keeps, once read, its codes as ints over one denominator
 (scaled), their affine hull (equations) and their hull's facets as coprime
 int rows (facets); the predicates for convex position and hole-freeness
-test codes, as facet masks, and points against those facets in ints.
+test codes, as facet masks, and points against those facets in ints.  It
+also keeps each branching scheme's verdict on it (verdicts), so a scheme
+decides once per encoding whether it can branch on these codes.
 """
 
 from fractions import Fraction
@@ -35,6 +37,8 @@ class Encoding:
         if len(set(self.codes)) != len(self.codes):
             raise EncodingError("codes must be distinct")
         self.kind = kind
+        # scheme name -> (ok, why), kept by the schemes' compatible
+        self.verdicts = {}
 
     @property
     def d(self):
@@ -161,7 +165,9 @@ def is_hole_free(encoding):
     Only defined for integer codes; rejects anything else.  The encoding's
     hull is read only once the codes' bounding box shows a non-code point;
     its equations are then scaled to integer rows [a | b], and its facets
-    are int rows already, so each box point is tested in ints.
+    are int rows already, so each box point is tested in ints.  The scan
+    runs on every call; the variable scheme keeps its verdict on the
+    encoding, so a solve does not repeat it.
     """
     for h in encoding:
         if any(x.denominator != 1 for x in h):

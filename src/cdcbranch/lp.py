@@ -22,10 +22,13 @@ proportional to the actual face structure instead of the number of basis
 subsets.
 
 Both work in Python ints, with Fraction only at their boundary.  LpProblem
-holds each row as ints, scaled once where it takes the row; the simplex
-scales a row again only by its rhs's denominator, which a bound or a
-shifted column can leave, prices out its objective rows in integers, and
-turns column values into Fraction only when it reads them.  Double
+holds each row as ints, scaled once where it takes the row, and its
+objective as ints over one denominator; the simplex scales a row again
+only by its rhs's denominator, which a bound or a shifted column can
+leave, and prices out its objective rows in integers.  A pivot changes a
+row only where the pivot row is nonzero.  An optimum's value is summed in
+ints and becomes one Fraction; its point is read off the kept tableau, in
+Fractions, only when something asks for it.  Double
 description scales its rows to integers on the way in and takes its
 starting rays, and their values, from one integer reduction of
 [G^T | I]; vertices become Fraction only on the way out, and facets are
@@ -35,13 +38,15 @@ No float enters either.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from .numerics import (
     _coprime,
     _gauss_jordan,
     _integer_rows,
     _nullspace,
+    _scaled,
     affine_hull,
     is_zero_vector,
     rat,
@@ -61,13 +66,14 @@ class LpProblem:
     bounds is a list of (lb, ub) pairs per variable, None meaning
     unbounded on that side.  Omitted bounds default to free variables.
     Each row is kept as a tuple of ints a and an int rhs, scaled by the lcm
-    of its denominators.  An objective that is a tuple of ints is kept as it
-    is; vec makes any other Fractions.
+    of its denominators.  The objective is kept the same way, as a tuple of
+    ints, with that lcm kept as objective_den: c is objective over
+    objective_den.  A tuple of ints is kept as it is, over 1.
     """
 
     def __init__(self, n, objective, rows, bounds=None):
         self.n = n
-        self.objective = self._objective(objective)
+        self._objective(objective)
         self.rows = self._rows(rows)
         if bounds is None:
             bounds = [(None, None)] * n
@@ -84,18 +90,22 @@ class LpProblem:
         coerced; n, the bounds, a kept objective and kept rows (this LP's
         own list) are shared, so a child LP matches its parent's at no cost."""
         new = object.__new__(LpProblem)
-        new.n, new.bounds, new.objective = self.n, self.bounds, self.objective
+        new.n, new.bounds = self.n, self.bounds
+        new.objective, new.objective_den = self.objective, self.objective_den
         if objective is not None:
-            new.objective = self._objective(objective)
+            new._objective(objective)
         new.rows = self.rows if rows is self.rows else new._rows(rows)
         return new
 
     def _objective(self, c):
-        if type(c) is not tuple or not all(type(x) is int for x in c):
-            c = vec(c)
+        if type(c) is tuple and all(type(x) is int for x in c):
+            den = 1
+        else:
+            den, c = _scaled(c)
+            c = tuple(c)
         if len(c) != self.n:
             raise ValueError("objective length mismatch")
-        return c
+        self.objective, self.objective_den = c, den
 
     def _rows(self, rows):
         rows = list(rows)
@@ -135,14 +145,19 @@ class _Tableau:
 @dataclass
 class LpResult:
     """status is 'optimal', 'infeasible', or 'unbounded'; pivots counts
-    the pivots of this solve.  An optimal result keeps its tableau, from
-    which solve_lp re-optimizes the LP with rows added."""
+    the pivots of this solve.  An optimal result has its value, a
+    Fraction, and keeps its tableau, from which solve_lp re-optimizes the
+    LP with rows added and from which x, the optimal point as a tuple of
+    Fractions, is read on first use (None unless optimal)."""
 
     status: str
-    x: tuple = None
     value: Fraction = None
     pivots: int = 0
     tableau: _Tableau = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def x(self):
+        return None if self.tableau is None else _point(self.tableau)
 
 
 def _pivot(T, basis, N, r, q):
@@ -151,17 +166,23 @@ def _pivot(T, basis, N, r, q):
     positive at q, and the entry of its old basic variable moves to column
     q.  Every other row becomes row*p - f*prow, a positive multiple of what
     the Fraction pivot gives, divided by its gcd: the full tableau's row
-    without its zero entries, so the gcd is the same.  No row is changed in
-    place, so a child tableau shares its parent's rows until they pivot."""
+    without its zero entries, so the gcd is the same.  The update is
+    sparse: a row is multiplied by p (not at all when p is 1), and f*prow
+    is taken off only where prow is nonzero, the same ints as the dense
+    update.  No row is changed in place, so a child tableau shares its
+    parent's rows until they pivot."""
     prow = T[r]
     prow = [-x for x in prow] if prow[q] < 0 else list(prow)
     p, s = prow[q], prow[-1]
+    last = len(prow) - 1
+    nonzero = [(k, y) for k, y in enumerate(prow) if y and k != q and k != last]
     for i, row in enumerate(T):
         f = row[q]
         if i != r and f != 0:
-            new = [x * p - f * y for x, y in zip(row, prow)]
+            new = [x * p for x in row] if p != 1 else list(row)
+            for k, y in nonzero:
+                new[k] -= f * y
             new[q] = -f * s
-            new[-1] = row[-1] * p
             T[i] = _coprime(new)
     prow[q], prow[-1] = s, p
     T[r] = prow
@@ -310,7 +331,8 @@ def solve_lp(problem, parent=None):
         if tab is None:
             raise ValueError("rows can be added only to an optimal LpResult")
         base = tab.problem
-        if (n, problem.objective, problem.bounds) != (base.n, base.objective, base.bounds):
+        kept = (base.n, base.objective, base.objective_den, base.bounds)
+        if (n, problem.objective, problem.objective_den, problem.bounds) != kept:
             raise ValueError("added rows need the parent's n, objective and bounds")
         rows = problem.rows
     T, basis, N, aside = list(tab.T), list(tab.basis), list(tab.N), tab.aside
@@ -341,8 +363,7 @@ def solve_lp(problem, parent=None):
     if parent is None:
         # Phase 2 objective: the objective row in standard form, priced out
         # on the rows of its basic variables.
-        c_std = _standard(problem.objective, 0, tab.cols)[0]
-        z = [-c for c in _integer_rows([c_std])[0]]
+        z = [-c if sign > 0 else c for c, (_, sign) in zip(problem.objective, tab.cols)]
         T[0] = _condense([z + [0, 0]], T, basis, N)[0]
         # a free variable that no row holds, which no pivot can take, moves
         # the objective both ways
@@ -387,9 +408,35 @@ def _add_rows(T, basis, N, rows, cols):
 
 
 def _optimum(tab, pivots):
-    """The optimal LpResult of a tableau: each basic structural variable,
-    free ones included, takes its row's rhs over its scale, and every
-    nonbasic one is zero."""
+    """The optimal LpResult of a tableau.  Its value, c . x, is summed in
+    ints over a running lcm of denominators and becomes one Fraction: the
+    objective's ints times each column's offset, then times sign * rhs over
+    scale for each basic structural variable, all over objective_den.  Its
+    x is left to _point, on first use."""
+    c, cols, T = tab.problem.objective, tab.cols, tab.T
+    num, den = 0, 1
+    for cj, (offset, _) in zip(c, cols):
+        if cj and offset:
+            d = offset.denominator
+            m = lcm(den, d)
+            num, den = num * (m // den) + cj * offset.numerator * (m // d), m
+    n = len(cols)
+    for i, j in enumerate(tab.basis, 1):
+        if j < n and c[j]:
+            row = T[i]
+            v, d = row[-2], row[-1]
+            if v:
+                m = lcm(den, d)
+                v *= c[j] * (m // d)
+                num, den = num * (m // den) + (v if cols[j][1] > 0 else -v), m
+    value = Fraction(num, den * tab.problem.objective_den)
+    return LpResult("optimal", value=value, pivots=pivots, tableau=tab)
+
+
+def _point(tab):
+    """The optimal point of a tableau, as Fractions: each basic structural
+    variable, free ones included, takes its row's rhs over its scale, and
+    every nonbasic one its column's offset."""
     T, n = tab.T, len(tab.cols)
     x = [offset for offset, _ in tab.cols]
     for i, j in enumerate(tab.basis, 1):
@@ -400,10 +447,7 @@ def _optimum(tab, pivots):
             v = Fraction(v if sign > 0 else -v, row[-1])
             # a zero offset is skipped as in _standard
             x[j] = offset + v if offset else v
-    x = tuple(x)
-    problem = tab.problem
-    value = sum((problem.objective[j] * x[j] for j in range(problem.n)), Fraction(0))
-    return LpResult("optimal", x=x, value=value, pivots=pivots, tableau=tab)
+    return tuple(x)
 
 
 def lp_feasible(n, rows, bounds=None):

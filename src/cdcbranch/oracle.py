@@ -115,7 +115,8 @@ def certified_vertices(form, valid):
 
     - Affine hull.  J, the pivot columns of the rows (1, p) after the
       first, p a point, are coordinates that Q's affine hull maps one to
-      one, so it has dimension |J|.  Q lies in the solution set of P's
+      one, so it has dimension |J|; _hull_coordinates reads J off the
+      points' structure.  Q lies in the solution set of P's
       equations (the hull equations, the simplex row and an artificial
       lam_n = 0), so the two are equal when their dimensions are.  When Q
       spans less, as it may for a disconnected family, the certificate
@@ -130,7 +131,7 @@ def certified_vertices(form, valid):
         return None
     n, r, den = form.n, form.r, form.codes.scaled[0]
     points = embedding_points(form)
-    J = [c - 1 for c in _gauss_jordan([(1,) + p for p in points])[1][1:]]
+    J = _hull_coordinates(form)
     equations = [(0,) * n + a for a, _ in form.hull_equations] + [(1,) * n + (0,) * r]
     if form.artificial:
         equations.append((0,) * (n - 1) + (1,) + (0,) * r)
@@ -145,6 +146,28 @@ def certified_vertices(form, valid):
     # each distinct entry becomes a Fraction once
     exact = {x: Fraction(x, den) for x in set(chain.from_iterable(points))}
     return [tuple(map(exact.__getitem__, p)) for p in points], masks
+
+
+def _hull_coordinates(form):
+    """J of certified_vertices: the pivot columns, after the first, of the
+    rows (1, p), p an embedding point, read off the points' structure with
+    no reduction of those rows.  Point (v, i) is den e_v over lam, then
+    h_i.  The used lam columns are the indicators of disjoint groups of
+    points that cover them all, so with the ones column they span the
+    functions of v, and each is a pivot but the last, which the ones
+    column and the others span.  A z column is then a pivot exactly when
+    the columns before it and the functions of v do not span it, that is
+    when its differences h_i - h_first within each component are not
+    spanned by theirs: the pivot columns of those differences."""
+    H = form.codes.scaled[1]
+    first, diffs = {}, []
+    for T, h in zip(form.family.sets, H):
+        for v in T:
+            f = first.setdefault(v, h)
+            if f is not h:
+                diffs.append([a - b for a, b in zip(h, f)])
+    used = sorted(first)
+    return [v - 1 for v in used[:-1]] + [form.n + c for c in _gauss_jordan(diffs)[1]]
 
 
 def relaxation_vertices(form):

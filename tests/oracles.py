@@ -11,9 +11,10 @@ from math import gcd, lcm
 
 from cdcbranch.encodings import EncodingError, exotic_code
 from cdcbranch.formulation import _LINE_SPAN, FormulationError
-from cdcbranch.lp import EQ, GE, LE, LpError, LpProblem, LpResult, lp_feasible
+from cdcbranch.lp import EQ, GE, LE, LpError, LpProblem, lp_feasible
 from cdcbranch.numerics import (
     _coprime,
+    _gauss_jordan,
     _integer_rows,
     dot,
     is_zero_vector,
@@ -21,6 +22,7 @@ from cdcbranch.numerics import (
     rank,
     vec,
 )
+from cdcbranch.oracle import embedding_points
 
 
 def canonical_inequality(a, rhs):
@@ -197,10 +199,47 @@ def classify_rows_by_rank(form, vertices):
     return out
 
 
+def dense_condensed_pivot(T, basis, N, r, q):
+    """lp._pivot as it stood, with the dense update: every row but r
+    becomes row*p - f*prow over all its entries, then its entry at q is
+    -f*s and its scale row[-1]*p, divided by its gcd."""
+    prow = T[r]
+    prow = [-x for x in prow] if prow[q] < 0 else list(prow)
+    p, s = prow[q], prow[-1]
+    for i, row in enumerate(T):
+        f = row[q]
+        if i != r and f != 0:
+            new = [x * p - f * y for x, y in zip(row, prow)]
+            new[q] = -f * s
+            new[-1] = row[-1] * p
+            T[i] = _coprime(new)
+    prow[q], prow[-1] = s, p
+    T[r] = prow
+    basis[r - 1], N[q] = N[q], basis[r - 1]
+
+
+def hull_coordinates_by_reduction(form):
+    """J of oracle.certified_vertices as it was first found: the pivot
+    columns, after the first, of one reduction of every row (1, p), p an
+    embedding point."""
+    return [c - 1 for c in _gauss_jordan([(1,) + p for p in embedding_points(form)])[1][1:]]
+
+
 # The simplex as it stood with one column per variable and one per slack
 # (the full tableau), kept verbatim as the reference that lp.solve_lp, which
 # stores only the nonbasic columns, must match pivot for pivot.  Its entry
 # point is full_tableau_solve_lp, the old lp.solve_lp.
+
+@dataclass
+class _Result:
+    """An LpResult as it stood, with x computed with the value."""
+
+    status: str
+    x: tuple = None
+    value: Fraction = None
+    pivots: int = 0
+    tableau: object = None
+
 
 @dataclass
 class _Tableau:
@@ -323,29 +362,29 @@ def _standard(a, rhs, cols):
 
 
 def full_tableau_solve_lp(problem, parent=None):
-    """Exact simplex.  Returns an LpResult.
+    """Exact simplex.  Returns a _Result.
 
     Without parent the LP is solved cold: its rows enter an empty tableau
     by _add_rows, free variables are eliminated, and phase 1 is _run_dual
     on an all-zero row 0, which ends on a feasible basis or on a row that
     proves the LP infeasible.  The objective is then priced out for phase
-    2.  parent is an optimal LpResult of an LP with problem's n, objective
+    2.  parent is an optimal _Result of an LP with problem's n, objective
     and bounds; problem.rows are then added to parent's tableau by
     _add_rows, and _run_dual re-optimizes it.
     """
     if parent is not None:
         tab = parent.tableau
         if tab is None:
-            raise ValueError("rows can be added only to an optimal LpResult")
+            raise ValueError("rows can be added only to an optimal result")
         base = tab.problem
-        if (problem.n, problem.objective, problem.bounds) != (
-            base.n, base.objective, base.bounds,
+        if (problem.n, problem.objective, problem.objective_den, problem.bounds) != (
+            base.n, base.objective, base.objective_den, base.bounds,
         ):
             raise ValueError("added rows need the parent's n, objective and bounds")
         T, basis, aside = _add_rows(tab.T, tab.basis, tab.aside, problem.rows, tab.cols)
         status, pivots = _run_dual(T, basis)
         if status == "infeasible":
-            return LpResult("infeasible", pivots=pivots)
+            return _Result("infeasible", pivots=pivots)
         return _optimum(_Tableau(T, basis, aside, tab.cols, base), pivots)
     n = problem.n
 
@@ -362,7 +401,7 @@ def full_tableau_solve_lp(problem, parent=None):
         if lb is not None:
             if ub is not None:
                 if ub < lb:
-                    return LpResult("infeasible")
+                    return _Result("infeasible")
                 extra_rows.append(([int(k == j) for k in range(n)], LE, ub))
             cols.append((lb, 1))
         elif ub is not None:
@@ -393,7 +432,7 @@ def full_tableau_solve_lp(problem, parent=None):
     status, done = _run_dual(T, basis)
     pivots += done
     if status == "infeasible":
-        return LpResult("infeasible", pivots=pivots)
+        return _Result("infeasible", pivots=pivots)
 
     # Phase 2 objective: the objective row in standard form, priced out on
     # the set-aside rows, in their order, and then on the basic columns.
@@ -403,12 +442,12 @@ def full_tableau_solve_lp(problem, parent=None):
     T[0] = _reduce(z, [(b, T[i]) for i, b in enumerate(basis, 1)])
     # a free column that no row holds moves the objective both ways
     if any(T[0][j] != 0 for j in unheld):
-        return LpResult("unbounded", pivots=pivots)
+        return _Result("unbounded", pivots=pivots)
 
     status, done = _run_simplex(T, basis)
     pivots += done
     if status == "unbounded":
-        return LpResult("unbounded", pivots=pivots)
+        return _Result("unbounded", pivots=pivots)
     return _optimum(_Tableau(T, basis, aside, cols, problem), pivots)
 
 
@@ -446,7 +485,7 @@ def _add_rows(T, basis, aside, rows, cols):
 
 
 def _optimum(tab, pivots):
-    """The optimal LpResult of a tableau: basic columns take their rhs,
+    """The optimal _Result of a tableau: basic columns take their rhs,
     free variables are back-substituted from the set-aside rows, last
     first, and every other column is zero.  Column values are kept in ints
     over one common denominator, as numerics._nullspace keeps its vectors."""
@@ -475,5 +514,6 @@ def _optimum(tab, pivots):
         x.append(offset + v if offset else v)
     x = tuple(x)
     problem = tab.problem
-    value = sum((problem.objective[j] * x[j] for j in range(problem.n)), Fraction(0))
-    return LpResult("optimal", x=x, value=value, pivots=pivots, tableau=tab)
+    c = [Fraction(cj, problem.objective_den) for cj in problem.objective]
+    value = sum((c[j] * x[j] for j in range(problem.n)), Fraction(0))
+    return _Result("optimal", x=x, value=value, pivots=pivots, tableau=tab)

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from cdcbranch import lp as lp_module
 from cdcbranch import numerics
 from cdcbranch.branching import psi
+from cdcbranch.cdc import HRepPiece, sos2_family
+from cdcbranch.encodings import exotic_code
+from cdcbranch.formulation import build_general, compute_bigm
 from cdcbranch.lp import (
     EQ,
     GE,
@@ -26,7 +29,8 @@ from cdcbranch.lp import (
     solve_lp,
 )
 from cdcbranch.numerics import dot, vec
-from oracles import dd_start_by_nullspace, full_tableau_solve_lp
+from cdcbranch.oracle import check_projection, code_values
+from oracles import dd_start_by_nullspace, dense_condensed_pivot, full_tableau_solve_lp
 
 F = Fraction
 
@@ -214,6 +218,42 @@ def test_enumerate_vertices_eliminates_the_cone_once(monkeypatch):
     monkeypatch.setattr(lp_module, "_gauss_jordan", counted)
     verts = enumerate_vertices(3, [((1, 1, 1), EQ, 1)], bounds=[(0, None)] * 3)
     assert len(verts) == 3 and len(calls) == 2
+
+
+@st.composite
+def pivot_tableaux(draw, p):
+    """(T, basis, N, r, q): a condensed int tableau, row 0 of reduced
+    costs with scale 0 and m rows with positive scales, n nonbasic columns,
+    and a pivot on row r and column q whose entry is p.  Entries are small,
+    with many zeros and units; one more row holds 0 at q."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-12, 12))
+
+    def row(scale):
+        return draw(st.lists(entry, min_size=n + 1, max_size=n + 1)) + [scale]
+
+    T = [row(0)] + [row(draw(st.integers(1, 9))) for _ in range(m)]
+    r, q = draw(st.integers(1, m)), draw(st.integers(0, n - 1))
+    T[r][q] = p
+    T[draw(st.sampled_from([i for i in range(m + 1) if i != r]))][q] = 0
+    return T, list(range(n, n + m)), list(range(n)), r, q
+
+
+@pytest.mark.parametrize("p", [1, -1, 2, -3, 7])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sparse_pivot_gives_the_dense_rows_byte_for_byte(p, data):
+    # the same coprime int rows as the dense update, the same basis and
+    # nonbasic columns, and no row of the input changed in place: a child
+    # tableau shares its parent's rows
+    T, basis, N, r, q = data.draw(pivot_tableaux(p))
+    before = [(row, list(row)) for row in T]
+    sparse, dense = (list(T), list(basis), list(N)), (list(T), list(basis), list(N))
+    lp_module._pivot(*sparse, r, q)
+    dense_condensed_pivot(*dense, r, q)
+    assert sparse == dense
+    assert all(type(x) is int for row in sparse[0] for x in row)
+    assert all(row == copy for row, copy in before)
 
 
 def test_cone_with_a_pivot_in_the_identity_is_not_pointed():
@@ -536,16 +576,17 @@ BOUND_KINDS = ("free", "lower", "upper only", "two-sided", "fixed")
 
 
 @st.composite
-def bounded_lps(draw):
-    """A bounded LP with one of the five bound kinds per variable.  A side
-    that the bounds leave open is closed by a row, so the feasible set is a
-    polytope (maybe empty) and its best vertex is the optimum."""
+def bounded_lps(draw, kinds=BOUND_KINDS):
+    """A bounded LP with one of the five bound kinds per variable, drawn
+    from kinds.  A side that the bounds leave open is closed by a row, so
+    the feasible set is a polytope (maybe empty) and its best vertex is
+    the optimum."""
     n = draw(st.integers(min_value=1, max_value=3))
     bounds, rows = [], []
     for j in range(n):
         e = tuple(F(int(i == j)) for i in range(n))
         lo, hi = draw(rationals) - 3, draw(rationals) + 3
-        kind = draw(st.sampled_from(BOUND_KINDS))
+        kind = draw(st.sampled_from(kinds))
         if kind == "free":
             bounds.append((None, None))
             rows += [(e, LE, hi), (e, GE, lo)]
@@ -588,6 +629,65 @@ def test_solve_lp_matches_vertex_enumeration_on_every_bound_kind(lp):
     # a free variable has one column, eliminated on a row, so the optimum
     # is a basic solution: a vertex of the polytope
     assert x in verts
+
+
+@pytest.mark.parametrize("kind", BOUND_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_int_value_is_c_dot_x_for_every_bound_kind(kind, data):
+    # _optimum sums the value in ints over the columns' offsets and the
+    # rows' scales: it must be c . x in Fractions, every variable of one
+    # kind, for a Fraction objective and for the same one as ints
+    n, c, rows, bounds = data.draw(bounded_lps(kinds=(kind,)))
+    res = solve_lp(LpProblem(n, c, rows, bounds=bounds))
+    if res.status != "optimal":
+        return
+    assert type(res.value) is F
+    assert res.value == sum((F(cj) * xj for cj, xj in zip(c, res.x)), F(0))
+    s = lcm(*(F(cj).denominator for cj in c))
+    ints = tuple(int(cj * s) for cj in c)
+    scaled = solve_lp(LpProblem(n, ints, rows, bounds=bounds))
+    assert scaled.value == s * res.value and scaled.x == res.x
+
+
+def test_the_int_value_reads_every_column_kind():
+    # a lower shift, an upper bound alone (sign -1), a box, a fixed and a
+    # free variable, each with a nonzero offset or value, in one LP with a
+    # Fraction objective
+    bounds = [(F(1, 3), None), (None, F(7, 2)), (F(-1, 2), F(5, 4)), (F(2, 3), F(2, 3)),
+              (None, None)]
+    e = [tuple(int(i == j) for i in range(5)) for j in range(5)]
+    rows = [(e[0], LE, 2), (e[1], GE, -1), (e[4], LE, F(9, 7)), (e[4], GE, -3)]
+    c = (F(3, 2), F(-5, 3), F(7, 4), F(-1, 6), F(2, 5))
+    problem = LpProblem(5, c, rows, bounds=bounds)
+    assert problem.objective == (90, -100, 105, -10, 24) and problem.objective_den == 60
+    res = solve_lp(problem)
+    assert res.x == (F(2), F(-1), F(5, 4), F(2, 3), F(9, 7))
+    assert res.value == sum(a * b for a, b in zip(c, res.x)) == F(36577, 5040)
+
+
+def test_value_readers_build_no_point(monkeypatch):
+    # x is read off the kept tableau only when asked: check_projection's
+    # probes and compute_bigm's bounds read only the value
+    built = []
+    real = lp_module._point
+
+    def spy(tab):
+        built.append(tab)
+        return real(tab)
+
+    monkeypatch.setattr(lp_module, "_point", spy)
+    form = build_general(sos2_family(4), exotic_code(4))
+    report = check_projection(form, code_values(form))
+    assert report.ok and report.stats["probes"] > 0
+    pieces = [HRepPiece([[1], [-1]], [i + 1, -i]) for i in range(0, 8, 2)]
+    assert len(compute_bigm(pieces)) == len(pieces)
+    assert built == []
+    # a reader of x builds it once
+    res = solve_lp(LpProblem(1, [1], [((1,), LE, 3)]))
+    assert res.x == res.x == (F(3),) and len(built) == 1
+    assert solve_lp(LpProblem(1, [1], [((1,), LE, 3), ((1,), GE, 4)])).x is None
+    assert len(built) == 1
 
 
 def _exact_forms(q):

@@ -2,6 +2,7 @@
 
 import copy
 import warnings
+from types import SimpleNamespace
 from fractions import Fraction as F
 
 import pytest
@@ -35,7 +36,7 @@ from cdcbranch.oracle import (
     relaxation_vertices,
 )
 from cdcbranch.numerics import dot
-from oracles import classify_rows_by_rank
+from oracles import classify_rows_by_rank, hull_coordinates_by_reduction
 
 
 def grid():
@@ -584,6 +585,42 @@ def test_certificate_leaves_a_disconnected_family_to_double_description():
     valid = check_valid(loose, code_values(loose))
     assert valid.ok and certified_vertices(loose, valid) is None
     assert len(relaxation_vertices(loose)) > len(points)
+
+
+@st.composite
+def embedding_structures(draw):
+    """What the certificate's J reads of a formulation: a family covering
+    1..n, distinct codes, some with a last coordinate twice the first so
+    that the code differences lose rank, and maybe an artificial
+    component n + 1 in no alternative."""
+    n = draw(st.integers(1, 6))
+    sets = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1), min_size=1, max_size=6,
+                         unique=True))
+    uncovered = frozenset(range(1, n + 1)).difference(*sets)
+    if uncovered:
+        sets.append(uncovered)
+    r = draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    code = st.lists(entry, min_size=r, max_size=r)
+    if r > 1 and draw(st.booleans()):
+        code = code.map(lambda h: h[:-1] + [2 * h[0]])
+    codes = draw(st.lists(code.map(tuple), min_size=len(sets), max_size=len(sets),
+                          unique_by=lambda h: tuple(map(F, h))))
+    artificial = draw(st.booleans())
+    return SimpleNamespace(family=CdcFamily(n, sets), codes=Encoding(codes), n=n + artificial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(embedding_structures())
+def test_hull_coordinates_match_the_reduction_of_every_point(form):
+    assert oracle_module._hull_coordinates(form) == hull_coordinates_by_reduction(form)
+
+
+def test_hull_coordinates_of_a_disconnected_family_and_the_acceptance_bases():
+    disconnected = build_general(CdcFamily(8, [(1, 2), (3, 4), (5, 6), (7, 8)]), moment_code(4))
+    assert disconnected.artificial
+    for form in (disconnected,) + CERTIFIED_BASES:
+        assert oracle_module._hull_coordinates(form) == hull_coordinates_by_reduction(form)
 
 
 def test_certificate_needs_a_valid_formulation():

@@ -16,7 +16,7 @@ from cdcbranch.cdc import (
     grid_triangulation_fixture,
     sos2_family,
 )
-from cdcbranch.encodings import exotic_code, gray_code, moment_code, zigzag_code
+from cdcbranch.encodings import Encoding, exotic_code, gray_code, moment_code, zigzag_code
 from cdcbranch.formulation import build_bigm_moment, build_general, build_moment_curve
 from cdcbranch.lp import GE, LE
 from cdcbranch.oracle import (
@@ -24,6 +24,7 @@ from cdcbranch.oracle import (
     brute_force_optimum_hrep,
     objective_from_vertex_map,
 )
+from cdcbranch import branching as branching_module
 from cdcbranch import lp as lp_module
 from cdcbranch import numerics
 from cdcbranch import solver as solver_module
@@ -171,6 +172,57 @@ def test_incompatible_scheme_raises():
         solve(form, [F(0)] * 5, "moment")
     with pytest.raises(SolveError):
         solve(form, [F(0)] * 5, "variable")
+
+
+def test_compatibility_is_decided_once_per_encoding(monkeypatch):
+    # five solves of one formulation per scheme make one hole-free scan
+    # and one canonical code each: the verdict is kept on the encoding
+    calls = []
+
+    def counted(name):
+        real = getattr(branching_module, name)
+
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+
+        return spy
+
+    for name in ("is_hole_free", "moment_code", "exotic_code"):
+        monkeypatch.setattr(branching_module, name, counted(name))
+    fam = sos2_family(8)
+    forms = {
+        "variable": build_general(fam, gray_code(3)),
+        "moment": build_moment_curve(fam),
+        "exotic": build_general(fam, exotic_code(8)),
+    }
+    rng = random.Random(0)
+    for scheme, form in forms.items():
+        for _ in range(5):
+            rep = solve(form, [rng.randint(-9, 9) for _ in range(form.n)], scheme)
+            assert rep.status == "optimal"
+    assert sorted(calls) == ["exotic_code", "is_hole_free", "moment_code"]
+
+
+def test_a_kept_verdict_keeps_its_error_text():
+    # an incompatible encoding is refused with the same text every time
+    holes = build_general(sos2_family(4), exotic_code(4))
+    half = build_general(sos2_family(4), Encoding([(0, 0), (1, 0), (F(1, 2), 1), (0, 1)]))
+    expected = [
+        (holes, "moment", "codes are not the parabola family"),
+        (holes, "variable", "codes leave integer holes in their hull"),
+        (half, "variable", "hole-freeness is only defined for integer codes"),
+        (half, "exotic", "codes are not the two-per-level planar family"),
+    ]
+    for _ in range(2):
+        for form, scheme, why in expected:
+            with pytest.raises(SolveError) as info:
+                solve(form, [0] * 5, scheme)
+            assert str(info.value) == "scheme %s incompatible: %s" % (scheme, why)
+    assert holes.codes.verdicts == {
+        "moment": (False, "codes are not the parabola family"),
+        "variable": (False, "codes leave integer holes in their hull"),
+    }
 
 
 def test_objective_length_checked():
@@ -322,8 +374,8 @@ def test_a_bigm_solve_scales_rows_only_in_lp_problem(monkeypatch):
     # build_bigm_moment holds its rows as ints, fractional gaps included,
     # so a solve that branches scales each row only where a holder takes
     # it: LpProblem for the LPs and CodeRelaxation for the scheme's regions.
-    # Neither assemble() nor solve_lp scales a row; solve_lp's one call is
-    # on the root's objective row
+    # Neither assemble() nor solve_lp scales a row, the objective row
+    # included: LpProblem keeps the objective as ints
     p1 = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1], [2, 1]], [2, 0, 2, 0, F(7, 2)])
     p2 = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1]], [5, -3, 1, 0])
     p3 = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, 0, 4, -3])
@@ -346,5 +398,4 @@ def test_a_bigm_solve_scales_rows_only_in_lp_problem(monkeypatch):
             monkeypatch.setattr(module, "_integer_rows", spy)
     rep = solve(system, [1, 2], "moment")
     assert rep.status == "optimal" and rep.nodes == 5
-    assert sorted(set(callers)) == ["CodeRelaxation", "LpProblem", "solve_lp"]
-    assert callers.count("solve_lp") == 1
+    assert sorted(set(callers)) == ["CodeRelaxation", "LpProblem"]
