@@ -6,9 +6,10 @@
 Pair i runs `benchmark/run.py --trace 0 --seed <seed0 + i>` once in each
 checkout, for the run_seconds of the parent's BENCHMARK.json: the parent
 first in even pairs and the change first in odd ones, so a drift in the
-machine's speed falls on both sides alike.  For every end-to-end metric
-there, it prints each side's median and quartiles, the change of the
-medians, the parent's quartile spread (q3 - q1), the number of pairs in
+machine's speed falls on both sides alike.  After each pair it prints a
+line (pair_line) with each side's wall_s, operations attempted and
+peak_rss_mb.  At the end, for every end-to-end metric in BENCHMARK.json,
+it prints each side's median and quartiles, the change of the medians, the parent's quartile spread (q3 - q1), the number of pairs in
 which the change did better, by the metric's "better", and a verdict:
 
     better      the change did better in at least nine tenths of the pairs,
@@ -67,6 +68,18 @@ def verdict(old, new, sign, bound):
     return "no worse"
 
 
+def pair_line(i, seed, parent, change):
+    """The line printed after pair i, run with seed: each side's wall_s, the
+    operations it attempted and its peak_rss_mb.  run.py keeps a record per
+    operation, so a faster run holds more of them, and its memory is read
+    against that count."""
+    return "pair %d, seed %d: %s" % (i, seed, "; ".join(
+        "%s wall_s %.6g attempted %d peak_rss_mb %.4g" % (
+            side, r["metrics"]["wall_s"]["value"], r["attempted"],
+            r["metrics"]["peak_rss_mb"]["value"])
+        for side, r in (("parent", parent), ("change", change))))
+
+
 def summarize(metrics, parent_runs, change_runs):
     """One text line per end-to-end metric of `metrics` (BENCHMARK.json's
     end_to_end list), then the correct and failed counts.  parent_runs and
@@ -109,9 +122,8 @@ def main(argv=None):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run(getattr(args, side), args.workload, args.seed0 + i, seconds))
-        print("pair %d, seed %d: wall_s parent %.6g change %.6g" % (
-            i + 1, args.seed0 + i, runs["parent"][-1]["metrics"]["wall_s"]["value"],
-            runs["change"][-1]["metrics"]["wall_s"]["value"]), flush=True)
+        print(pair_line(i + 1, args.seed0 + i, runs["parent"][-1], runs["change"][-1]),
+              flush=True)
     print("%s: %d alternating pairs of %g s, seeds %d-%d" % (
         args.workload, args.pairs, seconds, args.seed0, args.seed0 + args.pairs - 1))
     for line in summarize(bench["end_to_end"], runs["parent"], runs["change"]):

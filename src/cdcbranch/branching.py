@@ -8,10 +8,11 @@ every split can be audited.
 
 from dataclasses import dataclass
 from functools import wraps
+from operator import mul
 
 from .encodings import EncodingError, exotic_code, is_hole_free, moment_code
 from .lp import EQ, GE, LE
-from .numerics import _integer_rows, dot, vec
+from .numerics import _integer_rows, _scaled, dot, vec
 
 
 class BranchError(Exception):
@@ -32,13 +33,16 @@ class CodeRelaxation:
         self.interval = interval
 
     def contains(self, z):
+        """True when z satisfies every row.  z is scaled to ints once, over
+        the lcm den of its denominators (numerics._scaled), so each row is
+        an int dot product compared with rhs * den, and no Fraction is
+        made.  A z of the wrong length raises ValueError."""
+        den, p = _scaled(z)
+        if self.rows and len(p) != len(self.rows[0][0]):
+            raise ValueError("dimension mismatch: %d vs %d" % (len(self.rows[0][0]), len(p)))
         for a, rel, rhs in self.rows:
-            v = dot(a, z)
-            if rel == LE and v > rhs:
-                return False
-            if rel == GE and v < rhs:
-                return False
-            if rel == EQ and v != rhs:
+            v, b = sum(map(mul, a, p)), rhs * den
+            if rel == LE and v > b or rel == GE and v < b or rel == EQ and v != b:
                 return False
         return True
 
@@ -177,13 +181,14 @@ def branch_exotic(Q, H, zhat):
     Fractional first coordinate splits on it; a second coordinate between
     levels splits wide between them; otherwise zhat sits strictly between
     the two codes of its level and two hull-supported slanted cuts split
-    the level's west and east codes apart.
+    the level's west and east codes apart.  H is the Encoding, whose kept
+    code_set tells a code.
     """
     zhat = vec(zhat)
     codes = list(H)
     if not Q.contains(zhat):
         raise BranchError("zhat lies outside the current region")
-    if tuple(zhat) in set(codes):
+    if zhat in H.code_set:
         return BranchOutcome.verify()
     if zhat[0].denominator != 1:
         e1 = (1, 0)

@@ -3,9 +3,10 @@
 Each constructor returns an Encoding whose codes are rational points in
 convex position (a requirement for the geometric construction to apply).
 An Encoding keeps, once read, its codes as ints over one denominator
-(scaled), their affine hull (equations) and their hull's facets as coprime
-int rows (facets); the predicates for convex position and hole-freeness
-test codes, as facet masks, and points against those facets in ints.  It
+(scaled), their affine hull (equations), their hull's facets as coprime
+int rows (facets) and the set of the codes (code_set); the predicates for
+convex position and hole-freeness test codes, as facet masks, and points
+against those facets in ints.  It
 also keeps each branching scheme's verdict on it (verdicts), so a scheme
 decides once per encoding whether it can branch on these codes.
 """
@@ -25,7 +26,12 @@ class EncodingError(Exception):
 
 
 class Encoding:
-    """An ordered tuple of distinct rational codes in r dimensions."""
+    """An ordered tuple of distinct rational codes in r dimensions.
+
+    Codes never change once made, so what is derived from them is kept on
+    first read and shared by every formulation, scheme and solve that holds
+    this encoding: scaled, equations, facets, code_set and the schemes'
+    verdicts."""
 
     def __init__(self, codes, kind="custom"):
         self.codes = tuple(vec(c) for c in codes)
@@ -62,6 +68,12 @@ class Encoding:
         den = lcm(*(x.denominator for h in self for x in h))
         ints = (tuple(x.numerator * (den // x.denominator) for x in h) for h in self)
         return den, tuple(ints)
+
+    @cached_property
+    def code_set(self):
+        """The codes as a frozenset of tuples, hashed once however many
+        solves, audits and checks ask whether a point is a code."""
+        return frozenset(self.codes)
 
     @cached_property
     def equations(self):
@@ -173,8 +185,7 @@ def is_hole_free(encoding):
         if any(x.denominator != 1 for x in h):
             raise EncodingError("hole-freeness is only defined for integer codes")
     box = [range(int(min(c)), int(max(c)) + 1) for c in zip(*encoding)]
-    code_set = set(encoding)
-    eqs = None
+    code_set, eqs = encoding.code_set, None
     for point in product(*box):
         if point in code_set:
             continue

@@ -15,11 +15,11 @@ and the constructor works by columns, in ints.
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from math import gcd
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 
 from . import branching
 from .cdc import CdcFamily, annulus_family, edge_set, sos2_family
@@ -91,12 +91,29 @@ class AssembledSystem:
     and per-variable bounds, both as LpProblem takes them; a formulation's
     rows are its int numerators, and a big-M system's rows are the ints it
     holds.  z is the last r of the nvars variables, so it starts at
-    nvars - r."""
+    nvars - r.
+
+    A formulation keeps the system its assemble() returns, so what is read
+    off it is kept too, on first read: root, its LpProblem, and bare, the
+    system with no rows.  Neither its rows nor its bounds are changed after
+    it is made."""
 
     nvars: int
     rows: list
     bounds: list
     r: int
+
+    @cached_property
+    def root(self):
+        """The system as an LpProblem with a zero objective: its rows and
+        bounds checked and coerced once, for every solve to share with its
+        own objective (LpProblem.with_rows)."""
+        return LpProblem(self.nvars, (0,) * self.nvars, self.rows, self.bounds)
+
+    @cached_property
+    def bare(self):
+        """The system with no rows, whose with_cuts gives the cuts alone."""
+        return replace(self, rows=[])
 
     def with_cuts(self, cuts):
         """New system with z-space rows (a_z, rel, rhs) appended: each a_z
@@ -105,6 +122,21 @@ class AssembledSystem:
         pad = (0,) * (self.nvars - self.r)
         rows = [(pad + tuple(a_z), rel, rhs) for a_z, rel, rhs in cuts]
         return AssembledSystem(self.nvars, self.rows + rows, self.bounds, self.r)
+
+
+_SIDES = attrgetter("direction", "lower", "upper")
+
+
+def _kept(holder, key, build):
+    """The system build() returns, kept on holder with key, the tuple of
+    what it is built from, and built again when key changes.  Tuples
+    compare entries by identity first, so a later call with the same
+    objects costs one pass over them; an entry replaced by an equal one
+    keeps the system, which is built from values alone."""
+    kept = holder.__dict__.get("_assembled")
+    if kept is None or kept[0] != key:
+        kept = holder._assembled = (key, build())
+    return kept[1]
 
 
 class LinearFormulation:
@@ -150,6 +182,17 @@ class LinearFormulation:
         return out
 
     def assemble(self):
+        """The relaxation as one AssembledSystem: both sides of every row as
+        <= rows, the hull equations, the simplex row, lam >= 0 (the
+        artificial component fixed at 0) and z free.  It is built on the
+        first call and kept while rows, hull_equations and artificial hold
+        what it was built from: a row swapped in place, a side of a row
+        set anew or a new list builds it again (_kept)."""
+        sides = tuple(map(_SIDES, self.rows))
+        key = (self.n, self.r, self.artificial, sides, tuple(self.hull_equations))
+        return _kept(self, key, self._assemble)
+
+    def _assemble(self):
         rows = [(a, LE, rhs) for _, a, rhs in self.one_sided()]
         for a, b in self.hull_equations:
             rows.append(((0,) * self.n + a, EQ, b))
@@ -478,6 +521,13 @@ class BigMSystem:
         self.codes = codes
 
     def assemble(self):
+        """The rows as one AssembledSystem over (x, z), every variable free:
+        built on the first call and kept while rows, m and codes hold the
+        objects it was built from (_kept)."""
+        key = (self.m, self.codes, tuple(self.rows))
+        return _kept(self, key, self._assemble)
+
+    def _assemble(self):
         nvars = self.m + self.codes.r
         rows = [(a_x + a_z, LE, rhs) for a_x, a_z, rhs in self.rows]
         return AssembledSystem(nvars, rows, [(None, None)] * nvars, self.codes.r)

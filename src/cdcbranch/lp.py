@@ -344,7 +344,7 @@ def solve_lp(problem, parent=None):
     # row holds the variable and x_j is read off its row.  A free variable
     # that no row holds stays nonbasic at 0; its reduced cost is 0 in an
     # optimal parent, so its pivot leaves row 0 as it is.
-    free = {j for j, bound in enumerate(problem.bounds) if bound == (None, None)}
+    free = {j for j, (lb, ub) in enumerate(problem.bounds) if lb is None and ub is None}
     pivots = 0
     for q in range(n):
         if N[q] in free:

@@ -191,7 +191,7 @@ def check_ideal(form, vertices):
     exist they hold the same vertices, so the report does not depend on
     which one it read.
     """
-    code_set = set(tuple(h) for h in form.codes)
+    code_set = form.codes.code_set
     failures = [
         {"where": "vertex with off-code z", "z": [str(x) for x in v[form.n :]]}
         for v in vertices

@@ -2,10 +2,13 @@
 
 A formulation enters only through its codes and its assemble(): a
 relaxation over (lam or x, z) and the code set z must reach, whichever
-builder made the rows.  Nodes carry a region of code space, the cuts
-that carved it from its parent's region and the parent's optimal LP,
-which the node's own LP extends by those cuts and re-optimizes by dual
-simplex.  Node selection is best bound with FIFO tie-breaking, all
+builder made the rows.  Both are read once per source, not once per
+solve: the source keeps its assembled system, the system its root LP
+with rows and bounds coerced, and the encoding its code set, so a solve
+of a source solved before checks only its objective.  Nodes carry a
+region of code space, the cuts that carved it from its parent's region
+and the parent's optimal LP, which the node's own LP extends by those
+cuts and re-optimizes by dual simplex.  Node selection is best bound with FIFO tie-breaking, all
 arithmetic is rational, and an incumbent is only ever accepted when the
 relaxation optimum lands exactly on a code, which a valid formulation
 guarantees to be a true feasible point.
@@ -13,13 +16,13 @@ guarantees to be a true feasible point.
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .branching import BranchError, make_scheme
 from .formulation import BigMSystem, LinearFormulation
-from .lp import LpError, LpProblem, enumerate_vertices, lp_feasible, solve_lp
-from .numerics import format_rational, vec
+from .lp import LpError, enumerate_vertices, lp_feasible, solve_lp
+from .numerics import _scaled, format_rational, vec
 from .oracle import VerificationReport
 
 
@@ -77,8 +80,10 @@ def solve(
     codes and its assemble(), whose last r variables are z.  The
     objective covers the variables before z (lam or x); one entry short
     is padded with a 0 when the system's bounds fix that last variable at
-    zero, the artificial component of a disconnected family.  Returns a
-    SolveReport.
+    zero, the artificial component of a disconnected family.  It is read
+    once, as ints over one denominator (numerics._scaled), with no Fraction
+    made for an int or whole entry, and the root LP is the source's kept
+    one with this objective.  Returns a SolveReport.
     """
     t0 = time.perf_counter_ns()
     if isinstance(scheme, str):
@@ -92,9 +97,11 @@ def solve(
         raise SolveError("an encoding is required")
     base = source.assemble()
     z_start = base.nvars - base.r
-    c = vec(objective)
+    # the objective as ints c over den, negated to minimize: every LP value
+    # is den times the objective's, signed, and unscale takes it back
+    den, c = _scaled(tuple(objective))
     if len(c) == z_start - 1 and base.bounds[z_start - 1] == (0, 0):
-        c = c + (Fraction(0),)
+        c.append(0)
     if len(c) != z_start:
         raise SolveError("objective length mismatch")
 
@@ -102,19 +109,22 @@ def solve(
     if not ok:
         raise SolveError("scheme %s incompatible: %s" % (scheme.name, why))
 
-    mult = Fraction(1) if sense == "max" else Fraction(-1)
-    c_int = tuple(mult * x for x in c) + (Fraction(0),) * base.r
-    code_set = set(tuple(h) for h in encoding)
+    mult = 1 if sense == "max" else -1
+    unscale = Fraction(mult, den)
+    c_int = tuple(c if mult == 1 else [-x for x in c]) + (0,) * base.r
+    code_set = encoding.code_set
 
     # A heap entry holds its parent's optimal LpResult and its own cuts:
     # the root is solved cold, and every child adds its cuts to its
     # parent's LP, which shares the root's coerced objective and bounds.
-    # with_cuts on a system with no rows of its own gives the cuts alone,
-    # each padded with zeros over lam or x.  The root's region is built
-    # only when the root branches, since only a split reads it; until then
-    # its state is None.
-    root = LpProblem(base.nvars, c_int, base.rows, bounds=base.bounds)
-    bare = replace(base, rows=[])
+    # The root is the source's kept LP with this objective, so only the
+    # objective is checked here.  with_cuts on the kept system with no
+    # rows (bare) gives the cuts alone, each padded with zeros over lam or
+    # x.  The root's region is built only when the root branches, since
+    # only a split reads it; until then its state is None.
+    kept = base.root
+    root = kept.with_rows(kept.rows, objective=c_int)
+    bare = base.bare
     counter = 0
     heap = [((0, Fraction(0), counter), None, (), None)]
     incumbent = None
@@ -179,7 +189,7 @@ def solve(
     if heap:
         key = min(h[0] for h in heap)
         if key[0] == 1:
-            remaining = mult * -key[1]
+            remaining = unscale * -key[1]
 
     if heap:
         status = "node_cap"
@@ -198,7 +208,7 @@ def solve(
     )
     if incumbent is not None:
         val, point = incumbent
-        report.value = mult * val
+        report.value = unscale * val
         report.z = point[z_start:]
         if isinstance(source, BigMSystem):
             report.x = point[:z_start]
@@ -225,7 +235,7 @@ def check_branch_soundness(scheme, encoding, Q, zhat, outcome=None):
         raise BranchError("zhat must lie in the audited region")
     if outcome is None:
         outcome = scheme.step(Q, zhat, encoding)
-    code_set = set(tuple(h) for h in encoding)
+    code_set = encoding.code_set
     if outcome.verified:
         ok = tuple(zhat) in code_set
         return VerificationReport(

@@ -34,6 +34,20 @@ def canonical_inequality(a, rhs):
     return tuple(Fraction(x // g) for x in ints[:-1]), Fraction(ints[-1] // g)
 
 
+def contains_by_fractions(Q, z):
+    """CodeRelaxation.contains by Fraction dot products: each row of Q,
+    a . z, compared with its rhs."""
+    for a, rel, rhs in Q.rows:
+        v = dot(a, z)
+        if rel == LE and v > rhs:
+            return False
+        if rel == GE and v < rhs:
+            return False
+        if rel == EQ and v != rhs:
+            return False
+    return True
+
+
 def separation_certificates_exotic(r):
     """Per-code separating inequalities for the exotic family of size 4r.
 

@@ -53,3 +53,14 @@ def test_verdict_follows_the_pipeline_rules():
     # higher is better: the same rules with the sign turned
     assert verdict(parent, [1.30, 1.32, 1.31, 1.33, 1.34], -1, 0.24) == "better"
     assert verdict(parent, [0.70, 0.72, 0.71, 0.73, 0.74], -1, 0.24) == "worse"
+
+
+def test_a_pair_line_reads_memory_next_to_the_operations_attempted():
+    parent = result(0.0101, 348)
+    parent["metrics"]["peak_rss_mb"] = {"value": 23.6512}
+    change = result(0.00745, 348)
+    change["attempted"] = 24084
+    change["metrics"]["peak_rss_mb"] = {"value": 25.1}
+    line = load_script().pair_line(3, 7403, parent, change)
+    assert line == ("pair 3, seed 7403: parent wall_s 0.0101 attempted 10 peak_rss_mb 23.65; "
+                    "change wall_s 0.00745 attempted 24084 peak_rss_mb 25.1")

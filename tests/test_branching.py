@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcbranch.branching import (
     BranchError,
@@ -19,6 +21,8 @@ from cdcbranch.branching import (
 )
 from cdcbranch.encodings import exotic_code, gray_code, moment_code, zigzag_code
 from cdcbranch.lp import EQ, GE, LE, enumerate_vertices
+
+from oracles import contains_by_fractions
 
 
 def zz(*vals):
@@ -268,3 +272,32 @@ def test_relaxation_holds_int_rows():
 def test_relaxation_rejects_a_float_rhs():
     with pytest.raises(TypeError):
         CodeRelaxation([((1, 0), LE, 0.1)])
+
+
+coefficient = st.integers(min_value=-6, max_value=6)
+entry = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+
+
+@st.composite
+def regions_and_points(draw):
+    """An int region of LE, GE and EQ rows in r dimensions, and a point
+    whose entries have mixed denominators and signs; half of the points
+    are moved onto a row, solving that row for one of its nonzero
+    coordinates, so they lie on it exactly."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(st.lists(
+        st.tuples(st.tuples(*[coefficient] * r), st.sampled_from((LE, GE, EQ)), coefficient),
+        min_size=1, max_size=5))
+    z = list(draw(st.tuples(*[entry] * r)))
+    a, _, rhs = draw(st.sampled_from(rows))
+    k = next((k for k, x in enumerate(a) if x), None)
+    if k is not None and draw(st.booleans()):
+        z[k] += (rhs - sum(x * y for x, y in zip(a, z))) / F(a[k])
+    return CodeRelaxation(rows), tuple(z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(regions_and_points())
+def test_contains_in_ints_agrees_with_fraction_dot_products(case):
+    q, z = case
+    assert q.contains(z) == contains_by_fractions(q, z)

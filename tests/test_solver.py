@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
@@ -17,7 +18,14 @@ from cdcbranch.cdc import (
     sos2_family,
 )
 from cdcbranch.encodings import Encoding, exotic_code, gray_code, moment_code, zigzag_code
-from cdcbranch.formulation import build_bigm_moment, build_general, build_moment_curve
+from cdcbranch.formulation import (
+    BigMSystem,
+    LinearFormulation,
+    TwoSidedRow,
+    build_bigm_moment,
+    build_general,
+    build_moment_curve,
+)
 from cdcbranch.lp import GE, LE
 from cdcbranch.oracle import (
     brute_force_optimum,
@@ -164,6 +172,15 @@ def test_node_cap_reports_bound():
     assert rep.status == "node_cap"
     assert rep.nodes == 1
     assert rep.remaining_bound is not None
+    # an objective over a denominator is solved as ints over it: the bound
+    # and the value are reported over it again, in either sense
+    for sense, k in (("max", 1), ("min", -2)):
+        whole, third = (
+            [solve(system, [c], "moment", sense=sense, node_cap=cap) for cap in (1, 10 ** 6)]
+            for c in (F(k), F(k, 3))
+        )
+        assert third[0].remaining_bound == whole[0].remaining_bound / 3 != 0
+        assert third[1].value == whole[1].value / 3 != 0
 
 
 def test_incompatible_scheme_raises():
@@ -399,3 +416,98 @@ def test_a_bigm_solve_scales_rows_only_in_lp_problem(monkeypatch):
     rep = solve(system, [1, 2], "moment")
     assert rep.status == "optimal" and rep.nodes == 5
     assert sorted(set(callers)) == ["CodeRelaxation", "LpProblem"]
+
+
+def _untimed(form, c, scheme):
+    # a solve's report without its timing, or the error it raises
+    try:
+        doc = solve(form, c, scheme).to_json()
+    except SolveError as exc:
+        return str(exc)
+    del doc["wall_micros"]
+    return doc
+
+
+def test_a_kept_system_answers_only_for_its_own_rows():
+    # a formulation keeps its assembled system between solves; swapping a
+    # row in place, setting a row's side anew or replacing the hull
+    # equations must build it again, so each report equals that of a
+    # freshly built formulation with the same rows
+    fam = sos2_family(8)
+    cases = (
+        (build_general(fam, gray_code(3)), "variable", 5),
+        (build_moment_curve(fam), "moment", 1),
+        (build_general(fam, exotic_code(8)), "exotic", 3),
+    )
+    for form, scheme, k in cases:
+        c = [int(i == k) for i in range(form.n)]
+        before = _untimed(form, c, scheme)
+        row = form.rows[0]
+        low = list(row.lower)
+        low[k] += 1
+        form.rows[0] = TwoSidedRow(row.direction, low, row.upper)
+        after = _untimed(form, c, scheme)
+        fresh = LinearFormulation(
+            form.n, form.r, list(form.rows), form.hull_equations, form.artificial,
+            codes=form.codes,
+        )
+        assert after == _untimed(fresh, c, scheme) != before
+        # a side set anew on the same row object
+        form.rows[0].lower = row.lower
+        assert _untimed(form, c, scheme) == before
+        form.hull_equations = [((F(1),) + (F(0),) * (form.r - 1), F(1))]
+        after = _untimed(form, c, scheme)
+        fresh.hull_equations = form.hull_equations
+        fresh.rows[0] = row
+        assert after == _untimed(fresh, c, scheme) != before
+    # a big-M system's row swapped in place: the last piece's bound x <= 7
+    # at its own code becomes x <= 6
+    system = build_bigm_moment([HRepPiece([[1], [-1]], [i + 1, -i]) for i in range(0, 8, 2)])
+    before = _untimed(system, [1], "moment")
+    a_x, a_z, rhs = system.rows[6]
+    system.rows[6] = (a_x, a_z, rhs - 1)
+    fresh = BigMSystem(list(system.rows), system.m, system.codes)
+    assert _untimed(system, [1], "moment") == _untimed(fresh, [1], "moment") != before
+
+
+def test_a_source_is_assembled_once(monkeypatch):
+    # five solves of one formulation per scheme, and one big-M union solved
+    # in its four directions, each assemble one system, coerce its rows into
+    # the root LP once and build one code set: all are kept on the source
+    assembled, coerced, code_sets = [], [], []
+    for cls in (LinearFormulation, BigMSystem):
+        real = cls.__dict__["assemble"]
+        monkeypatch.setattr(
+            cls, "assemble", lambda self, real=real: assembled.append(real(self)) or assembled[-1]
+        )
+    real_rows = lp_module.LpProblem._rows
+    monkeypatch.setattr(
+        lp_module.LpProblem, "_rows", lambda self, rows: coerced.append(rows) or real_rows(self, rows)
+    )
+    real_set = Encoding.__dict__["code_set"].func
+    counted = cached_property(lambda self: code_sets.append(self) or real_set(self))
+    counted.__set_name__(Encoding, "code_set")
+    monkeypatch.setattr(Encoding, "code_set", counted)
+
+    def solved_once(source, runs):
+        for seen in (assembled, coerced, code_sets):
+            seen.clear()
+        for c, scheme in runs:
+            assert solve(source, c, scheme).status == "optimal"
+        system = assembled[0]
+        assert len(assembled) == len(runs) and all(s is system for s in assembled)
+        assert sum(rows is system.rows for rows in coerced) == 1
+        assert code_sets == [source.codes]
+
+    fam = sos2_family(8)
+    rng = random.Random(0)
+    for scheme, form in (
+        ("variable", build_general(fam, gray_code(3))),
+        ("moment", build_moment_curve(fam)),
+        ("exotic", build_general(fam, exotic_code(8))),
+    ):
+        solved_once(form, [([rng.randint(-9, 9) for _ in range(form.n)], scheme) for _ in range(5)])
+    box = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    pieces = [HRepPiece(box, [x + 2, -x, y + 1, -y]) for x, y in ((0, 0), (3, 1), (-2, 4), (5, -3))]
+    directions = ((3, 1), (-1, 3), (-3, -1), (1, -3))
+    solved_once(build_bigm_moment(pieces), [(c, "moment") for c in directions])
