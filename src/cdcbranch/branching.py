@@ -7,7 +7,7 @@ every split can be audited.
 """
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache, wraps
 from operator import mul
 
 from .encodings import EncodingError, exotic_code, is_hole_free, moment_code
@@ -82,13 +82,16 @@ class BranchOutcome:
         )
 
 
+@lru_cache(maxsize=1024)
 def psi(d, l, u):
     """Hull of the parabola codes (i, i*i), i = l..u, as explicit rows.
 
     Tangent rows cut below the curve, the chord row cuts above, and the
     two first-coordinate bounds close the region (they are implied for
     u >= l + 2 but necessary when u = l + 1).  l == u gives the single
-    code via equalities.
+    code via equalities.  A region depends only on (d, l, u), and no
+    caller changes one in place (with_cuts makes a new one), so each is
+    built once and kept, whichever split or solve asks for it again.
     """
     if not 1 <= l <= u <= d:
         raise BranchError("need 1 <= l <= u <= d")

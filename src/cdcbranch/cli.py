@@ -200,11 +200,15 @@ def cmd_verify(args):
     form = _build(family, meta, args.encoding, args.builder)
     # the two tables the checks read, each computed once: the vertices are
     # the embedding points when the certificate proves it, and come from
-    # double description of the relaxation only when it does not
+    # double description of the relaxation only when it does not.  On a
+    # valid, ideal relaxation each slice z = h_i is a face, so
+    # check_projection reads it off the vertices; otherwise it probes by LP
     values = code_values(form)
     valid = check_valid(form, values)
     vertices, masks = certified_vertices(form, valid) or (relaxation_vertices(form), None)
-    reports = (valid, check_ideal(form, vertices), check_projection(form, values))
+    ideal = check_ideal(form, vertices)
+    faces = vertices if valid.ok and ideal.ok else None
+    reports = (valid, ideal, check_projection(form, values, faces))
     out = {rep.kind: rep.to_json() for rep in reports}
     out["row_classes"] = Counter(e["class"] for e in classify_rows(form, vertices, masks))
     out["rows"] = 2 * len(form.rows)

@@ -3,15 +3,19 @@
 Nothing here trusts the builders.  The checks read two tables, each
 computed once per formulation: the code-value table (code_values), each
 row's z part at each code, and the relaxation's vertices.  Validity is
-checked point by point against the embedding from the first, and the
-projection property by exact LP probes on every slice, each an LP in lam
-alone with z fixed at a code.  Idealness and the facet census, read off
-vertex-row incidences, come from the second.  The vertices are the
-embedding points (embedding_points) when a certificate proves the
-relaxation to be their hull (certified_vertices): double description of
-the few points, not of the relaxation, gives the hull's facets, and each
-must be the face of a row or a bound.  Only when it fails is the
-relaxation enumerated, by double description (relaxation_vertices).
+checked point by point against the embedding from the first.
+Idealness and the facet census, read off vertex-row incidences, come
+from the second, and so does the projection property when the
+relaxation is valid and ideal and the codes are in convex position: each
+slice z = h_i is then a face, whose vertices are the relaxation's
+vertices at h_i.  Elsewhere the projection property is checked by exact
+LP probes on every slice, each an LP in lam alone with z fixed at a
+code.  The vertices are the embedding points (embedding_points) when a
+certificate proves the relaxation to be their hull (certified_vertices):
+double description of the few points, not of the relaxation, gives the
+hull's facets, and each must be the face of a row or a bound.  Only when
+it fails is the relaxation enumerated, by double description
+(relaxation_vertices).
 These are the referees the rest of the package answers to.
 """
 
@@ -22,6 +26,7 @@ from functools import partial, reduce
 from itertools import chain
 from operator import add, mul, neg
 
+from .encodings import is_convex_position
 from .lp import EQ, LE, LpError, LpProblem, _double_description, enumerate_vertices, solve_lp
 from .numerics import _gauss_jordan, _integer_rows, dot, rank, vec
 
@@ -200,19 +205,30 @@ def check_ideal(form, vertices):
     return VerificationReport("ideal", not failures, failures, {"vertices": len(vertices)})
 
 
-def check_projection(form, values):
+def check_projection(form, values, vertices=None):
     """Fixing z at code i must slice out exactly the face of alternative i.
 
-    values is code_values(form).  The slice is an LP in lam alone, the
-    relaxation's rows with z = h_i substituted.  Their lam parts (lower
-    and -upper per row, a zero row per hull equation, the simplex row)
-    are int tuples built once; per alternative only the right-hand sides
-    change: D[k][i] and -D[k][i], b - a . h_i, which is nonzero at an
-    off-hull code, and 1.  lam keeps its bounds (an artificial component
-    stays at zero), coerced once; a probe's objective is a tuple of ints,
-    which LpProblem keeps, and only its rows are checked and coerced.
+    values is code_values(form).  vertices, when given, are the vertices
+    check_ideal passed on, of a relaxation check_valid passed on; verify
+    gives them only then.  With the codes in convex position too
+    (is_convex_position), each slice is a face of the relaxation, and the
+    verdict is read off its vertices with no LP
+    (_projection_from_vertices).  Without vertices, or with codes not in
+    convex position, each slice is probed by LP, as below; the LP path is
+    also the vertex path's reference in the tests.
+
+    The slice is an LP in lam alone, the relaxation's rows with z = h_i
+    substituted.  Their lam parts (lower and -upper per row, a zero row
+    per hull equation, the simplex row) are int tuples built once; per
+    alternative only the right-hand sides change: D[k][i] and -D[k][i],
+    b - a . h_i, which is nonzero at an off-hull code, and 1.  lam keeps
+    its bounds (an artificial component stays at zero), coerced once; a
+    probe's objective is a tuple of ints, which LpProblem keeps, and only
+    its rows are checked and coerced.
     stats counts the LPs (probes) and their simplex pivots.
     """
+    if vertices is not None and is_convex_position(form.codes):
+        return _projection_from_vertices(form, vertices)
     n = form.n
     bounds = [(0, None)] * (n - 1) + [(0, 0) if form.artificial else (0, None)]
     slice_lp = LpProblem(n, (0,) * n, (), bounds=bounds)
@@ -255,6 +271,37 @@ def check_projection(form, values):
                 failures.append(_failure(where, i + 1, w))
     stats = {"probes": len(pivots), "pivots": sum(pivots)}
     return VerificationReport("projection", not failures, failures, stats)
+
+
+def _projection_from_vertices(form, vertices):
+    """check_projection's report, read off the relaxation P's vertices.
+
+    Every vertex has its z at a code, and every code is the z of an
+    embedding point, so P projects onto the hull of the codes, where each
+    code h_i is a vertex.  The slice z = h_i is then the face of P over
+    that vertex (the preimage of a face under a projection is a face;
+    Ziegler, Lectures on Polytopes, ch. 2), and its vertices are P's
+    vertices with z = h_i.  A component's largest weight over the slice,
+    the value of the LP probe for it, is so its largest weight at those
+    vertices, and the failures are the ones the probes would name.  The
+    unit vectors of T^i lie in the slice by validity, and no LP runs, so
+    stats counts no probe and no pivot.
+    """
+    n, m = form.n, form.family.n
+    alternative = {h: i for i, h in enumerate(form.codes)}
+    most = [[0] * n for _ in form.codes]  # largest weight per component
+    for v in vertices:
+        w = most[alternative[v[n:]]]
+        for c, x in enumerate(v[:n]):
+            if x and x > w[c]:  # most entries are 0, which tests faster
+                w[c] = x
+    failures = [
+        _failure("foreign component admits weight %s" % w[c - 1], i + 1, c)
+        for i, (T, w) in enumerate(zip(form.family.sets, most))
+        for c in range(1, m + 1)
+        if w[c - 1] and c not in T
+    ]
+    return VerificationReport("projection", not failures, failures, {"probes": 0, "pivots": 0})
 
 
 def classify_rows(form, vertices, masks=None):

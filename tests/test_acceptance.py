@@ -348,8 +348,9 @@ def test_union_workload_reports_pinned(monkeypatch):
 
 # sha256 of the verify workload's report files, as `cdcbranch verify` writes
 # them through cli.main, each followed by its exit code: the 38 pairings of
-# verify_pairings() in order, then the three SLOW_VERIFY ones, sorted.
-VERIFY_WORKLOAD_SHA256 = "853e905f4420406d12e23caac02e2117f5ffee043682e5b934e784fe4ddf12a4"
+# verify_pairings() in order, then the three SLOW_VERIFY ones, sorted.  Each
+# is valid and ideal, so its projection stats read {"pivots": 0, "probes": 0}.
+VERIFY_WORKLOAD_SHA256 = "ebd7fa5620435625930805aa5953587814cc1cdd11daffbfef042eee814c652b"
 
 
 def test_verify_workload_reports_pinned(monkeypatch, tmp_path):
@@ -370,6 +371,36 @@ def test_verify_workload_reports_pinned(monkeypatch, tmp_path):
     assert h.hexdigest() == VERIFY_WORKLOAD_SHA256
 
 
+def test_verify_workload_runs_no_lp(monkeypatch, tmp_path):
+    # every formulation of verify_pairings() is valid and ideal, so each
+    # projection is read off its vertices and no LP runs in the command
+    load_benchmark_module("reference", monkeypatch)
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    real, calls = solve_lp, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    # every module that binds the name, as `from .lp import` does
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cdcbranch") and getattr(module, "solve_lp", None) is real:
+            monkeypatch.setattr(module, "solve_lp", spy)
+    paths = {}
+    for label, args in workloads.VERIFY_INSTANCES:
+        paths[label] = str(tmp_path / (label + ".json"))
+        assert cli_main(["gen"] + args + ["-o", paths[label]]) == 0
+    pairings = workloads.verify_pairings()
+    assert len(pairings) == 38
+    for inst, encoding, builder in pairings:
+        assert cli_main(["verify", "--instance", paths[inst], "--encoding", encoding,
+                         "--builder", builder, "-o", str(tmp_path / "report.json")]) == 0
+    assert calls == []
+    # the spy sees the slice LPs when no vertices are given
+    form = build_general(sos2_family(4), exotic_code(4))
+    assert check_projection(form, code_values(form)).stats["probes"] == len(calls) > 0
+
+
 # The three sos2-16 pairings that the benchmark's verify workload leaves
 # out, and the sos2-32 moment curve, with their row census: each is the
 # census double description gives, which takes over four minutes on the
@@ -386,11 +417,15 @@ SLOW_VERIFY_REPORTS = [
                          ids=["sos2-%d-%s-%s" % case[:3] for case in SLOW_VERIFY_REPORTS])
 def test_slow_pairings_verify_by_the_certificate(d, encoding, builder, row_classes,
                                                  tmp_path, monkeypatch):
-    # the certificate proves every one ideal, so no vertex is enumerated
-    def refuse(*_):
-        raise AssertionError("the relaxation was enumerated")
+    # the certificate proves every one ideal, so no vertex is enumerated,
+    # and the projection is read off the embedding points with no slice LP
+    def refuse(what):
+        def refused(*_):
+            raise AssertionError(what)
+        return refused
 
-    monkeypatch.setattr(oracle_module, "enumerate_vertices", refuse)
+    monkeypatch.setattr(oracle_module, "enumerate_vertices", refuse("the relaxation was enumerated"))
+    monkeypatch.setattr(oracle_module, "solve_lp", refuse("a slice LP ran"))
     inst, out = str(tmp_path / "instance.json"), tmp_path / "report.json"
     assert cli_main(["gen", "--family", "sos2", "--d", str(d), "-o", inst]) == 0
     assert cli_main(["verify", "--instance", inst, "--encoding", encoding,

@@ -472,25 +472,31 @@ CERTIFIED_BASES = (
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_certificate_holds_exactly_when_double_description_finds_the_embedding(data):
-    base = data.draw(st.sampled_from(CERTIFIED_BASES))
+@st.composite
+def changed_bases(draw):
+    """A formulation of CERTIFIED_BASES with its rows kept, one row
+    dropped, or one coefficient of one row loosened."""
+    base = draw(st.sampled_from(CERTIFIED_BASES))
     rows = list(base.rows)
-    change = data.draw(st.sampled_from(["none", "drop", "loosen"]))
+    change = draw(st.sampled_from(["none", "drop", "loosen"]))
     if change == "drop":
-        rows.pop(data.draw(st.integers(0, len(rows) - 1)))
+        rows.pop(draw(st.integers(0, len(rows) - 1)))
     elif change == "loosen":
-        k = data.draw(st.integers(0, len(rows) - 1))
-        c = data.draw(st.integers(0, base.n - 1))
-        by = data.draw(st.sampled_from([F(1, 2), F(1), F(3)]))
+        k = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, base.n - 1))
+        by = draw(st.sampled_from([F(1, 2), F(1), F(3)]))
         lower, upper = list(rows[k].lower), list(rows[k].upper)
-        if data.draw(st.booleans()):
+        if draw(st.booleans()):
             upper[c] += by * rows[k].den
         else:
             lower[c] -= by * rows[k].den
         rows[k] = TwoSidedRow(rows[k].direction, lower, upper, rows[k].den)
-    form = with_rows(base, rows)
+    return with_rows(base, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(changed_bases())
+def test_certificate_holds_exactly_when_double_description_finds_the_embedding(form):
     values = code_values(form)
     valid = check_valid(form, values)
     certified = certified_vertices(form, valid)
@@ -511,7 +517,7 @@ def test_certificate_holds_exactly_when_double_description_finds_the_embedding(d
     assert same == checks
     if certified is not None:
         assert same
-    elif edge_set(base.family)[1]:
+    elif edge_set(form.family)[1]:
         assert not same
     if certified is not None:
         vertices, masks = certified
@@ -520,6 +526,10 @@ def test_certificate_holds_exactly_when_double_description_finds_the_embedding(d
         # the certificate's masks classify the rows as the enumeration does
         entries = classify_rows(form, vertices, masks)
         assert entries == classify_rows(form, vertices) == classify_rows(form, enumerated)
+
+
+def failure_pairs(report):
+    return {(f["alternative"], f["component"]) for f in report.failures}
 
 
 def test_certificate_refuses_code_vertices_off_the_embedding():
@@ -539,9 +549,81 @@ def test_certificate_refuses_code_vertices_off_the_embedding():
     enumerated = relaxation_vertices(form)
     assert (F(0), F(1), F(0), F(0), F(1), F(1)) in enumerated
     assert check_ideal(form, enumerated).ok
+    # both paths name the leak: the vertex (e_2, h_3) is a vertex of the
+    # slice z = h_3, a face of the relaxation
     projection = check_projection(form, values)
-    assert not projection.ok
-    assert {(f["alternative"], f["component"]) for f in projection.failures} == {(3, 2)}
+    from_vertices = check_projection(form, values, enumerated)
+    assert projection.stats["probes"] > 0 and from_vertices.stats == {"probes": 0, "pivots": 0}
+    for report in (projection, from_vertices):
+        assert not report.ok and failure_pairs(report) == {(3, 2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(changed_bases())
+def test_projection_read_off_the_vertices_matches_the_slice_lps(form):
+    # wherever the relaxation is valid and ideal, each slice is a face and
+    # the vertex verdict is the LP verdict, on the certificate's vertices
+    # and on the enumerated ones alike
+    values = code_values(form)
+    valid = check_valid(form, values)
+    certified = certified_vertices(form, valid)
+    lists = [certified[0]] if certified else []
+    try:
+        lists.append(relaxation_vertices(form))
+    except LpError:
+        pass
+    probed = check_projection(form, values)
+    assert probed.stats["probes"] > 0
+    for vertices in lists:
+        if not (valid.ok and check_ideal(form, vertices).ok):
+            continue
+        read = check_projection(form, values, vertices)
+        assert read.stats == {"probes": 0, "pivots": 0}
+        assert read.ok == probed.ok and failure_pairs(read) == failure_pairs(probed)
+        assert read.failures == probed.failures
+
+
+def test_projection_read_off_the_vertices_names_the_largest_weight():
+    # raising the upper coefficients of components 2 and 4 on the z2 row
+    # by 2 leaks components 2 and 3 into the slice of alternative 3;
+    # component 3 takes weight 2/3 and 1/2 at two of its vertices, and
+    # both paths name the larger, the slice LP's optimum
+    base = CERTIFIED_BASES[-1]
+    row = base.rows[0]
+    assert row.direction == (0, 1) and row.upper == (1, 0, 0, 1)
+    form = with_rows(base, [TwoSidedRow(row.direction, row.lower, (1, 2, 0, 3))] + base.rows[1:])
+    values = code_values(form)
+    vertices = relaxation_vertices(form)
+    assert check_valid(form, values).ok and check_ideal(form, vertices).ok
+    at_h3 = {v[2] for v in vertices if v[form.n:] == form.codes[2]}
+    assert {F(2, 3), F(1, 2)} <= at_h3
+    read, probed = check_projection(form, values, vertices), check_projection(form, values)
+    assert read.failures == probed.failures == [
+        {"where": "foreign component admits weight 1", "alternative": 3, "component": 2},
+        {"where": "foreign component admits weight 2/3", "alternative": 3, "component": 3},
+    ]
+
+
+def test_projection_needs_codes_in_convex_position_to_skip_its_lps():
+    # three components, one per alternative, coded 0, 1 and 2 on a line:
+    # z = lam_2 + 2 lam_3 is valid and ideal, but the code 1 lies between
+    # the others, so its slice is no face and holds (1/2, 0, 1/2), which
+    # the vertices at z = 1 do not show; the LPs run and name the leak
+    family = CdcFamily(3, [(1,), (2,), (3,)])
+    codes = Encoding([(0,), (1,), (2,)])
+    form = LinearFormulation(3, 1, [TwoSidedRow((1,), (0, 1, 2), (0, 1, 2))],
+                             family=family, codes=codes)
+    values = code_values(form)
+    vertices = relaxation_vertices(form)
+    assert check_valid(form, values).ok and check_ideal(form, vertices).ok
+    for given_vertices in (vertices, None):
+        report = check_projection(form, values, given_vertices)
+        assert report.stats["probes"] > 0 and not report.ok
+        assert failure_pairs(report) == {(2, 1), (2, 3)}
+    # with no vertices given, an ideal formulation in convex position is
+    # probed by LP as well
+    base = CERTIFIED_BASES[0]
+    assert check_projection(base, code_values(base)).stats["probes"] > 0
 
 
 def test_certificate_reads_each_facet_off_its_own_ray():

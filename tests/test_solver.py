@@ -112,6 +112,38 @@ def test_bigm_branches_before_settling():
     assert rep.histogram.get("moment", 0) >= 1
 
 
+def test_each_moment_region_is_built_once(monkeypatch):
+    # a region depends only on (d, l, u) and no split changes one in place,
+    # so repeated solves build each one once and report as before
+    built = []
+
+    def spy(rows, interval=None):
+        if interval is not None:
+            built.append(interval)
+        return CodeRelaxation(rows, interval)
+
+    pieces = [HRepPiece([[1], [-1]], [i + 1, -i]) for i in range(0, 16, 2)]
+    system = build_bigm_moment(pieces)
+    runs = [([F(1)], "max"), ([F(1)], "min"), ([F(-3)], "max"), ([F(1, 2)], "min")]
+
+    def reports():
+        out = [solve(system, c, "moment", sense=sense).to_json() for c, sense in runs]
+        for rep in out:
+            del rep["wall_micros"]
+        return out
+
+    psi.cache_clear()
+    first = reports()
+    psi.cache_clear()
+    monkeypatch.setattr(branching_module, "CodeRelaxation", spy)
+    again = reports()
+    assert sum(rep["histogram"]["moment"] for rep in again) > len(runs)
+    assert len(built) == len(set(built)) > len(runs)
+    # a third round builds nothing, and every round reports the same
+    count = len(built)
+    assert reports() == again == first and len(built) == count
+
+
 def test_the_root_region_is_built_only_when_the_root_branches():
     calls = []
 
