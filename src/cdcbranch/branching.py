@@ -65,7 +65,9 @@ class CodeRelaxation:
 
 @dataclass
 class BranchOutcome:
-    """Either a verification of zhat or a two-way split."""
+    """Either a verification of zhat or a two-way split.  Each child's cuts
+    are rows as a CodeRelaxation keeps them, an int tuple, a relation and
+    an int rhs, so the solver hands them to its LP as they are."""
 
     verified: bool
     tag: str = None
@@ -80,6 +82,16 @@ class BranchOutcome:
         return BranchOutcome(
             False, tag=tag, children=((cuts1, state1), (cuts2, state2))
         )
+
+
+def _split(tag, Q, cuts1, cuts2):
+    """The split of Q into Q with cuts1 and Q with cuts2, each child's cuts
+    handed on as the int rows its region keeps of them."""
+    children = []
+    for cuts in (cuts1, cuts2):
+        cuts = CodeRelaxation(cuts).rows
+        children += [cuts, Q.with_cuts(cuts)]
+    return BranchOutcome.split(tag, *children)
 
 
 @lru_cache(maxsize=1024)
@@ -130,15 +142,7 @@ def branch_variable(Q, zhat):
         if zhat[k].denominator != 1:
             e = tuple(int(i == k) for i in range(r))
             lo = zhat[k].numerator // zhat[k].denominator
-            cuts1 = [(e, LE, lo)]
-            cuts2 = [(e, GE, lo + 1)]
-            return BranchOutcome.split(
-                "variable",
-                cuts1,
-                Q.with_cuts(cuts1),
-                cuts2,
-                Q.with_cuts(cuts2),
-            )
+            return _split("variable", Q, [(e, LE, lo)], [(e, GE, lo + 1)])
     raise BranchError("unreachable")
 
 
@@ -196,11 +200,7 @@ def branch_exotic(Q, H, zhat):
     if zhat[0].denominator != 1:
         e1 = (1, 0)
         lo = zhat[0].numerator // zhat[0].denominator
-        cuts1 = [(e1, LE, lo)]
-        cuts2 = [(e1, GE, lo + 1)]
-        return BranchOutcome.split(
-            "integer-split", cuts1, Q.with_cuts(cuts1), cuts2, Q.with_cuts(cuts2)
-        )
+        return _split("integer-split", Q, [(e1, LE, lo)], [(e1, GE, lo + 1)])
     levels = _exotic_levels(codes)
     ys = sorted(levels)
     e2 = (0, 1)
@@ -209,11 +209,7 @@ def branch_exotic(Q, H, zhat):
         above = [t for t in ys if t > zhat[1]]
         if not below or not above:
             raise BranchError("zhat lies outside the code hull")
-        cuts1 = [(e2, LE, below[-1])]
-        cuts2 = [(e2, GE, above[0])]
-        return BranchOutcome.split(
-            "wide-split", cuts1, Q.with_cuts(cuts1), cuts2, Q.with_cuts(cuts2)
-        )
+        return _split("wide-split", Q, [(e2, LE, below[-1])], [(e2, GE, above[0])])
     level = zhat[1]
     row = levels[level]
     if len(row) != 2:
@@ -244,13 +240,7 @@ def branch_exotic(Q, H, zhat):
         if thr <= dot(a, zhat):
             raise BranchError("degenerate cut fails to exclude zhat")
         cut2 = (a, GE, thr)
-    return BranchOutcome.split(
-        "corner-split",
-        [cut1],
-        Q.with_cuts([cut1]),
-        [cut2],
-        Q.with_cuts([cut2]),
-    )
+    return _split("corner-split", Q, [cut1], [cut2])
 
 
 def _kept_verdict(decide):

@@ -205,7 +205,7 @@ def cmd_verify(args):
     # check_projection reads it off the vertices; otherwise it probes by LP
     values = code_values(form)
     valid = check_valid(form, values)
-    vertices, masks = certified_vertices(form, valid) or (relaxation_vertices(form), None)
+    vertices, masks = certified_vertices(form, values, valid) or (relaxation_vertices(form), None)
     ideal = check_ideal(form, vertices)
     faces = vertices if valid.ok and ideal.ok else None
     reports = (valid, ideal, check_projection(form, values, faces))

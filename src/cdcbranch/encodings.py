@@ -3,12 +3,14 @@
 Each constructor returns an Encoding whose codes are rational points in
 convex position (a requirement for the geometric construction to apply).
 An Encoding keeps, once read, its codes as ints over one denominator
-(scaled), their affine hull (equations), their hull's facets as coprime
-int rows (facets) and the set of the codes (code_set); the predicates for
-convex position and hole-freeness test codes, as facet masks, and points
-against those facets in ints.  It
-also keeps each branching scheme's verdict on it (verdicts), so a scheme
-decides once per encoding whether it can branch on these codes.
+(scaled), their affine hull's normals in ints (hull) and as equations
+(equations), their hull's facets as coprime int rows (facets) and the set
+of the codes (code_set): the hull is computed once, in ints, and the
+facets reuse its normals, so no Fraction is made on the way.  The
+predicates for convex position and hole-freeness test codes, as facet
+masks, and points against those facets in ints.  An encoding also keeps
+the verdict on its convex position (convex), and each branching scheme's
+verdict on it (verdicts), so each is decided once per encoding.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ from math import lcm
 from operator import and_, mul
 
 from .lp import facets_of_hull
-from .numerics import _integer_rows, affine_hull, vec
+from .numerics import _integer_rows, _nullspace, vec
 
 
 class EncodingError(Exception):
@@ -29,9 +31,9 @@ class Encoding:
     """An ordered tuple of distinct rational codes in r dimensions.
 
     Codes never change once made, so what is derived from them is kept on
-    first read and shared by every formulation, scheme and solve that holds
-    this encoding: scaled, equations, facets, code_set and the schemes'
-    verdicts."""
+    first read and shared by every formulation, scheme, solve and check
+    that holds this encoding: scaled, hull, equations, facets, code_set,
+    convex and the schemes' verdicts."""
 
     def __init__(self, codes, kind="custom"):
         self.codes = tuple(vec(c) for c in codes)
@@ -76,14 +78,41 @@ class Encoding:
         return frozenset(self.codes)
 
     @cached_property
+    def hull(self):
+        """The normals of the codes' affine hull as (v, s) pairs, v an int
+        vector and s a positive int, v / s the normal: numerics._nullspace
+        of the differences scaled[1][i] - scaled[1][0].  Each difference
+        is den times affine_hull's, a positive multiple, which changes no
+        reduced row, so these are affine_hull's normals, in its order.  A
+        single code gives the unit vectors."""
+        H = self.scaled[1]
+        diffs = [[a - b for a, b in zip(h, H[0])] for h in H[1:]]
+        if not diffs:
+            return [([int(i == j) for j in range(self.r)], 1) for i in range(self.r)]
+        return _nullspace(diffs)
+
+    @cached_property
     def equations(self):
-        """The codes' affine hull as (a, beta) pairs: a . z == beta."""
-        return affine_hull(self.codes)[0]
+        """The codes' affine hull as (a, beta) pairs: a . z == beta, as
+        affine_hull gives them, read off hull and the first code's ints."""
+        den, H = self.scaled
+        return [
+            (tuple(Fraction(x, s) for x in v), Fraction(sum(map(mul, v, H[0])), s * den))
+            for v, s in self.hull
+        ]
 
     @cached_property
     def facets(self):
-        """The hull's facets as coprime int rows (a, gamma): a . z <= gamma."""
-        return facets_of_hull(self.codes)
+        """The hull's facets as coprime int rows (a, gamma): a . z <= gamma,
+        from the codes' ints over den and the int normals of hull."""
+        den, H = self.scaled
+        return facets_of_hull(H, den, [v for v, _ in self.hull])
+
+    @cached_property
+    def convex(self):
+        """is_convex_position's verdict: the scan of the facets runs once
+        however many builders and checks ask."""
+        return _convex_position(self)
 
 
 def gray_code(r, d=None):
@@ -149,10 +178,16 @@ def exotic_code(d):
 
 
 def is_convex_position(encoding):
-    """True when no code lies in the convex hull of the others.
+    """True when no code lies in the convex hull of the others.  The
+    verdict is kept on the encoding (Encoding.convex), so only the first
+    call scans (_convex_position)."""
+    return encoding.convex
 
-    The codes are distinct, so this holds when each code is a vertex of
-    their hull.  Each facet is kept as its tight mask, one bit per code, as
+
+def _convex_position(encoding):
+    """The scan behind is_convex_position.  The codes are distinct, so
+    they are in convex position when each code is a vertex of their hull.
+    Each facet is kept as its tight mask, one bit per code, as
     oracle.classify_rows keeps faces: code p is a vertex exactly when the
     AND of the masks that hold p (every code when none does) is p's bit
     alone.  All of it runs in ints, on the encoding's facets and its codes

@@ -117,8 +117,9 @@ class AssembledSystem:
 
     def with_cuts(self, cuts):
         """New system with z-space rows (a_z, rel, rhs) appended: each a_z
-        is padded with int zeros over lam or x, and rel and rhs are kept for
-        LpProblem to coerce."""
+        is padded with int zeros over lam or x, and rel and rhs are kept as
+        they are.  A cut kept in ints by a CodeRelaxation, as branch and
+        bound's cuts are, so becomes a row as LpProblem keeps it."""
         pad = (0,) * (self.nvars - self.r)
         rows = [(pad + tuple(a_z), rel, rhs) for a_z, rel, rhs in cuts]
         return AssembledSystem(self.nvars, self.rows + rows, self.bounds, self.r)
@@ -458,7 +459,9 @@ def build_annulus(d, kind):
         if d % 4 != 0:
             raise FormulationError("exotic codes need d divisible by 4")
         enc = exotic_code(d)
-        extra = [(enc[d - 1][1] - enc[0][1], enc[0][0] - enc[d - 1][0])]
+        # the exotic codes are whole (den 1), so their ints are the codes
+        H = enc.scaled[1]
+        extra = [(H[d - 1][1] - H[0][1], H[0][0] - H[d - 1][0])]
     else:
         raise FormulationError("unknown annulus kind %r" % (kind,))
     units = [tuple(int(i == k) for i in range(enc.r)) for k in range(enc.r)]

@@ -28,11 +28,16 @@ only by its rhs's denominator, which a bound or a shifted column can
 leave, and prices out its objective rows in integers.  A pivot changes a
 row only where the pivot row is nonzero.  An optimum's value is summed in
 ints and becomes one Fraction; its point is read off the kept tableau, in
-Fractions, only when something asks for it.  Double
+Fractions, only when something asks for it.  A child LP of branch and
+bound takes its cuts as the int rows they already are.  Double
 description scales its rows to integers on the way in and takes its
 starting rays, and their values, from one integer reduction of
-[G^T | I]; vertices become Fraction only on the way out, and facets are
-returned as the coprime int rays themselves.
+[G^T | I].  Each ray keeps its values only against the rows still to
+come and its tight mask over the rows processed, bit i for row i, so
+every ray leaves with its full tight mask, which the certificate reads;
+vertices become Fraction only on the way out, and facets are returned as
+the coprime int rays themselves, of points given in ints over one
+denominator with the normals of their affine hull (Encoding).
 No float enters either.
 """
 
@@ -40,6 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import eq
 
 from .numerics import (
     _coprime,
@@ -50,10 +56,10 @@ from .numerics import (
     affine_hull,
     is_zero_vector,
     rat,
-    vec,
 )
 
 LE, GE, EQ = "<=", ">=", "=="
+_positive = (0).__lt__
 
 
 class LpError(Exception):
@@ -84,17 +90,21 @@ class LpProblem:
             for lb, ub in bounds
         ]
 
-    def with_rows(self, rows, objective=None):
+    def with_rows(self, rows, objective=None, kept=False):
         """This LP with rows in place of its own, and objective in place of
         its own when one is given.  Only what is given is checked and
         coerced; n, the bounds, a kept objective and kept rows (this LP's
-        own list) are shared, so a child LP matches its parent's at no cost."""
+        own list) are shared, so a child LP matches its parent's at no cost.
+        kept says that rows are already as this class keeps them, each a
+        tuple of n ints, a relation and an int rhs, as branch and bound's
+        cuts are (a CodeRelaxation's rows, padded over lam or x): they are
+        then taken as they are, unchecked."""
         new = object.__new__(LpProblem)
         new.n, new.bounds = self.n, self.bounds
         new.objective, new.objective_den = self.objective, self.objective_den
         if objective is not None:
             new._objective(objective)
-        new.rows = self.rows if rows is self.rows else new._rows(rows)
+        new.rows = rows if kept or rows is self.rows else new._rows(rows)
         return new
 
     def _objective(self, c):
@@ -485,19 +495,23 @@ def _dd_start(G):
 
 
 def _double_description(G):
-    """(rays, vals): the extreme rays of {u : Gu <= 0}, as coprime int
-    tuples, and vals[j][i], row i of G applied to ray j.  The zero cone
-    yields ([], []); a cone that is not pointed (G of lower column rank)
-    raises LpError.
+    """(rays, masks): the extreme rays of {u : Gu <= 0}, as coprime int
+    tuples, and each ray's tight mask over the rows of G: bit i is set
+    when row i applied to the ray is 0.  The zero cone yields ([], []); a
+    cone that is not pointed (G of lower column rank) raises LpError.
 
     Double description (Fukuda & Prodon, "Double description method
     revisited", 1996) with the combinatorial adjacency test, in Python
     ints.  Each row of G is first scaled to ints, which changes no sign,
-    so the cone, the row order and every ray stay the same; vals are
-    against these rows.  The starting rays come from _dd_start.  A new
-    ray is a positive combination of two old ones, divided by a gcd, and
-    its values the same combination of theirs, so no dot product is
-    computed.
+    so the cone, the row order and every ray stay the same.  The starting
+    rays come from _dd_start, each tight on every base row but its own.
+    Each ray keeps its values only against the rows still to come, in
+    their order: a row's values are read once, when the row is processed,
+    and turned into bits.  A new ray is a positive combination of two old
+    ones, divided by a gcd, and its values the same combination of
+    theirs, so no dot product is computed.  A mask holds bits of processed
+    rows alone, which is what the adjacency test compares, and every row
+    is processed by the end.
     """
     G = _integer_rows(G)
     m = len(G)
@@ -505,38 +519,23 @@ def _double_description(G):
     if k == 0:
         return [], []
     base_idx, rays, vals = _dd_start(G)
+    # starting ray j is tight on every base row but base_idx[j]
+    base = sum(1 << i for i in base_idx)
+    masks = [base ^ 1 << i for i in base_idx]
+    remaining = [i for i in range(m) if not base >> i & 1]
+    vals = [[v[i] for i in remaining] for v in vals]
 
-    # masks track which processed rows are tight at each ray
-    bit = {row_i: (1 << pos) for pos, row_i in enumerate(base_idx)}
-    nextbit = k
-    masks = []
-    for v in vals:
-        mk = 0
-        for row_i in base_idx:
-            if v[row_i] == 0:
-                mk |= bit[row_i]
-        masks.append(mk)
-
-    base_set = set(base_idx)
-    remaining = [i for i in range(m) if i not in base_set]
     while remaining:
-        # process the row violated by the most rays next; cutting deep
-        # early keeps the intermediate ray count down
-        row_i = None
-        best = None
-        for cand in remaining:
-            key = -sum(1 for v in vals if v[cand] > 0)
-            if best is None or key < best:
-                best = key
-                row_i = cand
-        remaining.remove(row_i)
-        bit[row_i] = 1 << nextbit
-        nextbit += 1
-        row_vals = [v[row_i] for v in vals]
+        # process the row violated by the most rays next, the first on
+        # ties; cutting deep early keeps the intermediate ray count down
+        violated = [sum(map(_positive, col)) for col in zip(*vals)]
+        pos_i = violated.index(max(violated)) if violated else 0
+        bit = 1 << remaining.pop(pos_i)
+        row_vals = [v.pop(pos_i) for v in vals]
         if all(v <= 0 for v in row_vals):
             for j, v in enumerate(row_vals):
                 if v == 0:
-                    masks[j] |= bit[row_i]
+                    masks[j] |= bit
             continue
         neg = [j for j, v in enumerate(row_vals) if v < 0]
         zero = [j for j, v in enumerate(row_vals) if v == 0]
@@ -547,29 +546,26 @@ def _double_description(G):
         for p in pos:
             for q in neg:
                 meet = masks[p] & masks[q]
-                # adjacent rays of a pointed cone in R^k share k-2 tight rows
-                if meet.bit_count() < k - 2 or any(
-                    (masks[t] & meet) == meet
-                    for t in range(len(rays))
-                    if t != p and t != q
-                ):
+                # adjacent rays of a pointed cone in R^k share k-2 tight
+                # rows, and no third ray is tight on all of them: meet lies
+                # in the masks of p and q, so it must lie in two masks only
+                if meet.bit_count() < k - 2 or sum(map(eq, map(meet.__or__, masks), masks)) > 2:
                     continue
-                # vp > 0 > vq; positive combination killing row_i
+                # vp > 0 > vq; positive combination killing the row
                 vp, vq = row_vals[p], row_vals[q]
                 r = [vp * b - vq * a for a, b in zip(rays[p], rays[q])]
+                v = [vp * b - vq * a for a, b in zip(vals[p], vals[q])]
                 g = gcd(*r)
-                new_rays.append(tuple(x // g for x in r))
-                new_vals.append(
-                    [(vp * b - vq * a) // g for a, b in zip(vals[p], vals[q])]
-                )
-                new_masks.append(meet | bit[row_i])
+                if g > 1:
+                    r, v = [x // g for x in r], [x // g for x in v]
+                new_rays.append(tuple(r))
+                new_vals.append(v)
+                new_masks.append(meet | bit)
         keep = neg + zero
         rays = [rays[j] for j in keep] + new_rays
         vals = [vals[j] for j in keep] + new_vals
-        masks = [masks[j] for j in neg] + [
-            masks[j] | bit[row_i] for j in zero
-        ] + new_masks
-    return rays, vals
+        masks = [masks[j] for j in neg] + [masks[j] | bit for j in zero] + new_masks
+    return rays, masks
 
 
 def enumerate_vertices(n, rows, bounds=None):
@@ -650,7 +646,7 @@ def enumerate_vertices(n, rows, bounds=None):
     return [tuple(Fraction(x, y[n]) for x in y[:n]) for y in seen]
 
 
-def facets_of_hull(points):
+def facets_of_hull(points, den=1, normals=None):
     """Facet inequalities (a, rhs) of the convex hull of points.
 
     Every returned inequality satisfies a . p <= rhs for all input points
@@ -659,16 +655,25 @@ def facets_of_hull(points):
     ambient space give its ordinary facets, and a single point gives [].
     Each inequality is a coprime int row: a is a tuple of ints and rhs an
     int, as the double description returns its rays.
+
+    points are rationals, or ints over one positive int den (each point
+    is p / den), as Encoding.scaled keeps codes.  normals, when given, are
+    normals of the points' affine hull, each a positive multiple of one
+    of affine_hull's, as Encoding keeps them in ints; otherwise they are
+    computed here.  Neither changes a facet or their order: each row of
+    the cone is a positive multiple of the one the Fraction points give.
     """
-    pts = [vec(p) for p in points]
-    if not pts:
+    points = list(points)
+    if not points:
         raise ValueError("no points")
-    r = len(pts[0])
+    r = len(points[0])
+    if normals is None:
+        normals = [n for n, _ in affine_hull(points)[0]]
     # Cone over (a, gamma) with p.a - gamma <= 0 per point, and n.a == 0,
     # as two rows, per normal n of the affine hull.  The cone is then
     # pointed, and its extreme rays with a != 0 are the relative facets.
-    G = [tuple(p) + (-1,) for p in pts]
-    for n, _ in affine_hull(pts)[0]:
+    G = [tuple(p) + (-den,) for p in points]
+    for n in normals:
         G += [tuple(n) + (0,), tuple(-x for x in n) + (0,)]
     return [
         (ray[:r], ray[r]) for ray in _dd_extreme_rays(G) if not is_zero_vector(ray[:r])

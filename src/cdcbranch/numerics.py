@@ -4,8 +4,11 @@ Scalars are ints and Fractions, vectors tuples, matrices lists/tuples of
 tuples; no floats are accepted.  Every row is scaled to ints through
 _scaled, the one place that reads an entry's kind.  Every elimination is
 one integer Gauss-Jordan kernel, _gauss_jordan, which keeps its rows
-coprime: rank counts its pivots, a nullspace vector is read off its
-reduced rows, and lp's double description starts from one reduction.
+coprime and updates a row only where the pivot row is nonzero, as
+lp._pivot does: rank counts its pivots, a nullspace vector is read off
+its reduced rows, an Encoding's affine hull is the nullspace of its code
+differences in ints, and lp's double description starts from one
+reduction.
 """
 
 from fractions import Fraction
@@ -100,9 +103,11 @@ def _gauss_jordan(rows):
     its own pivot column and zero at every other one.  Columns are taken
     in order, each pivoting on the first row past the pivots found so far
     that holds it; every other row that holds it becomes row*p - f*prow,
-    divided by its gcd, the update of lp._pivot.  The pivot columns are
-    those of any echelon form: each column that its predecessors do not
-    span.
+    divided by its gcd.  The update is lp._pivot's sparse one: a row is
+    multiplied by p (not at all when p is 1), and f*prow is taken off only
+    where prow is nonzero, the same ints as the dense update.  The pivot
+    columns are those of any echelon form: each column that its
+    predecessors do not span.
     """
     rows = [list(r) for r in rows]
     m, pivots = len(rows), []
@@ -114,10 +119,14 @@ def _gauss_jordan(rows):
         prow = _coprime([-x for x in rows[piv]] if rows[piv][col] < 0 else rows[piv])
         rows[piv], rows[h] = rows[h], prow
         p = prow[col]
+        nonzero = [(k, y) for k, y in enumerate(prow) if y]
         for i, row in enumerate(rows):
             f = row[col]
             if f and i != h:
-                rows[i] = _coprime([x * p - f * y for x, y in zip(row, prow)])
+                new = [x * p for x in row] if p != 1 else row
+                for k, y in nonzero:
+                    new[k] -= f * y
+                rows[i] = _coprime(new)
         pivots.append(col)
         if h + 1 == m:
             break

@@ -13,9 +13,12 @@ LP probes on every slice, each an LP in lam alone with z fixed at a
 code.  The vertices are the embedding points (embedding_points) when a
 certificate proves the relaxation to be their hull (certified_vertices):
 double description of the few points, not of the relaxation, gives the
-hull's facets, and each must be the face of a row or a bound.  Only when
-it fails is the relaxation enumerated, by double description
-(relaxation_vertices).
+hull's facets with their tight masks, and each must be the mask of a row
+or a bound, whose masks over the points come from the code-value table.
+Only when it fails is the relaxation enumerated, by double description
+(relaxation_vertices).  The certificate's vertices are ints, the
+enumeration's Fractions; check_ideal and the projection read either as
+ints, each vertex over the sum of its lam part, and compare ints.
 These are the referees the rest of the package answers to.
 """
 
@@ -23,12 +26,12 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain
-from operator import add, mul, neg
+from itertools import compress
+from operator import add, eq, itemgetter, mul, neg
 
 from .encodings import is_convex_position
 from .lp import EQ, LE, LpError, LpProblem, _double_description, enumerate_vertices, solve_lp
-from .numerics import _gauss_jordan, _integer_rows, dot, rank, vec
+from .numerics import _gauss_jordan, _integer_rows, dot, format_ratio, rank, vec
 
 
 @dataclass
@@ -106,17 +109,18 @@ def embedding_points(form):
     return points
 
 
-def certified_vertices(form, valid):
+def certified_vertices(form, values, valid):
     """(vertices, masks) when a certificate proves the relaxation's
     vertices to be the embedding points; None when it does not.  vertices
-    are those points as Fraction tuples, and masks their tight masks
-    (_tight_masks), which classify_rows reads.
+    are those points as embedding_points gives them, ints over the codes'
+    den, and masks their tight masks, which classify_rows reads.
 
-    valid is check_valid(form, ...), which proves Q, the hull of the
-    embedding points, inside the relaxation P.  A polytope is its affine
-    hull and its facets (Ziegler, Lectures on Polytopes, ch. 2), so P = Q
-    when P lies in Q's affine hull and each facet of Q is the face of a
-    one-sided row or a bound lam_c >= 0.  The certificate checks both.
+    values is code_values(form) and valid check_valid(form, values), which
+    proves Q, the hull of the embedding points, inside the relaxation P.
+    A polytope is its affine hull and its facets (Ziegler, Lectures on
+    Polytopes, ch. 2), so P = Q when P lies in Q's affine hull and each
+    facet of Q is the face of a one-sided row or a bound lam_c >= 0.  The
+    certificate checks both.
 
     - Affine hull.  J, the pivot columns of the rows (1, p) after the
       first, p a point, are coordinates that Q's affine hull maps one to
@@ -128,13 +132,14 @@ def certified_vertices(form, valid):
       does not hold, and the relaxation is enumerated instead.
     - Facets.  Double description on one row (p_J, -1) per point finds
       Q's facets in those coordinates: each ray with a nonzero p_J part,
-      known by the points where it is tight, read off the ray's values.
-      Q is full-dimensional in its affine hull, so a valid inequality
-      holds that facet exactly when its tight mask is the facet's.
+      known by its tight mask over the points, which double description
+      returns.  Q is full-dimensional in its affine hull, so a valid
+      inequality holds that facet exactly when its tight mask, read off
+      values (_embedding_masks), is the facet's.
     """
     if not valid.ok:
         return None
-    n, r, den = form.n, form.r, form.codes.scaled[0]
+    n, r = form.n, form.r
     points = embedding_points(form)
     J = _hull_coordinates(form)
     equations = [(0,) * n + a for a, _ in form.hull_equations] + [(1,) * n + (0,) * r]
@@ -142,15 +147,41 @@ def certified_vertices(form, valid):
         equations.append((0,) * (n - 1) + (1,) + (0,) * r)
     if len(J) < n + r - rank(equations):
         return None
-    masks = _tight_masks(form.one_sided(), n, points)
+    masks = _embedding_masks(form, values)
     known = set(masks)
-    rays, vals = _double_description([[p[j] for j in J] + [-1] for p in points])
-    for ray, v in zip(rays, vals):
-        if any(ray[:-1]) and sum(1 << j for j, x in enumerate(v) if not x) not in known:
+    rays, facet_masks = _double_description([[p[j] for j in J] + [-1] for p in points])
+    for ray, mask in zip(rays, facet_masks):
+        if any(ray[:-1]) and mask not in known:
             return None
-    # each distinct entry becomes a Fraction once
-    exact = {x: Fraction(x, den) for x in set(chain.from_iterable(points))}
-    return [tuple(map(exact.__getitem__, p)) for p in points], masks
+    return points, masks
+
+
+def _embedding_masks(form, values):
+    """The tight masks over the embedding points (embedding_points order)
+    of each one-sided row, then of each bound lam_c >= 0, c < n, as
+    _tight_masks gives them, read off the code-value table values: the
+    lower side of row k is tight at (e_v, h_i) when lower[v-1] == D[k][i]
+    and the upper side when upper[v-1] == D[k][i], the comparisons
+    check_valid makes, and the bound lam_c >= 0 at every point but those
+    with v = c + 1.  The work is by rows: one itemgetter gathers a side's
+    coefficients at every point's component and one its values at every
+    point's alternative, and the equal pairs pick out the points' bits."""
+    alts = [i for i, T in enumerate(form.family.sets) for _ in T]
+    comps = [v - 1 for T in form.family.sets for v in T]
+    bits = [1 << j for j in range(len(comps))]
+    # an index past the points makes each getter return a tuple, even for
+    # one point; compress stops at the last point's bit
+    at_alt, at_comp = itemgetter(*alts, 0), itemgetter(*comps, 0)
+    masks = []
+    for row, D in zip(form.rows, values):
+        d = at_alt(D)
+        masks.append(sum(compress(bits, map(eq, at_comp(row.lower), d))))
+        masks.append(sum(compress(bits, map(eq, at_comp(row.upper), d))))
+    held = [0] * form.n
+    for bit, c in zip(bits, comps):
+        held[c] |= bit
+    full = (1 << len(comps)) - 1
+    return masks + [full ^ h for h in held]
 
 
 def _hull_coordinates(form):
@@ -190,19 +221,38 @@ def relaxation_vertices(form):
 def check_ideal(form, vertices):
     """Every vertex of the relaxation must carry a code in its z part.
 
-    vertices is certified_vertices(form, ...) when that certificate holds:
-    the embedding points, each at a code.  Otherwise it is
-    relaxation_vertices(form).  Both are Fraction tuples, and when both
-    exist they hold the same vertices, so the report does not depend on
-    which one it read.
+    vertices is certified_vertices(form, ...)[0] when that certificate
+    holds: the embedding points, each at a code.  Otherwise it is
+    relaxation_vertices(form).  Both hold the same vertices when both
+    exist, so the report does not depend on which one it read.  Each
+    vertex is read in ints, as _vertex_ints gives it, and its z is a code
+    when den z / s is one of the codes' ints (Encoding.scaled).
     """
-    code_set = form.codes.code_set
+    n, (den, H) = form.n, form.codes.scaled
+    codes = set(H)
     failures = [
-        {"where": "vertex with off-code z", "z": [str(x) for x in v[form.n :]]}
-        for v in vertices
-        if v[form.n :] not in code_set
+        {"where": "vertex with off-code z", "z": [format_ratio(x, s) for x in p[n:]]}
+        for s, p in _vertex_ints(vertices, n)
+        if _code_ints(p[n:], s, den) not in codes
     ]
     return VerificationReport("ideal", not failures, failures, {"vertices": len(vertices)})
+
+
+def _vertex_ints(vertices, n):
+    """Each vertex as (s, p): p a tuple of ints and s > 0 with p / s the
+    vertex.  A vertex may be given as any positive multiple of itself, in
+    ints (embedding_points) or in Fractions (relaxation_vertices), and is
+    scaled to ints by the lcm of its denominators (numerics._integer_rows),
+    which keeps ints as they are.  Every vertex has lam on the simplex, so
+    s is the sum of p's lam part."""
+    return [(sum(p[:n]), tuple(p)) for p in _integer_rows(vertices)]
+
+
+def _code_ints(z, s, den):
+    """z / s over den, as ints, the form of a code in Encoding.scaled; None
+    when den z / s is not integral, so z / s is no code."""
+    q = [x * den for x in z]
+    return None if any(x % s for x in q) else tuple(x // s for x in q)
 
 
 def check_projection(form, values, vertices=None):
@@ -285,21 +335,24 @@ def _projection_from_vertices(form, vertices):
     the value of the LP probe for it, is so its largest weight at those
     vertices, and the failures are the ones the probes would name.  The
     unit vectors of T^i lie in the slice by validity, and no LP runs, so
-    stats counts no probe and no pivot.
+    stats counts no probe and no pivot.  The vertices are read in ints
+    (_vertex_ints), so each weight is kept as x over s and two are
+    compared by cross-multiplying.
     """
     n, m = form.n, form.family.n
-    alternative = {h: i for i, h in enumerate(form.codes)}
-    most = [[0] * n for _ in form.codes]  # largest weight per component
-    for v in vertices:
-        w = most[alternative[v[n:]]]
-        for c, x in enumerate(v[:n]):
-            if x and x > w[c]:  # most entries are 0, which tests faster
-                w[c] = x
+    den, H = form.codes.scaled
+    alternative = {h: i for i, h in enumerate(H)}
+    most = [[(0, 1)] * n for _ in H]  # largest weight per component, x over s
+    for s, p in _vertex_ints(vertices, n):
+        w = most[alternative[_code_ints(p[n:], s, den)]]
+        for c, x in enumerate(p[:n]):
+            if x and x * w[c][1] > w[c][0] * s:  # most entries are 0
+                w[c] = (x, s)
     failures = [
-        _failure("foreign component admits weight %s" % w[c - 1], i + 1, c)
+        _failure("foreign component admits weight %s" % format_ratio(*w[c - 1]), i + 1, c)
         for i, (T, w) in enumerate(zip(form.family.sets, most))
         for c in range(1, m + 1)
-        if w[c - 1] and c not in T
+        if w[c - 1][0] and c not in T
     ]
     return VerificationReport("projection", not failures, failures, {"probes": 0, "pivots": 0})
 

@@ -120,8 +120,10 @@ def solve(
     # The root is the source's kept LP with this objective, so only the
     # objective is checked here.  with_cuts on the kept system with no
     # rows (bare) gives the cuts alone, each padded with zeros over lam or
-    # x.  The root's region is built only when the root branches, since
-    # only a split reads it; until then its state is None.
+    # x; a scheme hands its cuts on as the int rows of a CodeRelaxation
+    # (BranchOutcome), so the child LP takes them as kept, unchecked.  The
+    # root's region is built only when the root branches, since only a
+    # split reads it; until then its state is None.
     kept = base.root
     root = kept.with_rows(kept.rows, objective=c_int)
     bare = base.bare
@@ -140,7 +142,7 @@ def solve(
         if key[0] == 1 and incumbent is not None and -key[1] <= incumbent[0]:
             pruned_bound += 1
             continue
-        problem = root if parent is None else root.with_rows(bare.with_cuts(cuts).rows)
+        problem = root if parent is None else root.with_rows(bare.with_cuts(cuts).rows, kept=True)
         res = solve_lp(problem, parent)
         pivots += res.pivots
         if res.status == "infeasible":

@@ -11,7 +11,7 @@ from math import gcd, lcm
 
 from cdcbranch.encodings import EncodingError, exotic_code
 from cdcbranch.formulation import _LINE_SPAN, FormulationError
-from cdcbranch.lp import EQ, GE, LE, LpError, LpProblem, lp_feasible
+from cdcbranch.lp import EQ, GE, LE, LpError, LpProblem, _dd_start, lp_feasible
 from cdcbranch.numerics import (
     _coprime,
     _gauss_jordan,
@@ -230,6 +230,108 @@ def dense_condensed_pivot(T, basis, N, r, q):
     prow[q], prow[-1] = s, p
     T[r] = prow
     basis[r - 1], N[q] = N[q], basis[r - 1]
+
+
+def dense_gauss_jordan(rows):
+    """numerics._gauss_jordan as it stood, with the dense update: every
+    row that holds the pivot column becomes row*p - f*prow over all its
+    entries, divided by its gcd."""
+    rows = [list(r) for r in rows]
+    m, pivots = len(rows), []
+    for col in range(len(rows[0]) if rows else 0):
+        h = len(pivots)
+        piv = next((i for i in range(h, m) if rows[i][col]), None)
+        if piv is None:
+            continue
+        prow = _coprime([-x for x in rows[piv]] if rows[piv][col] < 0 else rows[piv])
+        rows[piv], rows[h] = rows[h], prow
+        p = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != h:
+                rows[i] = _coprime([x * p - f * y for x, y in zip(row, prow)])
+        pivots.append(col)
+        if h + 1 == m:
+            break
+    return rows[: len(pivots)], pivots
+
+
+def double_description_by_values(G):
+    """lp._double_description as it stood: (rays, vals), the extreme rays
+    of {u : Gu <= 0} and vals[j][i], row i of G applied to ray j, each ray
+    carrying its values against every row and its tight mask over the
+    processed rows in processing order.  The zero cone yields ([], []); a
+    cone that is not pointed raises LpError (from lp._dd_start)."""
+    G = _integer_rows(G)
+    m = len(G)
+    k = len(G[0]) if G else 0
+    if k == 0:
+        return [], []
+    base_idx, rays, vals = _dd_start(G)
+
+    # masks track which processed rows are tight at each ray
+    bit = {row_i: (1 << pos) for pos, row_i in enumerate(base_idx)}
+    nextbit = k
+    masks = []
+    for v in vals:
+        mk = 0
+        for row_i in base_idx:
+            if v[row_i] == 0:
+                mk |= bit[row_i]
+        masks.append(mk)
+
+    base_set = set(base_idx)
+    remaining = [i for i in range(m) if i not in base_set]
+    while remaining:
+        # process the row violated by the most rays next
+        row_i = None
+        best = None
+        for cand in remaining:
+            key = -sum(1 for v in vals if v[cand] > 0)
+            if best is None or key < best:
+                best = key
+                row_i = cand
+        remaining.remove(row_i)
+        bit[row_i] = 1 << nextbit
+        nextbit += 1
+        row_vals = [v[row_i] for v in vals]
+        if all(v <= 0 for v in row_vals):
+            for j, v in enumerate(row_vals):
+                if v == 0:
+                    masks[j] |= bit[row_i]
+            continue
+        neg = [j for j, v in enumerate(row_vals) if v < 0]
+        zero = [j for j, v in enumerate(row_vals) if v == 0]
+        pos = [j for j, v in enumerate(row_vals) if v > 0]
+        new_rays = []
+        new_vals = []
+        new_masks = []
+        for p in pos:
+            for q in neg:
+                meet = masks[p] & masks[q]
+                # adjacent rays of a pointed cone in R^k share k-2 tight rows
+                if meet.bit_count() < k - 2 or any(
+                    (masks[t] & meet) == meet
+                    for t in range(len(rays))
+                    if t != p and t != q
+                ):
+                    continue
+                # vp > 0 > vq; positive combination killing row_i
+                vp, vq = row_vals[p], row_vals[q]
+                r = [vp * b - vq * a for a, b in zip(rays[p], rays[q])]
+                g = gcd(*r)
+                new_rays.append(tuple(x // g for x in r))
+                new_vals.append(
+                    [(vp * b - vq * a) // g for a, b in zip(vals[p], vals[q])]
+                )
+                new_masks.append(meet | bit[row_i])
+        keep = neg + zero
+        rays = [rays[j] for j in keep] + new_rays
+        vals = [vals[j] for j in keep] + new_vals
+        masks = [masks[j] for j in neg] + [
+            masks[j] | bit[row_i] for j in zero
+        ] + new_masks
+    return rays, vals
 
 
 def hull_coordinates_by_reduction(form):

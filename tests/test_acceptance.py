@@ -18,6 +18,8 @@ from cdcbranch.cdc import (
     grid_triangulation_fixture,
     sos2_family,
 )
+from cdcbranch import encodings as encodings_module
+from cdcbranch import numerics as numerics_module
 from cdcbranch import oracle as oracle_module
 from cdcbranch.cli import main as cli_main
 from cdcbranch.encodings import (
@@ -401,6 +403,70 @@ def test_verify_workload_runs_no_lp(monkeypatch, tmp_path):
     assert check_projection(form, code_values(form)).stats["probes"] == len(calls) > 0
 
 
+def run_verify_workload(monkeypatch, tmp_path):
+    """cdcbranch verify on each of the 38 verify_pairings() through
+    cli.main, once each, after gen has written their instances."""
+    load_benchmark_module("reference", monkeypatch)
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    paths = {}
+    for label, args in workloads.VERIFY_INSTANCES:
+        paths[label] = str(tmp_path / (label + ".json"))
+        assert cli_main(["gen"] + args + ["-o", paths[label]]) == 0
+    pairings = workloads.verify_pairings()
+    assert len(pairings) == 38
+    for inst, encoding, builder in pairings:
+        assert cli_main(["verify", "--instance", paths[inst], "--encoding", encoding,
+                         "--builder", builder, "-o", str(tmp_path / "report.json")]) == 0
+
+
+def patch_everywhere(monkeypatch, module, name, spy):
+    """Put spy in place of module.name in every cdcbranch module that
+    binds the same object, as `from .numerics import` does."""
+    real = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("cdcbranch") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, spy)
+    return real
+
+
+def test_verify_workload_scales_no_whole_fraction_row(monkeypatch, tmp_path):
+    # an encoding's hull, its facets' double description and the annulus
+    # normals read the codes' ints, so no row reaches _scaled as Fractions
+    # that are whole; rows of ints and rows with a proper fraction do
+    seen, whole = [], []
+
+    def spy(row):
+        row = list(row)
+        seen.append(row)
+        if any(type(x) is F for x in row) and all(F(x).denominator == 1 for x in row):
+            whole.append(row)
+        return real(row)
+
+    real = patch_everywhere(monkeypatch, numerics_module, "_scaled", spy)
+    run_verify_workload(monkeypatch, tmp_path)
+    assert len(seen) > 0 and whole == []
+
+
+def test_verify_workload_scans_each_encoding_for_convex_position_once(monkeypatch, tmp_path):
+    # the builders and check_projection all ask; the encoding keeps the
+    # verdict, so each one's facets are scanned once
+    asked, scanned = [], []
+
+    def ask(encoding):
+        asked.append(encoding)
+        return real_ask(encoding)
+
+    def scan(encoding):
+        scanned.append(encoding)
+        return real_scan(encoding)
+
+    real_ask = patch_everywhere(monkeypatch, encodings_module, "is_convex_position", ask)
+    real_scan = patch_everywhere(monkeypatch, encodings_module, "_convex_position", scan)
+    run_verify_workload(monkeypatch, tmp_path)
+    assert len(set(map(id, scanned))) == len(scanned) == len(set(map(id, asked))) == 38
+    assert len(asked) > len(scanned)
+
+
 # The three sos2-16 pairings that the benchmark's verify workload leaves
 # out, and the sos2-32 moment curve, with their row census: each is the
 # census double description gives, which takes over four minutes on the
@@ -471,8 +537,11 @@ def test_every_builder_is_valid_ideal_and_sharp():
                 projection_stats.append((label, rep.stats))
         # the certificate holds as well, and its vertices, the embedding
         # points, are the ones double description found
-        certified = certified_vertices(form, reports["valid"])
-        assert certified is not None and sorted(certified[0]) == sorted(enumerated[-1]), label
+        certified = certified_vertices(form, code_values(form), reports["valid"])
+        assert certified is not None, label
+        den = form.codes.scaled[0]
+        points = sorted(tuple(F(x, den) for x in p) for p in certified[0])
+        assert points == sorted(enumerated[-1]), label
         per_form.append((time.monotonic() - form_start, label))
     elapsed = time.monotonic() - start
     stats_json = json.dumps(projection_stats, sort_keys=True).encode()
@@ -485,6 +554,15 @@ def test_every_builder_is_valid_ideal_and_sharp():
         slowest_time,
     )
     print("idealness: %d formulations, 3 checks each, %.1fs" % (len(matrix), elapsed))
+
+
+def test_code_value_masks_match_the_tight_masks_on_every_builder():
+    # the certificate's row masks over the embedding points, read off the
+    # code-value table, are the dot products' on every built formulation
+    for label, form in builder_matrix():
+        points = oracle_module.embedding_points(form)
+        expected = oracle_module._tight_masks(form.one_sided(), form.n, points)
+        assert oracle_module._embedding_masks(form, code_values(form)) == expected, label
 
 
 def test_row_count_formulas():

@@ -200,6 +200,26 @@ def test_exotic_bottom_level_small():
     assert cuts2 == [((2, -3), GE, 8)]
 
 
+def test_every_split_hands_on_its_cuts_as_the_int_rows_of_its_region():
+    # a child's cuts are the rows its region keeps of them, ints even where
+    # the cut came from Fraction codes, so branch and bound hands them to
+    # its LP as they are
+    gray, exotic, moment = gray_code(2), exotic_code(16), moment_code(7)
+    steps = [("variable", gray, (F(1, 2), F(0)))]
+    steps += [("exotic", exotic, z) for z in ((F(1, 2), F(0)), zz(0, 3), zz(0, 4), zz(0, -9))]
+    steps += [("moment", moment, (F(7, 2), F(35, 2)))]
+    tags = set()
+    for name, enc, z in steps:
+        sch = make_scheme(name)
+        out = sch.step(sch.root(enc), z, enc)
+        tags.add(out.tag)
+        for cuts, region in out.children:
+            assert cuts and region.rows[-len(cuts):] == cuts
+            for a, _, rhs in cuts:
+                assert type(a) is tuple and all(type(x) is int for x in (*a, rhs))
+    assert tags == {"variable", "integer-split", "wide-split", "corner-split", "moment"}
+
+
 def test_exotic_verifies_code():
     enc = exotic_code(16)
     sch = make_scheme("exotic")

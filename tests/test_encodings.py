@@ -23,7 +23,7 @@ from cdcbranch.encodings import (
     zigzag_code,
 )
 from cdcbranch.formulation import build_general
-from cdcbranch.numerics import vec, vec_sub
+from cdcbranch.numerics import affine_hull, vec, vec_sub
 from oracles import convex_position_lp, in_hull_lp, separation_certificates_exotic
 
 F = Fraction
@@ -204,9 +204,9 @@ def spy_facets_of_hull(monkeypatch):
     calls = []
     real = lp.facets_of_hull
 
-    def spy(points):
+    def spy(points, *args):
         calls.append(tuple(points))
-        return real(points)
+        return real(points, *args)
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("cdcbranch") and (
@@ -322,6 +322,20 @@ def test_predicates_match_lp_oracle(H):
     box = product(*(range(int(min(c)), int(max(c)) + 1) for c in zip(*H)))
     holes = [p for p in box if p not in H and in_hull_lp(H, p)]
     assert is_hole_free(enc) == (not holes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_codes())
+def test_an_encoding_keeps_its_hull_in_ints(H):
+    # the equations and facets read off the int normals of hull are those
+    # affine_hull and facets_of_hull give on the Fraction codes: the same
+    # values, the same types and the same order
+    enc = Encoding(H)
+    assert enc.equations == affine_hull(enc.codes)[0]
+    assert all(type(x) is F for a, b in enc.equations for x in (*a, b))
+    assert enc.facets == lp.facets_of_hull(enc.codes)
+    assert all(type(x) is int for a, b in enc.facets for x in (*a, b))
+    assert [(tuple(F(x, s) for x in v)) for v, s in enc.hull] == [a for a, _ in enc.equations]
 
 
 @st.composite

@@ -30,7 +30,12 @@ from cdcbranch.lp import (
 )
 from cdcbranch.numerics import dot, vec
 from cdcbranch.oracle import check_projection, code_values
-from oracles import dd_start_by_nullspace, dense_condensed_pivot, full_tableau_solve_lp
+from oracles import (
+    dd_start_by_nullspace,
+    dense_condensed_pivot,
+    double_description_by_values,
+    full_tableau_solve_lp,
+)
 
 F = Fraction
 
@@ -292,6 +297,47 @@ def test_dd_start_matches_the_nullspace_start(G):
     with patch.object(lp_module, "_dd_start", dd_start_by_nullspace):
         expected = lp_module._double_description(G)
     assert lp_module._double_description(G) == expected
+
+
+@st.composite
+def hull_cone_rows(draw):
+    # the rows (p, -1) of facets_of_hull and the certificate, for 3 to 12
+    # int points in 1 to 3 dimensions, repeats allowed; points that do not
+    # span their space leave the cone not pointed
+    r = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-3, 3), min_size=r, max_size=r)
+    return [p + [-1] for p in draw(st.lists(point, min_size=3, max_size=12))]
+
+
+def tight_mask(G, ray):
+    return sum(1 << i for i, g in enumerate(G) if sum(a * b for a, b in zip(g, ray)) == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cone_rows(), hull_cone_rows()))
+def test_double_description_returns_the_reference_rays_and_their_tight_masks(G):
+    # the rays of the reference, which carries every ray's values against
+    # every row, in the same order; each mask is the ray's tight set over
+    # G's rows, bit i for row i, as a dot product finds it
+    try:
+        expected, _ = double_description_by_values(G)
+    except LpError:
+        with pytest.raises(LpError, match="cone is not pointed"):
+            lp_module._double_description(G)
+        return
+    rays, masks = lp_module._double_description(G)
+    assert rays == expected
+    assert masks == [tight_mask(G, ray) for ray in rays]
+
+
+def test_double_description_of_the_zero_cone():
+    # no columns, and the cone {0} that u <= 0 and -u <= 0 leave: no ray,
+    # as before; the two opposite rows of a line leave it not pointed
+    for G in ([], [[]], [[1], [-1]], [[1, 0], [-1, 0], [0, 1], [0, -1]]):
+        assert lp_module._double_description(G) == ([], [])
+        assert double_description_by_values(G) == ([], [])
+    with pytest.raises(LpError, match="cone is not pointed"):
+        lp_module._double_description([[1, 0], [-1, 0]])
 
 
 def test_facets_of_triangle():

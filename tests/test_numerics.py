@@ -19,7 +19,7 @@ from cdcbranch.numerics import (
     vec,
     vec_sub,
 )
-from oracles import canonical_direction, independent_rows_by_rank
+from oracles import canonical_direction, dense_gauss_jordan, independent_rows_by_rank
 
 F = Fraction
 
@@ -195,3 +195,27 @@ def test_independent_rows_match_rank_per_row(M):
     chosen = _pivot_rows(M)
     assert chosen == independent_rows_by_rank(M)
     assert len(chosen) == rank(M)
+
+
+@st.composite
+def int_matrix(draw):
+    """Small int rows of one width, with many zeros and units, and maybe a
+    row repeated or negated, so that pivots of 1 and -1, rows that do not
+    hold a pivot column and rows reduced to zero all occur."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-9, 9))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        rows.append([-x for x in draw(st.sampled_from(rows))])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrix())
+def test_sparse_gauss_jordan_gives_the_dense_rows(M):
+    # the sparse update takes off f*prow only where prow is nonzero and
+    # skips the multiply by a unit pivot: the same reduced rows, the same
+    # pivot columns, and the input left as it was
+    copy = [list(row) for row in M]
+    assert _gauss_jordan(M) == dense_gauss_jordan(M)
+    assert M == copy

@@ -4,6 +4,7 @@ import copy
 import warnings
 from types import SimpleNamespace
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -499,7 +500,7 @@ def changed_bases(draw):
 def test_certificate_holds_exactly_when_double_description_finds_the_embedding(form):
     values = code_values(form)
     valid = check_valid(form, values)
-    certified = certified_vertices(form, valid)
+    certified = certified_vertices(form, values, valid)
     den = form.codes.scaled[0]
     points = [tuple(F(x, den) for x in p) for p in embedding_points(form)]
     try:
@@ -521,11 +522,44 @@ def test_certificate_holds_exactly_when_double_description_finds_the_embedding(f
         assert not same
     if certified is not None:
         vertices, masks = certified
-        assert vertices == points
+        assert vertices == embedding_points(form)
         assert check_ideal(form, vertices) == check_ideal(form, enumerated)
         # the certificate's masks classify the rows as the enumeration does
         entries = classify_rows(form, vertices, masks)
         assert entries == classify_rows(form, vertices) == classify_rows(form, enumerated)
+
+
+@settings(max_examples=150, deadline=None)
+@given(changed_bases())
+def test_code_value_masks_are_the_tight_masks_of_the_embedding_points(form):
+    # the comparisons lower[v-1] == D[k][i] and upper[v-1] == D[k][i], and
+    # the bounds at every point off their component, give the dot products'
+    # masks, valid formulation or not
+    expected = oracle_module._tight_masks(form.one_sided(), form.n, embedding_points(form))
+    assert oracle_module._embedding_masks(form, code_values(form)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(changed_bases(), st.lists(st.integers(1, 6), min_size=1))
+def test_vertex_checks_read_any_positive_multiple_of_each_vertex(form, scales):
+    # the Fraction vertices of the enumeration, and the same vertices as
+    # ints, each times its lcm and then a drawn positive int: check_ideal
+    # and the projection read off the vertices give the same reports,
+    # failures and their rationals included
+    try:
+        enumerated = relaxation_vertices(form)
+    except LpError:
+        return
+    ints = []
+    for j, v in enumerate(enumerated):
+        s = lcm(*(x.denominator for x in v)) * scales[j % len(scales)]
+        ints.append(tuple(int(x * s) for x in v))
+    ideal = check_ideal(form, enumerated)
+    assert check_ideal(form, ints) == ideal
+    values = code_values(form)
+    if check_valid(form, values).ok and ideal.ok:
+        read = check_projection(form, values, enumerated)
+        assert check_projection(form, values, ints) == read
 
 
 def failure_pairs(report):
@@ -545,7 +579,7 @@ def test_certificate_refuses_code_vertices_off_the_embedding():
     form = with_rows(base, [TwoSidedRow(row.direction, row.lower, upper)] + base.rows[1:])
     values = code_values(form)
     valid = check_valid(form, values)
-    assert valid.ok and certified_vertices(form, valid) is None
+    assert valid.ok and certified_vertices(form, values, valid) is None
     enumerated = relaxation_vertices(form)
     assert (F(0), F(1), F(0), F(0), F(1), F(1)) in enumerated
     assert check_ideal(form, enumerated).ok
@@ -566,7 +600,7 @@ def test_projection_read_off_the_vertices_matches_the_slice_lps(form):
     # and on the enumerated ones alike
     values = code_values(form)
     valid = check_valid(form, values)
-    certified = certified_vertices(form, valid)
+    certified = certified_vertices(form, values, valid)
     lists = [certified[0]] if certified else []
     try:
         lists.append(relaxation_vertices(form))
@@ -639,8 +673,9 @@ def test_certificate_reads_each_facet_off_its_own_ray():
     lower[0] -= row.den
     loose = TwoSidedRow(row.direction, lower, row.upper, row.den)
     form = with_rows(base, [base.rows[0], loose])
-    valid = check_valid(form, code_values(form))
-    assert valid.ok and certified_vertices(form, valid) is None
+    values = code_values(form)
+    valid = check_valid(form, values)
+    assert valid.ok and certified_vertices(form, values, valid) is None
     assert len(relaxation_vertices(form)) == len(embedding_points(form)) + 1
 
 
@@ -650,8 +685,9 @@ def test_certificate_leaves_a_disconnected_family_to_double_description():
     # certificate does not hold, though the relaxation is the hull
     form = CERTIFIED_BASES[5]
     assert form.artificial and not edge_set(form.family)[1]
-    valid = check_valid(form, code_values(form))
-    assert valid.ok and certified_vertices(form, valid) is None
+    values = code_values(form)
+    valid = check_valid(form, values)
+    assert valid.ok and certified_vertices(form, values, valid) is None
     den = form.codes.scaled[0]
     points = [tuple(F(x, den) for x in p) for p in embedding_points(form)]
     assert sorted(relaxation_vertices(form)) == sorted(points)
@@ -664,8 +700,9 @@ def test_certificate_leaves_a_disconnected_family_to_double_description():
     upper = list(row.upper)
     upper[4] += row.den
     loose = with_rows(form, [TwoSidedRow(row.direction, row.lower, upper, row.den), form.rows[1]])
-    valid = check_valid(loose, code_values(loose))
-    assert valid.ok and certified_vertices(loose, valid) is None
+    values = code_values(loose)
+    valid = check_valid(loose, values)
+    assert valid.ok and certified_vertices(loose, values, valid) is None
     assert len(relaxation_vertices(loose)) > len(points)
 
 
@@ -707,10 +744,11 @@ def test_hull_coordinates_of_a_disconnected_family_and_the_acceptance_bases():
 
 def test_certificate_needs_a_valid_formulation():
     form = build_general(sos2_family(4), exotic_code(4))
-    report = check_valid(form, code_values(form))
-    assert certified_vertices(form, report) is not None
+    values = code_values(form)
+    report = check_valid(form, values)
+    assert certified_vertices(form, values, report) is not None
     report.ok = False
-    assert certified_vertices(form, report) is None
+    assert certified_vertices(form, values, report) is None
 
 
 def test_brute_force_optimum_grid():

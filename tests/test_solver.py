@@ -144,6 +144,31 @@ def test_each_moment_region_is_built_once(monkeypatch):
     assert reports() == again == first and len(built) == count
 
 
+def test_child_lps_take_their_cuts_as_kept_ints(monkeypatch):
+    # the cuts are a region's int rows, so only the root's rows are checked
+    # and scaled, once per system however many nodes and solves follow
+    pieces = [HRepPiece([[1], [-1]], [i + 1, -i]) for i in range(0, 16, 2)]
+    system = build_bigm_moment(pieces)
+    first = solve(system, [F(1)], "moment").to_json()
+    coerced = []
+    real = lp_module.LpProblem._rows
+
+    def spy(self, rows):
+        coerced.append(rows)
+        return real(self, rows)
+
+    monkeypatch.setattr(lp_module.LpProblem, "_rows", spy)
+    system = build_bigm_moment(pieces)
+    coerced.clear()
+    reports = [solve(system, [F(c)], "moment", sense=sense).to_json()
+               for c, sense in ((1, "max"), (-3, "max"), (1, "min"))]
+    assert sum(rep["nodes"] for rep in reports) > 3 * len(reports)
+    assert len(coerced) == 1 and len(coerced[0]) == len(system.rows)
+    for rep in (first, reports[0]):
+        del rep["wall_micros"]
+    assert reports[0] == first
+
+
 def test_the_root_region_is_built_only_when_the_root_branches():
     calls = []
 
