@@ -42,14 +42,20 @@ class CdcFamily:
         if covered != set(range(1, self.n + 1)):
             raise CdcError("alternatives must cover every component")
         self.sets = tuple(norm)
+        table = {}
+        for i, T in enumerate(norm, 1):
+            for v in T:
+                table.setdefault(v, []).append(i)
+        self._members = {v: tuple(held) for v, held in table.items()}
 
     @property
     def d(self):
         return len(self.sets)
 
     def members(self, v):
-        """Indices (1-based) of alternatives containing component v."""
-        return tuple(i + 1 for i, T in enumerate(self.sets) if v in T)
+        """Indices (1-based) of alternatives containing component v, in
+        order: read off the table made with one pass over the sets."""
+        return self._members.get(v, ())
 
     def __eq__(self, other):
         return (

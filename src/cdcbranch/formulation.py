@@ -53,9 +53,13 @@ _LINE_SPAN = "code differences span a line, no hyperplane family exists"
 class TwoSidedRow:
     """lower . lam <= direction . z <= upper . lam as tuples of int numerators
     over one positive int den, divided by their common gcd.  Both sides have
-    right-hand side 0, so den is read only to print the row.  Other entries
-    are brought over one den (numerics._scaled), which reads a 'p/q' string
-    and raises TypeError on a float."""
+    right-hand side 0, so den is read only to print the row.
+
+    The entries' types are scanned once: ints already coprime with den, as
+    the builders hand them over, are kept as the tuples given.  Other
+    entries are brought over one den (numerics._scaled), which reads a 'p/q'
+    string and raises TypeError on a float, and every entry is divided by
+    the gcd, so a whole Fraction is kept as an int."""
 
     __slots__ = ("direction", "lower", "upper", "den")
 
@@ -63,15 +67,18 @@ class TwoSidedRow:
         parts = (tuple(direction), tuple(lower), tuple(upper))
         if len(parts[1]) != len(parts[2]):
             raise FormulationError("lower and upper lengths differ")
-        scale, flat = _scaled(parts[0] + parts[1] + parts[2])
-        den *= scale
+        flat = parts[0] + parts[1] + parts[2]
+        ints = all(map(isinstance, flat, itertools.repeat(int)))
+        if not ints:
+            scale, flat = _scaled(flat)
+            den *= scale
         if type(den) is not int or den < 1:
             raise FormulationError("den must be a positive int")
         g = gcd(den, *flat)
-        flat = iter([x // g for x in flat] if g > 1 else flat)
-        self.direction, self.lower, self.upper = (
-            tuple(itertools.islice(flat, len(part))) for part in parts
-        )
+        if not ints or g > 1:
+            flat = iter([x // g for x in flat])
+            parts = [tuple(itertools.islice(flat, len(part))) for part in parts]
+        self.direction, self.lower, self.upper = parts
         self.den = den // g
 
     def __eq__(self, other):
@@ -263,21 +270,25 @@ def _direction(v):
     g = gcd(*v)
     if next(x for x in v if x) < 0:
         g = -g
-    return tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def spanned_hyperplane_normals(C, ambient):
     """Normals of all hyperplanes of span(C) spanned by members of C, the
     members being vectors of length ambient, ints or Fractions.
 
-    The work is in ints, each member times its own lcm.  Each (dim-1)-subset
-    of the distinct directions, together with the orthogonal complement of
-    span(C), leaves a one-dimensional nullspace exactly when it spans a
-    hyperplane of span(C); that nullspace is the normal.  Normals are
-    returned as pairs (s, b), deduped in first-seen order, with no Fraction:
-    b the coprime int normal and s its first nonzero entry, positive, so
-    b / s has first nonzero entry 1.  An empty or all-zero C gives []; a
-    one-dimensional span is rejected since no hyperplane family exists there.
+    The work is in ints, each member times its own lcm.  One nullspace of
+    the distinct directions gives the orthogonal complement of span(C) and
+    so its dimension.  Each (dim-1)-subset of the directions, together with
+    that complement, leaves a one-dimensional nullspace exactly when it
+    spans a hyperplane of span(C); that nullspace is the normal.  When the
+    span is the whole plane, a hyperplane is the line of one direction
+    (p, q), and its normal is the perpendicular (q, -p), taken with no
+    further nullspace.  Normals are returned as pairs (s, b), deduped in
+    first-seen order, with no Fraction: b the coprime int normal and s its
+    first nonzero entry, positive, so b / s has first nonzero entry 1.  An
+    empty or all-zero C gives []; a one-dimensional span is rejected since
+    no hyperplane family exists there.
     """
     dirs = list(dict.fromkeys(_direction(c) for c in _integer_rows(C) if any(c)))
     if not dirs:
@@ -287,11 +298,15 @@ def spanned_hyperplane_normals(C, ambient):
     dim = ambient - len(complement)
     if dim == 1:
         raise FormulationError(_LINE_SPAN)
-    normals = {}
-    for subset in itertools.combinations(dirs, dim - 1):
-        null = _nullspace(list(subset) + complement)
-        if len(null) == 1:
-            normals[_direction(null[0][0])] = None
+    if ambient == 2:
+        # one perpendicular per direction, so first-seen order is kept
+        normals = [_direction((q, -p)) for p, q in dirs]
+    else:
+        normals = {}
+        for subset in itertools.combinations(dirs, dim - 1):
+            null = _nullspace(list(subset) + complement)
+            if len(null) == 1:
+                normals[_direction(null[0][0])] = None
     return [(next(x for x in b if x), b) for b in normals]
 
 

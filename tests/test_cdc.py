@@ -58,6 +58,15 @@ def test_family_members():
     assert fam.members(1) == (1,)
 
 
+def test_family_members_match_a_scan_of_the_sets():
+    # sets given unsorted and with repeats; a component outside 1..n is
+    # held by no alternative
+    fam = CdcFamily(6, [(3, 1, 3), (6, 2), (4, 5, 1), (2, 3, 4, 5, 6)])
+    for v in range(0, fam.n + 2):
+        assert fam.members(v) == tuple(i + 1 for i, T in enumerate(fam.sets) if v in T)
+    assert fam.members(1) == (1, 3) and fam.members(0) == fam.members(7) == ()
+
+
 def test_annulus_wrapped_first_set():
     fam, vm = annulus_instance(2, 3, 8)
     assert fam.n == 16

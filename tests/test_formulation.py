@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cdcbranch import formulation
 from cdcbranch.branching import psi
 from cdcbranch.cdc import CdcFamily, HRepPiece, annulus_instance, grid_triangulation_fixture, sos2_family
 from cdcbranch.encodings import EncodingError, Encoding, exotic_code, gray_code, moment_code, zigzag_code
@@ -85,6 +86,29 @@ def test_normals_degenerate_spans():
     assert spanned_hyperplane_normals([vec((0, 0))], 2) == []
     with pytest.raises(FormulationError):
         spanned_hyperplane_normals([vec((1, 1)), vec((-2, -2))], 2)
+
+
+@pytest.mark.parametrize(
+    "build, codes, calls",
+    [
+        (build_2d, exotic_code(64), 1),
+        (build_general, moment_code(64), 1),
+        (build_general, gray_code(6), 7),
+    ],
+)
+def test_planar_normals_take_one_nullspace(monkeypatch, build, codes, calls):
+    # in the plane each normal is its direction's perpendicular, so only
+    # the span's complement takes a nullspace; r = 6 keeps one per subset
+    seen = []
+    real = formulation._nullspace
+
+    def spy(rows):
+        seen.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(formulation, "_nullspace", spy)
+    build(sos2_family(64), codes)
+    assert len(seen) == calls
 
 
 def test_canonical_direction_examples():
@@ -658,6 +682,42 @@ def test_row_is_int_numerators_over_one_denominator():
     ]
     # the one-sided rows are the ints themselves
     assert forms[0].one_sided()[0] == ((0, "lower"), (0, -9, -6, -12), 0)
+
+
+# one row in every form the constructor reads: (direction, lower, upper,
+# den) and the fields it must come out as, all ints, divided by their gcd
+ROW_FORMS = [
+    (((2, 3), (0, -1), (5, 4), 1), ((2, 3), (0, -1), (5, 4), 1)),
+    (((F(2), F(3)), (F(0), F(-1)), (F(5), F(4))), ((2, 3), (0, -1), (5, 4), 1)),
+    ((("4/2", "3"), ("0", "-2/2"), ("5", "8/2")), ((2, 3), (0, -1), (5, 4), 1)),
+    (((4, 6), (0, -2), (10, 8), 2), ((2, 3), (0, -1), (5, 4), 1)),
+    (((F(4), F(6)), (F(0), F(-2)), (F(10), F(8)), 2), ((2, 3), (0, -1), (5, 4), 1)),
+    (((2, 3), (0, -1), (5, 4), 3), ((2, 3), (0, -1), (5, 4), 3)),
+    (((F(2, 3), F(1)), (F(0), F(-1, 3)), (F(5, 3), F(4, 3))), ((2, 3), (0, -1), (5, 4), 3)),
+    ((("2/3", "1"), ("0", "-1/3"), ("5/3", "4/3")), ((2, 3), (0, -1), (5, 4), 3)),
+    (((6, 9), (0, -3), (15, 12), 9), ((2, 3), (0, -1), (5, 4), 3)),
+    (((F(6), F(9)), (F(0), F(-3)), (F(15), F(12)), 9), ((2, 3), (0, -1), (5, 4), 3)),
+]
+
+
+@pytest.mark.parametrize("given, want", ROW_FORMS)
+def test_row_takes_ints_fractions_strings_and_common_factors_alike(given, want):
+    # ints coprime with den are kept as given; whole Fractions, strings and
+    # ints sharing a factor with den all come out as the same coprime ints
+    row = TwoSidedRow(*given)
+    fields = (row.direction, row.lower, row.upper, row.den)
+    assert fields == want
+    assert all(type(x) is int for part in fields[:3] for x in part)
+    assert type(row.den) is int
+
+
+def test_row_keeps_coprime_int_tuples_as_given():
+    direction, lower, upper = (2, 3), (0, -1), (5, 4)
+    row = TwoSidedRow(direction, lower, upper, 3)
+    assert (row.direction, row.lower, row.upper) == (direction, lower, upper)
+    assert row.direction is direction and row.lower is lower and row.upper is upper
+    with pytest.raises(TypeError):
+        TwoSidedRow((2, 3), (0, -1), (5.0, 4), 3)
 
 
 def test_row_rejects_a_float_and_a_bad_denominator():
