@@ -56,9 +56,6 @@ def test_family_members():
     fam = sos2_family(3)
     assert fam.members(2) == (1, 2)
     assert fam.members(1) == (1,)
-
-
-def test_family_members_match_a_scan_of_the_sets():
     # sets given unsorted and with repeats; a component outside 1..n is
     # held by no alternative
     fam = CdcFamily(6, [(3, 1, 3), (6, 2), (4, 5, 1), (2, 3, 4, 5, 6)])
