@@ -7,8 +7,8 @@ Pair i runs `benchmark/run.py --trace 0 --seed <seed0 + i>` once in each
 checkout, for the run_seconds of the parent's BENCHMARK.json: the parent
 first in even pairs and the change first in odd ones, so a drift in the
 machine's speed falls on both sides alike.  After each pair it prints a
-line (pair_line) with each side's wall_s, operations attempted and
-peak_rss_mb.  At the end, for every end-to-end metric in BENCHMARK.json,
+line (pair_line) with each side's setup_s, wall_s, operations attempted
+and peak_rss_mb.  At the end, for every end-to-end metric in BENCHMARK.json,
 it prints each side's median and quartiles, the change of the medians, the parent's quartile spread (q3 - q1), the number of pairs in
 which the change did better, by the metric's "better", and a verdict:
 
@@ -69,14 +69,15 @@ def verdict(old, new, sign, bound):
 
 
 def pair_line(i, seed, parent, change):
-    """The line printed after pair i, run with seed: each side's wall_s, the
-    operations it attempted and its peak_rss_mb.  run.py keeps a record per
-    operation, so a faster run holds more of them, and its memory is read
-    against that count."""
+    """The line printed after pair i, run with seed: each side's setup_s and
+    wall_s, so a claim on either shows pair by pair, the operations it
+    attempted and its peak_rss_mb.  run.py keeps a record per operation, so
+    a faster run holds more of them, and its memory is read against that
+    count."""
     return "pair %d, seed %d: %s" % (i, seed, "; ".join(
-        "%s wall_s %.6g attempted %d peak_rss_mb %.4g" % (
-            side, r["metrics"]["wall_s"]["value"], r["attempted"],
-            r["metrics"]["peak_rss_mb"]["value"])
+        "%s setup_s %.6g wall_s %.6g attempted %d peak_rss_mb %.4g" % (
+            side, r["metrics"]["setup_s"]["value"], r["metrics"]["wall_s"]["value"],
+            r["attempted"], r["metrics"]["peak_rss_mb"]["value"])
         for side, r in (("parent", parent), ("change", change))))
 
 

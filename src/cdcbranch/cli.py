@@ -93,12 +93,13 @@ def _encoding_for(name, d):
 
 
 def _build(family, meta, encoding_name, builder):
+    # only the general and planar builders read the named encoding; each
+    # closed form makes its own codes
     d = family.d
-    enc = _encoding_for(encoding_name, d)
     if builder == "general":
-        return build_general(family, enc)
+        return build_general(family, _encoding_for(encoding_name, d))
     if builder == "2d":
-        return build_2d(family, enc)
+        return build_2d(family, _encoding_for(encoding_name, d))
     if builder == "moment":
         if encoding_name != "moment":
             raise CliError("the moment builder pairs with the moment encoding")

@@ -36,6 +36,7 @@ from .numerics import (
     _integer_rows,
     _nullspace,
     _scaled,
+    _whole,
     format_ratio,
     format_rational,
     rat,
@@ -277,20 +278,25 @@ def spanned_hyperplane_normals(C, ambient):
     """Normals of all hyperplanes of span(C) spanned by members of C, the
     members being vectors of length ambient, ints or Fractions.
 
-    The work is in ints, each member times its own lcm.  One nullspace of
-    the distinct directions gives the orthogonal complement of span(C) and
-    so its dimension.  Each (dim-1)-subset of the directions, together with
-    that complement, leaves a one-dimensional nullspace exactly when it
-    spans a hyperplane of span(C); that nullspace is the normal.  When the
+    The work is in ints, each member times its own lcm; a member of ints,
+    as the builders pass their code differences, is read as it is, with no
+    copy.  One nullspace of the distinct directions gives the orthogonal
+    complement of span(C) and so its dimension.  Each (dim-1)-subset of
+    the directions, together with that complement, leaves a
+    one-dimensional nullspace exactly when it spans a hyperplane of
+    span(C); that nullspace is the normal.  When the
     span is the whole plane, a hyperplane is the line of one direction
     (p, q), and its normal is the perpendicular (q, -p), taken with no
     further nullspace.  Normals are returned as pairs (s, b), deduped in
     first-seen order, with no Fraction: b the coprime int normal and s its
     first nonzero entry, positive, so b / s has first nonzero entry 1.  An
     empty or all-zero C gives []; a one-dimensional span is rejected since
-    no hyperplane family exists there.
+    no hyperplane family exists there, and a ragged C raises ValueError.
     """
-    dirs = list(dict.fromkeys(_direction(c) for c in _integer_rows(C) if any(c)))
+    ints = [c if _whole(c) else _scaled(c)[1] for c in C]
+    if len(set(map(len, ints))) > 1:
+        raise ValueError("ragged matrix")
+    dirs = list(dict.fromkeys(_direction(c) for c in ints if any(c)))
     if not dirs:
         return []
     # a normal must be orthogonal to the complement to lie inside span(C)
@@ -490,7 +496,12 @@ def compute_bigm(pieces):
     M[i][s] is the maximum of row s of piece i over every other piece.
     Unbounded maxima raise; empty foreign pieces are skipped with a
     warning (they never constrain the bound).  Each piece's LpProblem is
-    built once; each bound shares its rows and varies only its objective.
+    built once, with the zero objective, and solved cold once: that is its
+    phase 1, and it proves the piece empty or not.  Row s is scaled to
+    ints once, and each bound on it reprices that objective on a foreign
+    piece's optimum (solve_lp's warm form with no rows), so a bound pays
+    only its phase 2.  A piece unbounded along another direction still
+    bounds every row that it does not run along.
     """
     d = len(pieces)
     if d == 0:
@@ -499,27 +510,30 @@ def compute_bigm(pieces):
         LpProblem(p.m, (0,) * p.m, [(a, LE, b) for a, b in zip(p.A, p.b)])
         for p in pieces
     ]
+    feasible = [solve_lp(lp) for lp in lps]
     M = []
     for i, piece in enumerate(pieces):
         row_bounds = []
-        for s in range(len(piece.A)):
+        for row in piece.A:
+            den, c = _scaled(row)
+            c = tuple(c)
             best = None
             for k in range(d):
                 if k == i:
                     continue
-                res = solve_lp(lps[k].with_rows(lps[k].rows, objective=piece.A[s]))
+                if feasible[k].status == "infeasible":
+                    warnings.warn("piece %d is empty, skipped" % (k + 1,))
+                    continue
+                res = solve_lp(lps[k].with_rows([], objective=c, kept=True), feasible[k])
                 if res.status == "unbounded":
                     raise FormulationError(
                         "piece %d is unbounded along a foreign row" % (k + 1,)
                     )
-                if res.status == "infeasible":
-                    warnings.warn("piece %d is empty, skipped" % (k + 1,))
-                    continue
                 if best is None or res.value > best:
                     best = res.value
             if best is None and d > 1:
                 raise FormulationError("every foreign piece is empty")
-            row_bounds.append(best)
+            row_bounds.append(None if best is None else best / den)
         M.append(row_bounds)
     return M
 

@@ -13,7 +13,10 @@ the dual simplex restores feasibility.  A cold solve starts from the empty
 tableau, whose all-zero objective row makes the slack basis dual feasible,
 so this is its phase 1, and the primal simplex is its phase 2.  A warm
 solve starts from an optimal result's tableau and ends no wider, which is
-how branch and bound solves every node below the root.  Both simplex
+how branch and bound solves every node below the root.  A warm solve that
+adds no rows carries its own objective instead: phase 2 alone, priced out
+on the parent's basis, so one phase 1 serves every objective over the
+same rows, as in formulation.compute_bigm.  Both simplex
 methods use the lowest-index rule on each variable's column in the full
 tableau (variables, then one slack per row), so they cannot cycle and take
 the full tableau's pivots.  Vertex enumeration runs the double description
@@ -130,7 +133,8 @@ class LpProblem:
 
 @dataclass
 class _Tableau:
-    """An optimal tableau, kept so that rows can be added to its LP.
+    """An optimal tableau, kept so that rows can be added to its LP or a
+    new objective priced on its basis.
 
     T is the condensed integer tableau.  Each row holds its entries on the
     nonbasic variables N, in that order, then its rhs, then the entry of
@@ -139,9 +143,11 @@ class _Tableau:
     whose first aside rows hold the eliminated free variables.  A variable
     is known by its column in the full tableau: j for variable j, then one
     slack per standard row, in the order the rows came.  cols maps variable
-    j to that column as (offset, sign), and problem is the LP that the
-    first rows came from, for its n, objective and bounds.  A cold solve
-    starts from the empty tableau: row 0 all zero, no basis, N = range(n).
+    j to that column as (offset, sign), and problem is the LP whose
+    objective row 0 prices, for its n, objective and bounds: the LP that
+    the first rows came from, or the one a repriced solve took.  A cold
+    solve starts from the empty tableau: row 0 all zero, no basis,
+    N = range(n).
     """
 
     T: list
@@ -307,15 +313,26 @@ def solve_lp(problem, parent=None):
 
     The tableau keeps only the nonbasic columns, n of them in every row, and
     compares variables by their full-tableau columns, so every pivot is the
-    one the full tableau takes.  Cold and warm solves take one path from a
-    starting tableau: _add_rows adds the rows, each free variable still
-    nonbasic is pivoted in on the first row that holds it, and _run_dual
-    ends on a feasible basis or on a row that proves the LP infeasible.  A
-    warm solve starts from parent, an optimal LpResult of an LP with
-    problem's n, objective and bounds, and adds problem.rows.  A cold solve
-    starts from the empty tableau and adds problem.rows, then the bound
-    rows; _run_dual is its phase 1, and it then prices its objective out
-    for _run_simplex.
+    one the full tableau takes.  Rows reach an optimal tableau by one path
+    from a starting tableau: _add_rows adds the rows, each free variable
+    still nonbasic is pivoted in on the first row that holds it, and
+    _run_dual ends on a feasible basis or on a row that proves the LP
+    infeasible.  A cold solve starts from the empty tableau and adds
+    problem.rows, then the bound rows; _run_dual is its phase 1, and
+    _phase_2 prices its objective out for _run_simplex.
+
+    A warm solve starts from parent, an optimal LpResult of an LP with
+    problem's n and bounds, in one of two forms.  When problem has rows,
+    they are added to the parent's, and problem must carry the parent's
+    objective.  When it has none, problem carries its own objective over
+    the parent's rows: the parent's basis is feasible, so _phase_2 alone
+    prices that objective out and runs _run_simplex, with no row added and
+    no dual pivot.  This is how one phase 1 serves every objective over the
+    same rows: after it, a cold solve pivots on the tableau a repriced
+    solve starts from, so both end alike, and the cold solve's pivots are
+    the phase 1's and the repriced solve's together.  Either way pivots
+    counts this solve's own pivots, and an optimal result's tableau
+    belongs to problem, for later warm solves to start from.
     """
     n = problem.n
     if parent is None:
@@ -339,11 +356,15 @@ def solve_lp(problem, parent=None):
     else:
         tab = parent.tableau
         if tab is None:
-            raise ValueError("rows can be added only to an optimal LpResult")
+            raise ValueError("a warm solve needs an optimal LpResult")
         base = tab.problem
-        kept = (base.n, base.objective, base.objective_den, base.bounds)
-        if (n, problem.objective, problem.objective_den, problem.bounds) != kept:
-            raise ValueError("added rows need the parent's n, objective and bounds")
+        if (n, problem.bounds) != (base.n, base.bounds):
+            raise ValueError("a warm solve needs the parent's n and bounds")
+        if not problem.rows:
+            T, basis, N = list(tab.T), list(tab.basis), list(tab.N)
+            return _phase_2(problem, _Tableau(T, basis, N, tab.aside, tab.cols, problem), 0)
+        if (problem.objective, problem.objective_den) != (base.objective, base.objective_den):
+            raise ValueError("added rows need the parent's objective")
         rows = problem.rows
     T, basis, N, aside = list(tab.T), list(tab.basis), list(tab.N), tab.aside
     _add_rows(T, basis, N, rows, tab.cols)
@@ -370,20 +391,28 @@ def solve_lp(problem, parent=None):
     pivots += done
     if status == "infeasible":
         return LpResult("infeasible", pivots=pivots)
-    if parent is None:
-        # Phase 2 objective: the objective row in standard form, priced out
-        # on the rows of its basic variables.
-        z = [-c if sign > 0 else c for c, (_, sign) in zip(problem.objective, tab.cols)]
-        T[0] = _condense([z + [0, 0]], T, basis, N)[0]
-        # a free variable that no row holds, which no pivot can take, moves
-        # the objective both ways
-        if any(T[0][q] != 0 for q in range(n) if N[q] in free):
-            return LpResult("unbounded", pivots=pivots)
-        status, done = _run_simplex(T, basis, N, aside)
-        pivots += done
-        if status == "unbounded":
-            return LpResult("unbounded", pivots=pivots)
-    return _optimum(_Tableau(T, basis, N, aside, tab.cols, tab.problem), pivots)
+    tab = _Tableau(T, basis, N, aside, tab.cols, tab.problem)
+    return _phase_2(problem, tab, pivots) if parent is None else _optimum(tab, pivots)
+
+
+def _phase_2(problem, tab, pivots):
+    """Phase 2 of problem on tab, a feasible tableau of its rows that it
+    now owns, after pivots pivots: row 0 becomes problem's objective row in
+    standard form, priced out on the rows of its basic variables, and
+    _run_simplex takes it to the optimum or to an unbounded ray."""
+    T, basis, N, cols = tab.T, tab.basis, tab.N, tab.cols
+    z = [-c if sign > 0 else c for c, (_, sign) in zip(problem.objective, cols)]
+    T[0] = _condense([z + [0, 0]], T, basis, N)[0]
+    # a free variable that no row holds, which no pivot can take, moves
+    # the objective both ways
+    n, bounds = problem.n, problem.bounds
+    if any(T[0][q] and bounds[j] == (None, None) for q, j in enumerate(N) if j < n):
+        return LpResult("unbounded", pivots=pivots)
+    status, done = _run_simplex(T, basis, N, tab.aside)
+    pivots += done
+    if status == "unbounded":
+        return LpResult("unbounded", pivots=pivots)
+    return _optimum(tab, pivots)
 
 
 def _add_rows(T, basis, N, rows, cols):

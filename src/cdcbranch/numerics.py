@@ -2,13 +2,13 @@
 
 Scalars are ints and Fractions, vectors tuples, matrices lists/tuples of
 tuples; no floats are accepted.  Every row is scaled to ints through
-_scaled, the one place that reads an entry's kind.  Every elimination is
-one integer Gauss-Jordan kernel, _gauss_jordan, which keeps its rows
-coprime and updates a row only where the pivot row is nonzero, as
-lp._pivot does: rank counts its pivots, a nullspace vector is read off
-its reduced rows, an Encoding's affine hull is the nullspace of its code
-differences in ints, and lp's double description starts from one
-reduction.
+_scaled, and _whole, which _scaled asks first, is the one place that reads
+an entry's kind.  Every elimination is one integer Gauss-Jordan kernel,
+_gauss_jordan, which keeps its rows coprime and updates a row only where
+the pivot row is nonzero, as lp._pivot does: rank counts its pivots, a
+nullspace vector is read off its reduced rows, an Encoding's affine hull
+is the nullspace of its code differences in ints, and lp's double
+description starts from one reduction.
 """
 
 from fractions import Fraction
@@ -63,11 +63,16 @@ def is_zero_vector(u):
     return all(a == 0 for a in u)
 
 
+def _whole(row):
+    """True when every entry of row is an int, which _scaled keeps as it is."""
+    return all(map(isinstance, row, repeat(int)))
+
+
 def _scaled(row):
     """(s, ints): s the lcm of the row's denominators and ints the row times
     s, a new list.  An int is read as it is and any other entry goes through
     rat, which reads 'p/q' strings and raises TypeError on a float."""
-    if all(map(isinstance, row, repeat(int))):
+    if _whole(row):
         return 1, list(row)
     row = list(row)
     odd = [i for i, x in enumerate(row) if type(x) is not int]

@@ -56,11 +56,15 @@ def test_verdict_follows_the_pipeline_rules():
 
 
 def test_a_pair_line_reads_memory_next_to_the_operations_attempted():
+    # setup_s stands next to wall_s, so a setup claim shows pair by pair
     parent = result(0.0101, 348)
+    parent["metrics"]["setup_s"] = {"value": 0.0228104}
     parent["metrics"]["peak_rss_mb"] = {"value": 23.6512}
     change = result(0.00745, 348)
     change["attempted"] = 24084
+    change["metrics"]["setup_s"] = {"value": 0.0136}
     change["metrics"]["peak_rss_mb"] = {"value": 25.1}
     line = load_script().pair_line(3, 7403, parent, change)
-    assert line == ("pair 3, seed 7403: parent wall_s 0.0101 attempted 10 peak_rss_mb 23.65; "
-                    "change wall_s 0.00745 attempted 24084 peak_rss_mb 25.1")
+    assert line == ("pair 3, seed 7403: parent setup_s 0.0228104 wall_s 0.0101 attempted 10 "
+                    "peak_rss_mb 23.65; change setup_s 0.0136 wall_s 0.00745 attempted 24084 "
+                    "peak_rss_mb 25.1")

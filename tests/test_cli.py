@@ -10,7 +10,7 @@ import pytest
 from cdcbranch import cli, lp, oracle
 from cdcbranch.cdc import sos2_family
 from cdcbranch.cli import main
-from cdcbranch.encodings import exotic_code
+from cdcbranch.encodings import Encoding, exotic_code
 from cdcbranch.formulation import LinearFormulation, TwoSidedRow, build_general, build_sos2_exotic
 from cdcbranch.numerics import rat
 
@@ -239,6 +239,24 @@ def sos2_exotic_loosened():
     rows = [TwoSidedRow(row.direction, lower, row.upper, row.den)] + form.rows[1:]
     return LinearFormulation(form.n, form.r, rows, form.hull_equations,
                              family=form.family, codes=form.codes, meta=form.meta)
+
+
+def test_a_closed_form_verify_makes_one_encoding(tmp_path, monkeypatch):
+    # a closed-form builder makes its own codes, so the encoding named on
+    # the command line is made only for the general and planar builders
+    made = []
+    real = Encoding.__init__
+    monkeypatch.setattr(Encoding, "__init__", lambda self, *a, **k: made.append(self) or real(self, *a, **k))
+    out = str(tmp_path / "v.json")
+    for family, encoding, builder in (("sos2", "moment", "moment"),
+                                      ("sos2", "exotic", "sos2-exotic"),
+                                      ("annulus", "zigzag", "annulus"),
+                                      ("sos2", "moment", "general")):
+        inst = str(gen(tmp_path, "--family", family, "--d", "8"))
+        made.clear()
+        assert run("verify", "--instance", inst, "--encoding", encoding,
+                   "--builder", builder, "-o", out) == 0
+        assert len(made) == 1
 
 
 def test_verify_enumerates_the_relaxation_only_without_a_certificate(tmp_path, monkeypatch,

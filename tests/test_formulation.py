@@ -86,6 +86,8 @@ def test_normals_degenerate_spans():
     assert spanned_hyperplane_normals([vec((0, 0))], 2) == []
     with pytest.raises(FormulationError):
         spanned_hyperplane_normals([vec((1, 1)), vec((-2, -2))], 2)
+    with pytest.raises(ValueError, match="ragged"):
+        spanned_hyperplane_normals([(1, 0), (0, 1, 1)], 2)
 
 
 @pytest.mark.parametrize(
@@ -512,10 +514,20 @@ def test_bigm_errors():
 
 
 def test_bigm_bounds_copy_no_rows(monkeypatch):
-    # each piece's rows become an LpProblem's once; its bounds keep them
-    copied = []
+    # each piece's rows become an LpProblem's once; its bounds keep them.
+    # Each piece is solved cold once, with the zero objective, and every
+    # bound is a repriced solve from that optimum, one per row and foreign
+    # piece, that brings no rows
+    copied, cold, warm = [], [], []
     real = LpProblem._rows
     monkeypatch.setattr(LpProblem, "_rows", lambda self, rows: copied.append(len(rows)) or real(self, rows))
+    real_solve = formulation.solve_lp
+
+    def solve(problem, parent=None):
+        (cold if parent is None else warm).append(problem)
+        return real_solve(problem, parent)
+
+    monkeypatch.setattr(formulation, "solve_lp", solve)
     pieces = [
         HRepPiece([[1, 0], [-1, 0], [0, 1], [F(-1, 2), -1]], [k + 1, -k, 2, 0])
         for k in range(3)
@@ -523,6 +535,66 @@ def test_bigm_bounds_copy_no_rows(monkeypatch):
     M = compute_bigm(pieces)
     assert copied == [4, 4, 4]
     assert M[0] == [3, -1, 2, 0] and M[2] == [2, 0, 2, 0]
+    assert len(cold) == 3 and all(p.objective == (0, 0) for p in cold)
+    assert len(warm) == 3 * 4 * 2 and all(p.rows == [] for p in warm)
+
+
+planar_coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def planar_pieces(draw):
+    """Two to four boxes in the plane, each maybe cut by one more row of
+    Fractions, which compute_bigm scales to ints, so each piece is bounded
+    and some are empty."""
+    pieces = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        lo = [draw(small_rational) for _ in range(2)]
+        hi = [x + draw(st.integers(min_value=0, max_value=3)) for x in lo]
+        A = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+        b = [hi[0], -lo[0], hi[1], -lo[1]]
+        if draw(st.booleans()):
+            A.append([draw(planar_coefficient), draw(planar_coefficient)])
+            b.append(draw(small_rational))
+        pieces.append(HRepPiece(A, b))
+    return pieces
+
+
+@settings(max_examples=100, deadline=None)
+@given(planar_pieces())
+def test_bigm_is_the_foreign_maxima_over_vertices(pieces):
+    # M[i][s] is the greatest value of row s of piece i at a vertex of a
+    # nonempty foreign piece
+    vertices = [
+        enumerate_vertices(2, [(a, LE, b) for a, b in zip(p.A, p.b)]) for p in pieces
+    ]
+    expected = []
+    for i, piece in enumerate(pieces):
+        foreign = [v for k, vs in enumerate(vertices) if k != i for v in vs]
+        if not foreign:
+            expected = None
+            break
+        expected.append([max(dot(a, v) for v in foreign) for a in piece.A])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if expected is None:
+            with pytest.raises(FormulationError, match="every foreign piece is empty"):
+                compute_bigm(pieces)
+            return
+        M = compute_bigm(pieces)
+    assert M == expected
+    assert all(type(x) is F for row in M for x in row)
+
+
+def test_bigm_accepts_a_strip_bounded_along_every_foreign_row():
+    # both pieces run along x without end, and no row of either reads x
+    strip = HRepPiece([[0, 1], [0, -1]], [1, 0])
+    higher = HRepPiece([[0, 1], [0, -1]], [3, -2])
+    assert compute_bigm([strip, higher]) == [[3, -2], [1, 0]]
+    # a foreign row along x is refused
+    box = HRepPiece([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0])
+    with pytest.raises(FormulationError, match="piece 1 is unbounded"):
+        compute_bigm([strip, box])
 
 
 def slice_at(system, z):

@@ -861,6 +861,64 @@ def test_warm_rows_match_a_cold_solve_of_the_full_list(lp, data):
         assert res.value == dot(vec(c), res.x)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bounded_lps(), open_lps()), st.data())
+def test_a_repriced_solve_is_a_cold_solve_after_its_phase_1(lp, data):
+    # the zero-objective solve is phase 1 alone; pricing c out on its
+    # optimum ends where a cold solve of c ends, and the cold solve's pivots
+    # are the two solves' together.  open_lps draws unbounded objectives and
+    # infeasible rows.  The repriced tableau is the new objective's, so a
+    # second objective priced on it reaches its cold solve's value, at a
+    # point of the rows that may differ where the optimum is not unique
+    n, c, rows, bounds = lp
+    zero = LpProblem(n, (0,) * n, rows, bounds=bounds)
+    feasible = solve_lp(zero)
+    cold = solve_lp(LpProblem(n, c, rows, bounds=bounds))
+    if feasible.status == "infeasible":
+        assert (cold.status, cold.pivots) == ("infeasible", feasible.pivots)
+        return
+    assert (feasible.status, feasible.value) == ("optimal", 0)
+    warm = solve_lp(zero.with_rows([], objective=c), feasible)
+    assert (warm.status, warm.value, warm.x) == (cold.status, cold.value, cold.x)
+    assert cold.pivots == feasible.pivots + warm.pivots
+    if warm.status != "optimal":
+        return
+    other = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    again = solve_lp(zero.with_rows([], objective=other), warm)
+    ref = solve_lp(LpProblem(n, other, rows, bounds=bounds))
+    assert (again.status, again.value) == (ref.status, ref.value)
+    if again.status == "optimal":
+        x = again.x
+        assert again.value == dot(vec(other), x)
+        for a, rel, rhs in rows:
+            lhs, rhs = dot(vec(a), x), F(rhs)
+            assert {LE: lhs <= rhs, GE: lhs >= rhs, EQ: lhs == rhs}[rel]
+        for v, (lb, ub) in zip(x, bounds):
+            assert (lb is None or lb <= v) and (ub is None or v <= ub)
+
+
+def test_a_repriced_solve_adds_no_rows_and_takes_no_dual_pivot(monkeypatch):
+    # max x + 2y over x + y <= 4, x - y >= -2, x >= 1 with y >= 0, after
+    # phase 1 alone; rows added later need the repriced objective
+    rows = [((1, 1), LE, 4), ((1, -1), GE, -2), ((1, 0), GE, 1)]
+    zero = LpProblem(2, [0, 0], rows, bounds=[(None, None), (0, None)])
+    feasible = solve_lp(zero)
+    called = []
+    for name in ("_add_rows", "_run_dual"):
+        real = getattr(lp_module, name)
+        monkeypatch.setattr(lp_module, name, lambda *a, real=real, name=name: called.append(name) or real(*a))
+    priced = zero.with_rows([], objective=(1, 2))
+    warm = solve_lp(priced, feasible)
+    assert called == [] and warm.tableau.problem is priced
+    assert (warm.status, warm.x, warm.value, warm.pivots) == ("optimal", (F(1), F(3)), F(7), 1)
+    child = solve_lp(priced.with_rows([((0, 1), LE, 2)]), warm)
+    assert (child.x, child.value) == ((F(2), F(2)), F(6))
+    with pytest.raises(ValueError):
+        solve_lp(zero.with_rows([((0, 1), LE, 2)]), warm)
+    with pytest.raises(ValueError):
+        solve_lp(LpProblem(2, [1, 2], [], bounds=[(None, None), (1, None)]), feasible)
+
+
 def test_a_free_variable_first_held_by_added_rows_is_pivoted_in():
     # x is free and held by no row of the root, so it sits nonbasic at 0;
     # the added row is the first to hold it and needs it negative
