@@ -20,7 +20,7 @@ from math import lcm
 from operator import and_, mul
 
 from .lp import facets_of_hull
-from .numerics import _integer_rows, _nullspace, vec
+from .numerics import _nullspace, vec
 
 
 class EncodingError(Exception):
@@ -80,10 +80,10 @@ class Encoding:
     @cached_property
     def hull(self):
         """The normals of the codes' affine hull as (v, s) pairs, v an int
-        vector and s a positive int, v / s the normal: numerics._nullspace
-        of the differences scaled[1][i] - scaled[1][0].  Each difference
-        is den times affine_hull's, a positive multiple, which changes no
-        reduced row, so these are affine_hull's normals, in its order.  A
+        vector and s a positive int: numerics._nullspace of the differences
+        scaled[1][i] - scaled[1][0], so v / s is 1 at its own free column
+        and 0 at the others.  Scaling the differences by den changes no
+        reduced row, so these are the normals of the Fraction codes.  A
         single code gives the unit vectors."""
         H = self.scaled[1]
         diffs = [[a - b for a, b in zip(h, H[0])] for h in H[1:]]
@@ -93,8 +93,9 @@ class Encoding:
 
     @cached_property
     def equations(self):
-        """The codes' affine hull as (a, beta) pairs: a . z == beta, as
-        affine_hull gives them, read off hull and the first code's ints."""
+        """The codes' affine hull as (a, beta) pairs: a . z == beta, a each
+        normal v / s of hull in Fractions and beta its value at the first
+        code, read off the first code's ints."""
         den, H = self.scaled
         return [
             (tuple(Fraction(x, s) for x in v), Fraction(sum(map(mul, v, H[0])), s * den))
@@ -210,9 +211,10 @@ def is_hole_free(encoding):
     """True when every integer point of Conv(codes) is itself a code.
 
     Only defined for integer codes; rejects anything else.  The encoding's
-    hull is read only once the codes' bounding box shows a non-code point;
-    its equations are then scaled to integer rows [a | b], and its facets
-    are int rows already, so each box point is tested in ints.  The scan
+    hull is read only once the codes' bounding box shows a non-code point.
+    Integer codes have den 1, so each int normal v of hull gives the
+    equation v . z == v . H[0], H[0] the first code, and the facets are
+    int rows already: each box point is tested in ints.  The scan
     runs on every call; the variable scheme keeps its verdict on the
     encoding, so a solve does not repeat it.
     """
@@ -225,11 +227,9 @@ def is_hole_free(encoding):
         if point in code_set:
             continue
         if eqs is None:
-            eqs = _integer_rows([a + (b,) for a, b in encoding.equations])
-        # zip stops at the point's end, so a row's last entry b is left out
-        on_hull = all(
-            sum(x * y for x, y in zip(row, point)) == row[-1] for row in eqs
-        )
+            H0 = encoding.scaled[1][0]
+            eqs = [(v, sum(map(mul, v, H0))) for v, _ in encoding.hull]
+        on_hull = all(sum(map(mul, v, point)) == b for v, b in eqs)
         if on_hull and all(
             sum(x * y for x, y in zip(a, point)) <= b for a, b in encoding.facets
         ):

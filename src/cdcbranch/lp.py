@@ -56,7 +56,6 @@ from .numerics import (
     _integer_rows,
     _nullspace,
     _scaled,
-    affine_hull,
     is_zero_vector,
     rat,
 )
@@ -495,12 +494,6 @@ def lp_feasible(n, rows, bounds=None):
     return res.status == "optimal"
 
 
-def _dd_extreme_rays(G):
-    """Extreme rays of {u : Gu <= 0}, G of full column rank, as coprime
-    int tuples: the rays of _double_description(G)."""
-    return _double_description(G)[0]
-
-
 def _dd_start(G):
     """(B, rays, vals): the starting rays of double description on the
     integer rows G, k columns, from one reduction of [G^T | I].  Its pivot
@@ -630,11 +623,11 @@ def enumerate_vertices(n, rows, bounds=None):
     hom_ineq.append((0,) * n + (-1,))
 
     # The nullspace of the equalities in ints; a zero row stands in for
-    # none, whose nullspace is the unit vectors.  Each basis vector is
-    # nullspace_basis's times a positive int: a positive scale per vector
-    # changes neither the rays nor their order, and y = sum of ray entry
-    # times basis vector keeps its direction, so every vertex y/t is the
-    # same; the rows are projected and the rays combined in ints.
+    # none, whose nullspace is the unit vectors.  Each basis vector v is
+    # den times the one that is 1 at its free column: a positive scale per
+    # vector changes neither the rays nor their order, and y = sum of ray
+    # entry times basis vector keeps its direction, so every vertex y/t is
+    # the same; the rows are projected and the rays combined in ints.
     N = [v for v, _ in _nullspace(hom_eq or [(0,) * (n + 1)])]
     if not N:
         return []
@@ -644,9 +637,9 @@ def enumerate_vertices(n, rows, bounds=None):
     ]
     G = [row for row in G if not is_zero_vector(row)]
     try:
-        # _dd_extreme_rays raises LpError when the cone is not pointed, so
-        # one elimination both tests it and starts the rays
-        rays = _dd_extreme_rays(G) if G else None
+        # _double_description raises LpError when the cone is not pointed,
+        # so one elimination both tests it and starts the rays
+        rays = _double_description(G)[0] if G else None
     except LpError:
         rays = None
     if rays is None:
@@ -675,35 +668,25 @@ def enumerate_vertices(n, rows, bounds=None):
     return [tuple(Fraction(x, y[n]) for x in y[:n]) for y in seen]
 
 
-def facets_of_hull(points, den=1, normals=None):
-    """Facet inequalities (a, rhs) of the convex hull of points.
+def facets_of_hull(points, den, normals):
+    """Facet inequalities (a, rhs) of the convex hull of points, relative
+    to their affine hull.
 
-    Every returned inequality satisfies a . p <= rhs for all input points
-    and is tight on a facet of the hull relative to its affine hull; a
-    lies in the hull's direction space.  Points that affinely span their
-    ambient space give its ordinary facets, and a single point gives [].
-    Each inequality is a coprime int row: a is a tuple of ints and rhs an
-    int, as the double description returns its rays.
-
-    points are rationals, or ints over one positive int den (each point
-    is p / den), as Encoding.scaled keeps codes.  normals, when given, are
-    normals of the points' affine hull, each a positive multiple of one
-    of affine_hull's, as Encoding keeps them in ints; otherwise they are
-    computed here.  Neither changes a facet or their order: each row of
-    the cone is a positive multiple of the one the Fraction points give.
+    points are int tuples over one positive int den, each point p / den,
+    and normals int normals of their affine hull, as Encoding keeps its
+    codes in scaled and hull.  Every returned inequality satisfies
+    a . p <= rhs * den for all input points and is tight on a facet of
+    the hull; a lies in the hull's direction space.  Points that affinely
+    span their ambient space give its ordinary facets, and a single point
+    gives [].  Each inequality is a coprime int row: a is a tuple of ints
+    and rhs an int, as the double description returns its rays.
     """
-    points = list(points)
-    if not points:
-        raise ValueError("no points")
     r = len(points[0])
-    if normals is None:
-        normals = [n for n, _ in affine_hull(points)[0]]
-    # Cone over (a, gamma) with p.a - gamma <= 0 per point, and n.a == 0,
-    # as two rows, per normal n of the affine hull.  The cone is then
-    # pointed, and its extreme rays with a != 0 are the relative facets.
+    # Cone over (a, gamma) with p.a - den*gamma <= 0 per point, and
+    # n.a == 0, as two rows, per normal n of the affine hull.  The cone is
+    # then pointed, and its extreme rays with a != 0 are the relative facets.
     G = [tuple(p) + (-den,) for p in points]
     for n in normals:
         G += [tuple(n) + (0,), tuple(-x for x in n) + (0,)]
-    return [
-        (ray[:r], ray[r]) for ray in _dd_extreme_rays(G) if not is_zero_vector(ray[:r])
-    ]
+    rays = _double_description(G)[0]
+    return [(ray[:r], ray[r]) for ray in rays if not is_zero_vector(ray[:r])]

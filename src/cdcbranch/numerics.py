@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: ranks, nullspaces, affine hulls.
+"""Exact rational linear algebra: one integer elimination, its rank and
+its nullspace.
 
 Scalars are ints and Fractions, vectors tuples, matrices lists/tuples of
 tuples; no floats are accepted.  Every row is scaled to ints through
@@ -51,12 +52,6 @@ def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch: %d vs %d" % (len(u), len(v)))
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def vec_sub(u, v):
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def is_zero_vector(u):
@@ -143,30 +138,15 @@ def rank(M):
     return len(_gauss_jordan(_integer_rows(M))[1])
 
 
-def nullspace_basis(M, ncols=None):
-    """Basis of {v : Mv = 0}, one vector per non-pivot column.
-
-    The vector of free column f is 1 at f and 0 at every other free
-    column, which makes the basis unique.  An empty matrix (no rows)
-    yields the standard basis of dimension ncols, which must then be
-    supplied.
-    """
-    rows = _integer_rows(M)
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for a matrix with no rows")
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    if ncols is not None and ncols != len(rows[0]):
-        raise ValueError("ncols disagrees with matrix width")
-    return [tuple(Fraction(x, den) for x in v) for v, den in _nullspace(rows)]
-
-
 def _nullspace(rows):
-    """nullspace_basis of integer rows, each vector as (v, den) with v
-    integral and v / den the vector.  Each is read off the reduced rows,
-    with no back-substitution: free column f takes den, the lcm of the
-    pivots of the rows that hold it, and the pivot column c of such a row,
-    pivot p, takes -row[f] * (den // p)."""
+    """Basis of {v : rows v == 0} for one or more integer rows of one
+    width (a zero row stands in for none), one vector per free column, a
+    column that _gauss_jordan does not pivot on.  Each is (v, den), v
+    integral and den a positive int: v / den is 1 at its own free column
+    and 0 at every other one, which makes the basis unique.  Each is read
+    off the reduced rows, with no back-substitution: free column f takes
+    den, the lcm of the pivots of the rows that hold it, and the pivot
+    column c of such a row, pivot p, takes -row[f] * (den // p)."""
     n = len(rows[0])
     red, pivots = _gauss_jordan(rows)
     pivot_set = set(pivots)
@@ -183,20 +163,3 @@ def _nullspace(rows):
         basis.append((v, den))
     return basis
 
-
-def affine_hull(points):
-    """Affine hull of a point set as (equations, dimension).
-
-    Each equation is a pair (a, beta) meaning a . z == beta; the
-    dimension is that of the hull (0 for a single point).
-    """
-    pts = [vec(p) for p in points]
-    if not pts:
-        raise ValueError("affine hull of an empty point set")
-    n = len(pts[0])
-    base = pts[0]
-    directions = [vec_sub(p, base) for p in pts[1:]]
-    directions = [d for d in directions if not is_zero_vector(d)]
-    normals = nullspace_basis(directions, ncols=n)
-    equations = [(a, dot(a, base)) for a in normals]
-    return equations, n - len(normals)

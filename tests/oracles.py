@@ -1,7 +1,10 @@
 """Reference helpers that several test modules share as oracles.
 
 They restate a fact in the simplest way, independently of the package
-code it checks.
+code it checks.  Ranks, nullspaces and affine hulls come from row_reduce,
+a plain Fraction reduction, never from the package's integer kernel; only
+dense_gauss_jordan and double_description_by_values, kept byte for byte
+as package algorithms stood, reduce with package routines.
 """
 
 from dataclasses import dataclass
@@ -12,16 +15,7 @@ from math import gcd, lcm
 from cdcbranch.encodings import EncodingError, exotic_code
 from cdcbranch.formulation import _LINE_SPAN, FormulationError
 from cdcbranch.lp import EQ, GE, LE, LpError, LpProblem, _dd_start, lp_feasible
-from cdcbranch.numerics import (
-    _coprime,
-    _gauss_jordan,
-    _integer_rows,
-    dot,
-    is_zero_vector,
-    nullspace_basis,
-    rank,
-    vec,
-)
+from cdcbranch.numerics import _coprime, _integer_rows, dot, is_zero_vector, vec
 from cdcbranch.oracle import embedding_points
 
 
@@ -96,12 +90,62 @@ def canonical_direction(v):
     raise ValueError("zero vector has no canonical direction")
 
 
+def row_reduce(M):
+    """(rows, pivots): the reduced row echelon form of M in Fractions, one
+    row per pivot, 1 at its pivot column and 0 at every other one, and
+    the pivot columns in order: each column that the columns before it
+    do not span."""
+    rows = [[Fraction(x) for x in row] for row in M]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        h = len(pivots)
+        piv = next((i for i in range(h, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[h], rows[piv] = rows[piv], rows[h]
+        rows[h] = [x / rows[h][col] for x in rows[h]]
+        for i, row in enumerate(rows):
+            if i != h and row[col] != 0:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[h])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def rank_by_reduction(M):
+    """The rank of M: the pivots of its reduced row echelon form."""
+    return len(row_reduce(M)[1])
+
+
+def nullspace_by_reduction(M, n):
+    """Basis of {v : Mv = 0}, M with n columns, in Fractions: one vector
+    per free column f, 1 at f, 0 at every other free column and minus
+    the entry at f of each reduced row at that row's pivot column.  No
+    rows give the unit vectors."""
+    rows, pivots = row_reduce(M)
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            v = [Fraction(int(j == f)) for j in range(n)]
+            for c, row in zip(pivots, rows):
+                v[c] = -row[f]
+            basis.append(tuple(v))
+    return basis
+
+
+def affine_hull_by_reduction(points):
+    """The affine hull of points as (a, beta) pairs, a . z == beta: a the
+    nullspace of the differences from the first point, beta a there."""
+    base = vec(points[0])
+    diffs = [[x - y for x, y in zip(vec(p), base)] for p in points[1:]]
+    return [(a, dot(a, base)) for a in nullspace_by_reduction(diffs, len(base))]
+
+
 def independent_rows_by_rank(M):
     """Indices of the rows of M that the rows before them do not span,
     found one rank at a time."""
     chosen, rows = [], []
     for i, row in enumerate(M):
-        if rank(rows + [row]) > len(rows):
+        if rank_by_reduction(rows + [row]) > len(rows):
             chosen.append(i)
             rows.append(row)
     return chosen
@@ -118,7 +162,9 @@ def dd_start_by_nullspace(G):
     B = independent_rows_by_rank(G)
     if len(B) < k:
         raise LpError("cone is not pointed")
-    start = nullspace_basis([list(G[i]) + [int(i == j) for j in B] for i in B])
+    start = nullspace_by_reduction(
+        [list(G[i]) + [int(i == j) for j in B] for i in B], k + len(B)
+    )
     rays = [tuple(_coprime(_integer_rows([v[:k]])[0])) for v in start]
     vals = [[sum(a * b for a, b in zip(g, r)) for g in G] for r in rays]
     return B, rays, vals
@@ -145,21 +191,21 @@ def spanned_hyperplane_normals_by_rank(C, ambient):
             dirs.append(cd)
     if not dirs:
         return []
-    dim = rank(dirs)
+    dim = rank_by_reduction(dirs)
     if dim == 0:
         return []
     if dim == 1:
         raise FormulationError(_LINE_SPAN)
     # orthogonal complement of span(C): a normal must be orthogonal to it
     # to lie inside the span
-    complement = nullspace_basis(dirs)
+    complement = nullspace_by_reduction(dirs, ambient)
     normals = []
     seen_n = set()
     for subset in combinations(dirs, dim - 1):
-        if rank(list(subset)) < dim - 1:
+        if rank_by_reduction(subset) < dim - 1:
             continue
         system = list(subset) + list(complement)
-        null = nullspace_basis(system, ncols=ambient)
+        null = nullspace_by_reduction(system, ambient)
         if len(null) != 1:
             continue
         b = canonical_direction(null[0])
@@ -199,7 +245,8 @@ def classify_rows_by_rank(form, vertices):
         raise LpError("empty relaxation cannot be classified")
 
     def dim(points):
-        return rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+        diffs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+        return rank_by_reduction(diffs)
 
     full = dim(vertices)
     out = []
@@ -338,7 +385,7 @@ def hull_coordinates_by_reduction(form):
     """J of oracle.certified_vertices as it was first found: the pivot
     columns, after the first, of one reduction of every row (1, p), p an
     embedding point."""
-    return [c - 1 for c in _gauss_jordan([(1,) + p for p in embedding_points(form)])[1][1:]]
+    return [c - 1 for c in row_reduce([(1,) + p for p in embedding_points(form)])[1][1:]]
 
 
 # The simplex as it stood with one column per variable and one per slack

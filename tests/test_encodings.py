@@ -23,14 +23,23 @@ from cdcbranch.encodings import (
     zigzag_code,
 )
 from cdcbranch.formulation import build_general
-from cdcbranch.numerics import affine_hull, vec, vec_sub
-from oracles import convex_position_lp, in_hull_lp, separation_certificates_exotic
+from cdcbranch.numerics import dot, vec
+from oracles import (
+    affine_hull_by_reduction,
+    convex_position_lp,
+    in_hull_lp,
+    separation_certificates_exotic,
+)
 
 F = Fraction
 
 
 def codes(enc):
     return [tuple(int(x) if x.denominator == 1 else x for x in c) for c in enc]
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def test_gray_r1():
@@ -327,14 +336,16 @@ def test_predicates_match_lp_oracle(H):
 @settings(max_examples=300, deadline=None)
 @given(random_codes())
 def test_an_encoding_keeps_its_hull_in_ints(H):
-    # the equations and facets read off the int normals of hull are those
-    # affine_hull and facets_of_hull give on the Fraction codes: the same
-    # values, the same types and the same order
+    # the equations read off the int normals of hull are the reference's
+    # affine hull of the Fraction codes: the same values, the same types
+    # and the same order; each facet is an int row that holds at every
+    # code and is tight at one
     enc = Encoding(H)
-    assert enc.equations == affine_hull(enc.codes)[0]
+    assert enc.equations == affine_hull_by_reduction(enc.codes)
     assert all(type(x) is F for a, b in enc.equations for x in (*a, b))
-    assert enc.facets == lp.facets_of_hull(enc.codes)
     assert all(type(x) is int for a, b in enc.facets for x in (*a, b))
+    for a, b in enc.facets:
+        assert max(dot(a, h) for h in enc.codes) == b
     assert [(tuple(F(x, s) for x in v)) for v, s in enc.hull] == [a for a, _ in enc.equations]
 
 

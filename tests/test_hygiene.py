@@ -9,6 +9,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cdcbranch"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 BENCHMARK = sorted((ROOT / "benchmark").glob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
+
+# The names that run the package's elimination kernel.  The test references
+# reduce on their own, so they cannot agree with it by sharing it.
+KERNEL = {"rank", "_gauss_jordan", "_nullspace"}
 
 # Public names that nothing in src/ or benchmark/ reads yet, each kept for
 # a stated reason.
@@ -100,6 +105,28 @@ def unread_public_names(modules, readers):
         and not node.name.startswith("_")
         and node.name not in read
     ]
+
+
+def package_imports(source):
+    """Names that source imports from the cdcbranch package, by from-import
+    or as an attribute of an imported package module."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cdcbranch"):
+            names |= {alias.name for alias in node.names}
+            modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if alias.name.startswith("cdcbranch")
+            }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                names.add(node.attr)
+    return names
 
 
 def float_uses(source):
@@ -197,6 +224,21 @@ def test_unread_public_name_is_reported():
     }
     readers = modules["m"], "called()\nsetattr(m, 'patched', 1)\nx = m.Used\n"
     assert unread_public_names(modules, readers) == [("m", "unread"), ("m", "Unread")]
+
+
+def test_the_test_references_take_nothing_from_the_kernel():
+    assert package_imports(ORACLES.read_text()) & KERNEL == set()
+
+
+def test_package_import_is_reported():
+    source = (
+        "import json\n"
+        "from cdcbranch.numerics import rank, dot as d\n"
+        "from cdcbranch import numerics\n"
+        "import cdcbranch.lp as lp\n"
+        "json.loads(numerics._nullspace, lp.solve_lp, d)\n"
+    )
+    assert package_imports(source) == {"rank", "dot", "numerics", "_nullspace", "solve_lp"}
 
 
 def test_floats_enter_only_where_allowed():

@@ -14,7 +14,7 @@ from cdcbranch import lp as lp_module
 from cdcbranch import numerics
 from cdcbranch.branching import psi
 from cdcbranch.cdc import HRepPiece, sos2_family
-from cdcbranch.encodings import exotic_code
+from cdcbranch.encodings import Encoding, exotic_code
 from cdcbranch.formulation import build_general, compute_bigm
 from cdcbranch.lp import (
     EQ,
@@ -22,9 +22,7 @@ from cdcbranch.lp import (
     LE,
     LpError,
     LpProblem,
-    _dd_extreme_rays,
     enumerate_vertices,
-    facets_of_hull,
     lp_feasible,
     solve_lp,
 )
@@ -265,7 +263,7 @@ def test_cone_with_a_pivot_in_the_identity_is_not_pointed():
     # G^T has rank 1, yet [G^T | I] still reaches two pivots, the second
     # in I: counting pivots alone would take this cone as pointed
     with pytest.raises(LpError, match="cone is not pointed"):
-        _dd_extreme_rays([[0, 0], [3, -3]])
+        lp_module._double_description([[0, 0], [3, -3]])
 
 
 @st.composite
@@ -290,7 +288,7 @@ def test_dd_start_matches_the_nullspace_start(G):
         start = dd_start_by_nullspace(G)
     except LpError:
         with pytest.raises(LpError, match="cone is not pointed"):
-            _dd_extreme_rays(G)
+            lp_module._double_description(G)
         return
     assert lp_module._dd_start(G) == start
     # the same rays in the same order, with the same values, at the end
@@ -342,7 +340,7 @@ def test_double_description_of_the_zero_cone():
 
 def test_facets_of_triangle():
     pts = [(0, 0), (1, 0), (0, 1)]
-    facets = facets_of_hull(pts)
+    facets = Encoding(pts).facets
     assert len(facets) == 3
     for a, rhs in facets:
         assert all(dot(a, vec(p)) <= rhs for p in pts)
@@ -351,7 +349,7 @@ def test_facets_of_triangle():
 
 def test_facets_of_square_interior_point_strict():
     pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]
-    facets = facets_of_hull(pts)
+    facets = Encoding(pts).facets
     assert len(facets) == 4
     for a, rhs in facets:
         assert dot(a, vec((1, 1))) < rhs
@@ -362,13 +360,13 @@ def test_facets_relative_to_affine_hull():
         return sorted((tuple(int(x) for x in a), int(rhs)) for a, rhs in facets)
 
     # normals lie in the hull's direction space, rhs tight on each facet
-    assert ints(facets_of_hull([(0, 0), (1, 1), (2, 2)])) == [
+    assert ints(Encoding([(0, 0), (1, 1), (2, 2)]).facets) == [
         ((-1, -1), 0),
         ((1, 1), 4),
     ]
-    assert facets_of_hull([(5, 7)]) == []
+    assert Encoding([(5, 7)]).facets == []
     square = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    assert ints(facets_of_hull(square)) == [
+    assert ints(Encoding(square).facets) == [
         ((-1, 0, 0), 0),
         ((0, -1, 0), 0),
         ((0, 1, 0), 1),
@@ -376,7 +374,7 @@ def test_facets_relative_to_affine_hull():
     ]
     # the unit square lifted into the plane z2 == z3 by (x, y) -> (x, y, y)
     tilted = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1)]
-    assert ints(facets_of_hull(tilted)) == [
+    assert ints(Encoding(tilted).facets) == [
         ((-1, 0, 0), 0),
         ((0, -1, -1), 0),
         ((0, 1, 1), 2),
@@ -437,7 +435,7 @@ def test_vertices_with_rational_rows_match_integer_scaled_rows():
 
 def test_facets_of_rational_points_are_coprime_and_match_scaled_points():
     pts = [(0, 0), (F(1, 3), 0), (0, F(2, 5)), (F(1, 3), F(2, 7)), (F(1, 7), F(1, 11))]
-    facets = facets_of_hull(pts)
+    facets = Encoding(pts).facets
     assert len(facets) == 4
     for a, rhs in facets:
         ray = tuple(a) + (rhs,)
@@ -448,7 +446,7 @@ def test_facets_of_rational_points_are_coprime_and_match_scaled_points():
     # scaling the points by L maps facet (a, rhs) to (a, L * rhs); the rays
     # are normalised again, so compare up to a positive multiple, in order
     L = 3 * 5 * 7 * 11
-    scaled = facets_of_hull([tuple(L * F(x) for x in p) for p in pts])
+    scaled = Encoding([tuple(L * F(x) for x in p) for p in pts]).facets
     assert len(scaled) == len(facets)
     for (a, rhs), (sa, srhs) in zip(facets, scaled):
         lhs_ray = tuple(a) + (L * rhs,)

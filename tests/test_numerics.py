@@ -6,20 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcbranch.encodings import gray_code
+from cdcbranch.encodings import Encoding, gray_code
 from cdcbranch.numerics import (
     _gauss_jordan,
     _integer_rows,
-    affine_hull,
+    _nullspace,
     dot,
     format_rational,
-    nullspace_basis,
     rank,
     rat,
     vec,
-    vec_sub,
 )
-from oracles import canonical_direction, dense_gauss_jordan, independent_rows_by_rank
+from oracles import (
+    dense_gauss_jordan,
+    independent_rows_by_rank,
+    nullspace_by_reduction,
+    rank_by_reduction,
+)
 
 F = Fraction
 
@@ -54,7 +57,7 @@ def test_rank_scalar_multiples():
 def test_rank_gray_step_vectors():
     # the seven consecutive differences of the 8 three-bit codes span R^3
     H = list(gray_code(3))
-    steps = [vec_sub(H[i + 1], H[i]) for i in range(7)]
+    steps = [tuple(b - a for a, b in zip(H[i], H[i + 1])) for i in range(7)]
     assert rank(steps) == 3
 
 
@@ -67,45 +70,44 @@ def test_rank_with_fractions():
 
 
 def test_nullspace_single_row():
-    assert nullspace_basis([(1, 0)]) == [(F(0), F(1))]
+    assert _nullspace([[1, 0]]) == [([0, 1], 1)]
 
 
 def test_nullspace_full_rank_is_empty():
-    assert nullspace_basis([(1, 0), (0, 1)]) == []
+    assert _nullspace([[1, 0], [0, 1]]) == []
 
 
 def test_nullspace_dependent_rows():
-    basis = nullspace_basis([(1, 3), (2, 6)])
-    assert len(basis) == 1
-    assert canonical_direction(basis[0]) == canonical_direction((-3, 1))
+    assert _nullspace([[1, 3], [2, 6]]) == [([-3, 1], 1)]
+    # column 2 is free and held by the rows with pivots 2 and 3: den is 6
+    assert _nullspace([[2, 0, 1], [0, 3, 1]]) == [([-3, -2, 6], 6)]
 
 
-def test_nullspace_empty_matrix_needs_ncols():
-    assert nullspace_basis([], ncols=2) == [(F(1), F(0)), (F(0), F(1))]
-    with pytest.raises(ValueError):
-        nullspace_basis([])
+def test_nullspace_of_a_zero_row_is_the_unit_vectors():
+    # a zero row stands in for no rows, as enumerate_vertices passes it
+    assert _nullspace([[0, 0]]) == [([1, 0], 1), ([0, 1], 1)]
 
 
 def test_affine_hull_segment():
-    eqs, dim = affine_hull([(0, 0), (1, 0)])
-    assert dim == 1
-    assert len(eqs) == 1
-    a, b = eqs[0]
+    enc = Encoding([(0, 0), (1, 0)])
+    assert enc.r - len(enc.hull) == 1
+    assert len(enc.equations) == 1
+    a, b = enc.equations[0]
     assert dot(a, vec((0, 0))) == b and dot(a, vec((1, 0))) == b
     assert dot(a, vec((0, 1))) != b
 
 
 def test_affine_hull_parabola_codes_span_plane():
-    eqs, dim = affine_hull([(1, 1), (2, 4), (3, 9), (4, 16)])
-    assert dim == 2
-    assert eqs == []
+    enc = Encoding([(1, 1), (2, 4), (3, 9), (4, 16)])
+    assert enc.hull == []
+    assert enc.equations == []
 
 
 def test_affine_hull_single_point():
-    eqs, dim = affine_hull([(5, 7)])
-    assert dim == 0
-    assert len(eqs) == 2
-    for a, b in eqs:
+    enc = Encoding([(5, 7)])
+    assert enc.hull == [([1, 0], 1), ([0, 1], 1)]
+    assert len(enc.equations) == 2
+    for a, b in enc.equations:
         assert dot(a, vec((5, 7))) == b
         assert dot(a, vec((5, 8))) != b or dot(a, vec((6, 7))) != b
 
@@ -146,16 +148,17 @@ def test_rank_transpose_invariant(M):
 @given(small_matrix())
 def test_nullspace_vectors_annihilate_and_count(M):
     n = len(M[0])
-    basis = nullspace_basis(M)
-    assert rank(M) + len(basis) == n
+    basis = [tuple(F(x, den) for x in v) for v, den in _nullspace(_integer_rows(M))]
+    assert rank_by_reduction(M) + len(basis) == n
     for v in basis:
         assert [dot(row, v) for row in M] == [F(0)] * len(M)
     if basis:
-        assert rank(basis) == len(basis)
+        assert rank_by_reduction(basis) == len(basis)
     # a free column depends on the columns before it; a nullspace vector
     # is fixed by its free entries, so this pins the basis
     cols = list(zip(*M))
-    free = [j for j in range(n) if rank(cols[: j + 1]) == rank(cols[:j])]
+    ranks = [rank_by_reduction(cols[:j]) for j in range(n + 1)]
+    free = [j for j in range(n) if ranks[j + 1] == ranks[j]]
     assert len(free) == len(basis)
     for v, f in zip(basis, free):
         assert [v[j] for j in free] == [F(int(j == f)) for j in free]
@@ -164,8 +167,10 @@ def test_nullspace_vectors_annihilate_and_count(M):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(small_rational, small_rational, small_rational), min_size=1, max_size=6))
 def test_affine_hull_equations_hold_at_inputs(points):
-    eqs, dim = affine_hull(points)
-    assert dim + len(eqs) == 3
+    points = list(dict.fromkeys(points))
+    eqs = Encoding(points).equations
+    diffs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+    assert rank_by_reduction(diffs) + len(eqs) == 3
     for p in points:
         for a, b in eqs:
             assert dot(a, vec(p)) == b
@@ -194,7 +199,17 @@ def matrix_with_repeats(draw):
 def test_independent_rows_match_rank_per_row(M):
     chosen = _pivot_rows(M)
     assert chosen == independent_rows_by_rank(M)
-    assert len(chosen) == rank(M)
+    assert len(chosen) == rank_by_reduction(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_matrix(), matrix_with_repeats()))
+def test_rank_and_nullspace_match_the_fraction_reduction(M):
+    # each nullspace vector v / den is the reference's, which is fixed by
+    # being 1 at its own free column and 0 at the others
+    assert rank(M) == rank_by_reduction(M)
+    basis = [tuple(F(x, den) for x in v) for v, den in _nullspace(_integer_rows(M))]
+    assert basis == nullspace_by_reduction(M, len(M[0]))
 
 
 @st.composite
