@@ -4,20 +4,24 @@ Each constructor returns an Encoding whose codes are rational points in
 convex position (a requirement for the geometric construction to apply).
 An Encoding keeps, once read, its codes as ints over one denominator
 (scaled), their affine hull's normals in ints (hull) and as equations
-(equations), their hull's facets as coprime int rows (facets) and the set
-of the codes (code_set): the hull is computed once, in ints, and the
-facets reuse its normals, so no Fraction is made on the way.  The
-predicates for convex position and hole-freeness test codes, as facet
-masks, and points against those facets in ints.  An encoding also keeps
-the verdict on its convex position (convex), and each branching scheme's
-verdict on it (verdicts), so each is decided once per encoding.
+(equations), their hull's facets as coprime int rows with each facet's
+tight mask over the codes (faces, and the rows alone as facets) and the
+set of the codes (code_set): the hull is computed once, in ints, and the
+facets reuse its normals, so no Fraction is made on the way.  Codes that
+span the plane, as the moment and exotic codes do, take lp's monotone
+chain, and any others its double description.  The convex-position
+predicate reads the facets' masks alone, with no dot product; the
+hole-freeness predicate tests points against the facets in ints.  An
+encoding also keeps the verdict on its convex position (convex), and each
+branching scheme's verdict on it (verdicts), so each is decided once per
+encoding.
 """
 
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
 from math import lcm
-from operator import and_, mul
+from operator import mul
 
 from .lp import facets_of_hull
 from .numerics import _nullspace, vec
@@ -32,8 +36,8 @@ class Encoding:
 
     Codes never change once made, so what is derived from them is kept on
     first read and shared by every formulation, scheme, solve and check
-    that holds this encoding: scaled, hull, equations, facets, code_set,
-    convex and the schemes' verdicts."""
+    that holds this encoding: scaled, hull, equations, faces, facets,
+    code_set, convex and the schemes' verdicts."""
 
     def __init__(self, codes, kind="custom"):
         self.codes = tuple(vec(c) for c in codes)
@@ -103,15 +107,24 @@ class Encoding:
         ]
 
     @cached_property
-    def facets(self):
-        """The hull's facets as coprime int rows (a, gamma): a . z <= gamma,
-        from the codes' ints over den and the int normals of hull."""
+    def faces(self):
+        """(facets, masks) from lp.facets_of_hull, on the codes' ints over
+        den and the int normals of hull: the hull's facets as coprime int
+        rows and each facet's tight mask over the codes, bit j for code j.
+        Codes that span the plane take the monotone chain, any others the
+        double description; both hand the masks back with the facets, so no
+        code is tested against a facet here."""
         den, H = self.scaled
         return facets_of_hull(H, den, [v for v, _ in self.hull])
 
     @cached_property
+    def facets(self):
+        """The hull's facets as coprime int rows (a, gamma): a . z <= gamma."""
+        return self.faces[0]
+
+    @cached_property
     def convex(self):
-        """is_convex_position's verdict: the scan of the facets runs once
+        """is_convex_position's verdict, read once off the facets' masks
         however many builders and checks ask."""
         return _convex_position(self)
 
@@ -181,30 +194,28 @@ def exotic_code(d):
 def is_convex_position(encoding):
     """True when no code lies in the convex hull of the others.  The
     verdict is kept on the encoding (Encoding.convex), so only the first
-    call scans (_convex_position)."""
+    call reads the facets' masks (_convex_position)."""
     return encoding.convex
 
 
 def _convex_position(encoding):
-    """The scan behind is_convex_position.  The codes are distinct, so
-    they are in convex position when each code is a vertex of their hull.
-    Each facet is kept as its tight mask, one bit per code, as
-    oracle.classify_rows keeps faces: code p is a vertex exactly when the
-    AND of the masks that hold p (every code when none does) is p's bit
-    alone.  All of it runs in ints, on the encoding's facets and its codes
-    over their common denominator den (Encoding.scaled), so facet
-    (a, gamma) is tight at p when a . (den p) == gamma den.
+    """The verdict behind is_convex_position.  The codes are distinct, so
+    they are in convex position when each code is a vertex of their hull:
+    code j is one exactly when the AND of the facet masks that hold it
+    (every code when none does) is j's bit alone, as oracle.classify_rows
+    reads faces.  The masks come with the facets (Encoding.faces), so this
+    only ANDs each mask into the meets of its own codes: no dot product,
+    and no code is visited by a facet that misses it.
     """
-    den, P = encoding.scaled
-    masks = [
-        sum(1 << j for j, p in enumerate(P) if sum(map(mul, a, p)) == gamma * den)
-        for a, gamma in encoding.facets
-    ]
-    full = (1 << len(P)) - 1
-    return all(
-        reduce(and_, (m for m in masks if m >> j & 1), full) == 1 << j
-        for j in range(len(P))
-    )
+    full = (1 << len(encoding)) - 1
+    meets = [full] * len(encoding)
+    for mask in encoding.faces[1]:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            meets[low.bit_length() - 1] &= mask
+            rest ^= low
+    return all(m == 1 << j for j, m in enumerate(meets))
 
 
 def is_hole_free(encoding):

@@ -40,7 +40,11 @@ come and its tight mask over the rows processed, bit i for row i, so
 every ray leaves with its full tight mask, which the certificate reads;
 vertices become Fraction only on the way out, and facets are returned as
 the coprime int rays themselves, of points given in ints over one
-denominator with the normals of their affine hull (Encoding).
+denominator with the normals of their affine hull (Encoding), each with
+its tight mask over the points.  Points that span the plane skip the
+double description: Andrew's monotone chain walks them in sorted order
+and gives each hull edge as the same coprime row, with the points on the
+edge as its mask, in O(d log d).
 No float enters either.
 """
 
@@ -669,8 +673,9 @@ def enumerate_vertices(n, rows, bounds=None):
 
 
 def facets_of_hull(points, den, normals):
-    """Facet inequalities (a, rhs) of the convex hull of points, relative
-    to their affine hull.
+    """(facets, masks): the facet inequalities (a, rhs) of the convex hull
+    of points, relative to their affine hull, and each facet's tight mask
+    over the points, bit j set when points[j] lies on the facet.
 
     points are int tuples over one positive int den, each point p / den,
     and normals int normals of their affine hull, as Encoding keeps its
@@ -679,14 +684,67 @@ def facets_of_hull(points, den, normals):
     the hull; a lies in the hull's direction space.  Points that affinely
     span their ambient space give its ordinary facets, and a single point
     gives [].  Each inequality is a coprime int row: a is a tuple of ints
-    and rhs an int, as the double description returns its rays.
+    and rhs an int, as the double description returns its rays.  Points
+    that span the plane take the monotone chain (_planar_facets), one
+    facet per hull edge; any other points take the double description of
+    the cone below, whose ray masks hold the points' bits first.
     """
     r = len(points[0])
+    if r == 2 and not normals:
+        return _planar_facets(points, den)
     # Cone over (a, gamma) with p.a - den*gamma <= 0 per point, and
     # n.a == 0, as two rows, per normal n of the affine hull.  The cone is
     # then pointed, and its extreme rays with a != 0 are the relative facets.
     G = [tuple(p) + (-den,) for p in points]
     for n in normals:
         G += [tuple(n) + (0,), tuple(-x for x in n) + (0,)]
-    rays = _double_description(G)[0]
-    return [(ray[:r], ray[r]) for ray in rays if not is_zero_vector(ray[:r])]
+    rays, masks = _double_description(G)
+    keep = [j for j, ray in enumerate(rays) if not is_zero_vector(ray[:r])]
+    on_points = (1 << len(points)) - 1
+    return [(rays[j][:r], rays[j][r]) for j in keep], [masks[j] & on_points for j in keep]
+
+
+def _planar_facets(points, den):
+    """facets_of_hull of int points that span the plane, by Andrew's
+    monotone chain ("Another efficient algorithm for convex hulls in two
+    dimensions", 1979), in O(d log d) ints.
+
+    The points are walked in lexicographic order, left to right for the
+    lower chain and back for the upper one; a point leaves a chain only at
+    a right turn, so every point on a hull edge stays on it, in its order
+    along the edge.  Joined, the two chains are the boundary
+    counterclockwise, and the strict left turns are its corners.  The
+    edge from corner u to corner w has the outward normal
+    (w_y - u_y, u_x - w_x) and is tight at u, so its facet is that normal
+    times den beside its value at u, made coprime: the ray that the double
+    description finds on that edge.  Its mask is the boundary points from
+    u to w, the corners and every point between them on the edge.
+    """
+    order = sorted(range(len(points)), key=points.__getitem__)
+
+    def chain(idx):
+        out = []
+        for i in idx:
+            while len(out) > 1 and _turn(points[out[-2]], points[out[-1]], points[i]) < 0:
+                out.pop()
+            out.append(i)
+        return out
+
+    ring = chain(order)[:-1] + chain(reversed(order))[:-1]
+    P = [points[i] for i in ring]
+    m = len(P)
+    corners = [k for k, abc in enumerate(zip(P[-1:] + P, P, P[1:] + P[:1])) if _turn(*abc)]
+    facets, masks = [], []
+    for s, t in zip(corners, corners[1:] + [corners[0] + m]):
+        (ux, uy), (wx, wy) = P[s], P[t % m]
+        ax, ay = wy - uy, ux - wx
+        a0, a1, gamma = _coprime([ax * den, ay * den, ax * ux + ay * uy])
+        facets.append(((a0, a1), gamma))
+        masks.append(sum(1 << ring[k % m] for k in range(s, t + 1)))
+    return facets, masks
+
+
+def _turn(a, b, c):
+    """Twice the signed area of the triangle a, b, c in the plane: positive
+    when they turn left (counterclockwise), 0 when they are collinear."""
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])

@@ -4,7 +4,9 @@ They restate a fact in the simplest way, independently of the package
 code it checks.  Ranks, nullspaces and affine hulls come from row_reduce,
 a plain Fraction reduction, never from the package's integer kernel; only
 dense_gauss_jordan and double_description_by_values, kept byte for byte
-as package algorithms stood, reduce with package routines.
+as package algorithms stood, reduce with package routines, and
+faces_by_double_description asks the package's double description for
+the facets that the planar chain finds without it.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,16 @@ from math import gcd, lcm
 
 from cdcbranch.encodings import EncodingError, exotic_code
 from cdcbranch.formulation import _LINE_SPAN, FormulationError
-from cdcbranch.lp import EQ, GE, LE, LpError, LpProblem, _dd_start, lp_feasible
+from cdcbranch.lp import (
+    EQ,
+    GE,
+    LE,
+    LpError,
+    LpProblem,
+    _dd_start,
+    _double_description,
+    lp_feasible,
+)
 from cdcbranch.numerics import _coprime, _integer_rows, dot, is_zero_vector, vec
 from cdcbranch.oracle import embedding_points
 
@@ -79,6 +90,25 @@ def convex_position_lp(H):
     return len(H) == 1 or not any(
         in_hull_lp(H[:i] + H[i + 1 :], h) for i, h in enumerate(H)
     )
+
+
+def faces_by_double_description(enc):
+    """Encoding.faces as a set of ((a, gamma), mask), by the double
+    description alone: the rays with a != 0 of the cone over (a, gamma)
+    with p . a <= den gamma at each code's ints p and a . n == 0 at each
+    int normal n of the codes' affine hull, each ray's tight mask cut to
+    the codes' bits."""
+    den, P = enc.scaled
+    G = [p + (-den,) for p in P]
+    for n, _ in enc.hull:
+        G += [tuple(n) + (0,), tuple(-x for x in n) + (0,)]
+    rays, masks = _double_description(G)
+    codes = (1 << len(P)) - 1
+    return {
+        ((ray[:-1], ray[-1]), mask & codes)
+        for ray, mask in zip(rays, masks)
+        if not is_zero_vector(ray[:-1])
+    }
 
 
 def canonical_direction(v):

@@ -51,7 +51,11 @@ from cdcbranch.oracle import (
     relaxation_vertices,
 )
 from cdcbranch.solver import check_branch_soundness, solve
-from oracles import canonical_inequality, separation_certificates_exotic
+from oracles import (
+    canonical_inequality,
+    faces_by_double_description,
+    separation_certificates_exotic,
+)
 
 
 # The eight facet rows of the 3x3-grid fixture, frozen by hand.  Each entry
@@ -563,6 +567,16 @@ def test_code_value_masks_match_the_tight_masks_on_every_builder():
         points = oracle_module.embedding_points(form)
         expected = oracle_module._tight_masks(form.one_sided(), form.n, points)
         assert oracle_module._embedding_masks(form, code_values(form)) == expected, label
+
+
+def test_every_builders_codes_keep_the_double_descriptions_facets():
+    # planar codes take the monotone chain, the others the double
+    # description; either way each encoding's facets and masks are the
+    # double description's
+    for label, form in builder_matrix():
+        faces = faces_by_double_description(form.codes)
+        assert set(zip(*form.codes.faces)) == faces, label
+        assert len(form.codes.facets) == len(faces), label
 
 
 def test_row_count_formulas():

@@ -6,7 +6,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdcbranch import lp
@@ -27,11 +27,17 @@ from cdcbranch.numerics import dot, vec
 from oracles import (
     affine_hull_by_reduction,
     convex_position_lp,
+    faces_by_double_description,
     in_hull_lp,
     separation_certificates_exotic,
 )
 
 F = Fraction
+
+
+def tight_mask(codes, a, b):
+    """Bit j for each code j on which a . z <= b holds with equality."""
+    return sum(1 << j for j, h in enumerate(codes) if dot(a, h) == b)
 
 
 def codes(enc):
@@ -339,13 +345,14 @@ def test_an_encoding_keeps_its_hull_in_ints(H):
     # the equations read off the int normals of hull are the reference's
     # affine hull of the Fraction codes: the same values, the same types
     # and the same order; each facet is an int row that holds at every
-    # code and is tight at one
+    # code and is tight at one, and its mask is the codes it is tight at
     enc = Encoding(H)
     assert enc.equations == affine_hull_by_reduction(enc.codes)
     assert all(type(x) is F for a, b in enc.equations for x in (*a, b))
     assert all(type(x) is int for a, b in enc.facets for x in (*a, b))
     for a, b in enc.facets:
         assert max(dot(a, h) for h in enc.codes) == b
+    assert enc.faces[1] == [tight_mask(enc.codes, a, b) for a, b in enc.facets]
     assert [(tuple(F(x, s) for x in v)) for v, s in enc.hull] == [a for a, _ in enc.equations]
 
 
@@ -376,3 +383,54 @@ def int_point_sets(draw):
 @given(int_point_sets())
 def test_convex_position_matches_lp_oracle_on_int_points(H):
     assert is_convex_position(Encoding(H)) == convex_position_lp(H)
+
+
+@st.composite
+def planar_point_sets(draw):
+    """Distinct rational points that span the plane.  Beside the drawn
+    points, some lie on the segment between two of them, often on a hull
+    edge, and some at a convex combination of three, inside or on the
+    boundary; so many sets are not in convex position."""
+    coord = st.fractions(-6, 6, max_denominator=4)
+    P = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=8, unique=True))
+    for k in draw(st.lists(st.sampled_from([2, 3]), max_size=3)):
+        picks = draw(st.lists(st.sampled_from(P), min_size=k, max_size=k))
+        w = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+        P.append(tuple(sum(c * p[i] for c, p in zip(w, picks)) / sum(w) for i in (0, 1)))
+    P = list(dict.fromkeys(P))
+    assume(not Encoding(P).hull)
+    return P
+
+
+@settings(max_examples=300, deadline=None)
+@given(planar_point_sets())
+def test_the_planar_chain_gives_the_double_descriptions_facets_and_masks(H):
+    # the chain's facets and masks are the double description's as sets,
+    # each mask is the codes its facet is tight at, and the verdict read
+    # off the masks is the LP oracle's
+    enc = Encoding(H)
+    den, P = enc.scaled
+    facets, masks = lp.facets_of_hull(P, den, [])
+    assert len(set(facets)) == len(facets)
+    assert set(zip(facets, masks)) == faces_by_double_description(enc)
+    assert masks == [tight_mask(enc.codes, a, b) for a, b in facets]
+    assert is_convex_position(enc) == convex_position_lp(H)
+
+
+def test_planar_codes_take_no_double_description(monkeypatch):
+    # moment and exotic codes span the plane, so their facets and their
+    # convex-position verdict come from the chain; gray and zigzag codes
+    # in r = 4 take one double description each
+    calls = []
+    real = lp._double_description
+
+    def spy(G):
+        calls.append(len(G))
+        return real(G)
+
+    monkeypatch.setattr(lp, "_double_description", spy)
+    for enc, runs in ((moment_code(64), 0), (exotic_code(64), 0),
+                      (gray_code(4), 1), (zigzag_code(4), 1)):
+        calls.clear()
+        assert enc.facets and is_convex_position(enc)
+        assert len(calls) == runs, enc.kind
