@@ -21,12 +21,16 @@ class CdcFamily:
     """Index sets T^1..T^d over ground set 1..n, whose union covers it."""
 
     def __init__(self, n, sets):
-        self.n = int(n)
-        if self.n < 1:
+        if type(n) is not int:
+            raise CdcError("n must be an int")
+        self.n = n
+        if n < 1:
             raise CdcError("n must be positive")
         norm = []
         for T in sets:
-            T = tuple(sorted(set(int(v) for v in T)))
+            if any(type(v) is not int for v in T):
+                raise CdcError("alternative indices must be ints")
+            T = tuple(sorted(set(T)))
             if not T:
                 raise CdcError("empty alternative")
             if T[0] < 1 or T[-1] > self.n:
@@ -221,10 +225,13 @@ def instance_to_json(family, vertex_map=None):
 
 
 def instance_from_json(obj):
-    """Inverse of instance_to_json; returns (family, vertex_map)."""
+    """Inverse of instance_to_json; returns (family, vertex_map).  The
+    vertex map, when given, holds one vertex per component."""
     family = CdcFamily(obj["n"], [tuple(T) for T in obj["sets"]])
     vertex_map = None
     if "vertices" in obj:
+        if len(obj["vertices"]) != family.n:
+            raise CdcError("the vertex map needs one vertex per component")
         vertex_map = VertexMap(
             [[rat(x) for x in p] for p in obj["vertices"]]
         )

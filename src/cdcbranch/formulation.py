@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from math import gcd
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter, mul
 
 from . import branching
 from .cdc import CdcFamily, annulus_family, edge_set, sos2_family
@@ -211,6 +211,13 @@ class LinearFormulation:
             bounds[self.n - 1] = (0, 0)
         bounds += [(None, None)] * self.r
         return AssembledSystem(self.n + self.r, rows, bounds, self.r)
+
+    def readout(self, head, vertex_map):
+        """(lam, x) at a solution whose variables before z are head: lam is
+        head, and x its image under vertex_map, or None with no map."""
+        if vertex_map is None:
+            return head, None
+        return head, tuple(sum(map(mul, head, p), Fraction(0)) for p in zip(*vertex_map))
 
     def to_json(self):
         return {
@@ -563,6 +570,10 @@ class BigMSystem:
         nvars = self.m + self.codes.r
         rows = [(a_x + a_z, LE, rhs) for a_x, a_z, rhs in self.rows]
         return AssembledSystem(nvars, rows, [(None, None)] * nvars, self.codes.r)
+
+    def readout(self, head, _vertex_map):
+        """(lam, x) at a solution whose variables before z are head: x."""
+        return None, head
 
 
 def build_bigm_moment(pieces):

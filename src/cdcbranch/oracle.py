@@ -12,14 +12,15 @@ vertices at h_i.  Elsewhere the projection property is checked by exact
 LP probes on every slice, each an LP in lam alone with z fixed at a
 code.  The vertices are the embedding points (embedding_points) when a
 certificate proves the relaxation to be their hull (certified_vertices):
-double description of the few points, not of the relaxation, gives the
-hull's facets with their tight masks, and each must be the mask of a row
+the hull of the few points (facets_of_hull), not the relaxation, gives
+its facets with their tight masks, and each must be the mask of a row
 or a bound, whose masks over the points come from the code-value table.
 Only when it fails is the relaxation enumerated, by double description
 (relaxation_vertices).  The certificate's vertices are ints, the
 enumeration's Fractions; check_ideal and the projection read either as
-ints, each vertex over the sum of its lam part, and compare ints.
-These are the referees the rest of the package answers to.
+ints, each vertex over the sum of its lam part, and compare ints;
+check_branch_soundness audits a scheme's split by its children's
+vertices.  These are the referees the rest of the package answers to.
 """
 
 import warnings
@@ -29,8 +30,9 @@ from functools import partial, reduce
 from itertools import compress
 from operator import add, eq, itemgetter, mul, neg
 
+from .branching import BranchError
 from .encodings import is_convex_position
-from .lp import EQ, LE, LpError, LpProblem, _double_description, enumerate_vertices, solve_lp
+from .lp import EQ, LE, LpError, LpProblem, enumerate_vertices, facets_of_hull, lp_feasible, solve_lp
 from .numerics import _gauss_jordan, _integer_rows, dot, format_ratio, rank, vec
 
 
@@ -130,12 +132,11 @@ def certified_vertices(form, values, valid):
       lam_n = 0), so the two are equal when their dimensions are.  When Q
       spans less, as it may for a disconnected family, the certificate
       does not hold, and the relaxation is enumerated instead.
-    - Facets.  Double description on one row (p_J, -1) per point finds
-      Q's facets in those coordinates: each ray with a nonzero p_J part,
-      known by its tight mask over the points, which double description
-      returns.  Q is full-dimensional in its affine hull, so a valid
-      inequality holds that facet exactly when its tight mask, read off
-      values (_embedding_masks), is the facet's.
+    - Facets.  facets_of_hull finds the facets of the points p_J, which
+      span their |J| coordinates, with no hull normals; each comes with
+      its tight mask over the points.  Q is full-dimensional in its affine
+      hull, so a valid inequality holds that facet exactly when its
+      tight mask, read off values (_embedding_masks), is the facet's.
     """
     if not valid.ok:
         return None
@@ -148,11 +149,9 @@ def certified_vertices(form, values, valid):
     if len(J) < n + r - rank(equations):
         return None
     masks = _embedding_masks(form, values)
-    known = set(masks)
-    rays, facet_masks = _double_description([[p[j] for j in J] + [-1] for p in points])
-    for ray, mask in zip(rays, facet_masks):
-        if any(ray[:-1]) and mask not in known:
-            return None
+    _, facet_masks = facets_of_hull([tuple(p[j] for j in J) for p in points], 1, [])
+    if not set(masks).issuperset(facet_masks):
+        return None
     return points, masks
 
 
@@ -409,6 +408,85 @@ def _tight_masks(one_sided, n, V):
             if not y:
                 masks[k] |= 1 << j
     return masks + [sum(1 << j for j, v in enumerate(V) if not v[c]) for c in range(n)]
+
+
+def check_branch_soundness(scheme, encoding, Q, zhat, outcome=None):
+    """Audit one branching step against the four split conditions.
+
+    The split must exclude zhat from both children, keep the children
+    inside the parent, lose no code, and keep the children disjoint.
+    For interval schemes the children must additionally be exact hulls
+    of their codes, which forces finite termination.
+    """
+    zhat = vec(zhat)
+    if not Q.contains(zhat):
+        raise BranchError("zhat must lie in the audited region")
+    if outcome is None:
+        outcome = scheme.step(Q, zhat, encoding)
+    code_set = encoding.code_set
+    if outcome.verified:
+        ok = tuple(zhat) in code_set
+        return VerificationReport(
+            "branch",
+            ok,
+            [] if ok else [{"condition": "verify", "z": [str(v) for v in zhat]}],
+            {"tag": outcome.tag},
+        )
+
+    (cuts1, q1), (cuts2, q2) = outcome.children
+    failures = []
+    r = len(zhat)
+
+    # 1: zhat is gone from both children
+    if q1.contains(zhat):
+        failures.append({"condition": 1, "child": 1})
+    if q2.contains(zhat):
+        failures.append({"condition": 1, "child": 2})
+
+    # 2: children stay inside the parent
+    child_vertices = []
+    for idx, q in ((1, q1), (2, q2)):
+        try:
+            verts = enumerate_vertices(r, q.rows)
+        except LpError as exc:
+            failures.append({"condition": 2, "child": idx, "error": str(exc)})
+            child_vertices.append([])
+            continue
+        child_vertices.append(verts)
+        for v in verts:
+            if not Q.contains(v):
+                failures.append(
+                    {"condition": 2, "child": idx, "vertex": [str(t) for t in v]}
+                )
+
+    # 3: codes are preserved and never smuggled in
+    for h in encoding:
+        h = tuple(h)
+        in_q = Q.contains(h)
+        in1 = q1.contains(h)
+        in2 = q2.contains(h)
+        if in_q != (in1 or in2):
+            failures.append({"condition": 3, "code": [str(t) for t in h]})
+
+    # 4: children are disjoint
+    if lp_feasible(r, q1.rows + q2.rows):
+        failures.append({"condition": 4})
+
+    if getattr(scheme, "name", "") == "moment":
+        for idx, verts in ((1, child_vertices[0]), (2, child_vertices[1])):
+            for v in verts:
+                if tuple(v) not in code_set:
+                    failures.append(
+                        {
+                            "condition": "hull",
+                            "child": idx,
+                            "vertex": [str(t) for t in v],
+                        }
+                    )
+
+    return VerificationReport(
+        "branch", not failures, failures, {"tag": outcome.tag}
+    )
 
 
 def brute_force_optimum(family, objective, sense="max"):

@@ -1,17 +1,19 @@
 """Exact branch-and-bound driven by code-space branching schemes.
 
-A formulation enters only through its codes and its assemble(): a
-relaxation over (lam or x, z) and the code set z must reach, whichever
-builder made the rows.  Both are read once per source, not once per
-solve: the source keeps its assembled system, the system its root LP
-with rows and bounds coerced, and the encoding its code set, so a solve
-of a source solved before checks only its objective.  Nodes carry a
-region of code space, the cuts that carved it from its parent's region
-and the parent's optimal LP, which the node's own LP extends by those
-cuts and re-optimizes by dual simplex.  Node selection is best bound with FIFO tie-breaking, all
-arithmetic is rational, and an incumbent is only ever accepted when the
-relaxation optimum lands exactly on a code, which a valid formulation
-guarantees to be a true feasible point.
+A formulation enters only through its codes, its assemble() and its
+readout(): the code set z must reach, a relaxation over (lam or x, z)
+and the report's lam and x at its optimum, whichever builder made the
+rows.  The first two are read once per source, not once per solve: the
+source keeps its assembled system, the system its root LP with rows and
+bounds coerced, and the encoding its code set, so a solve of a source
+solved before checks only its objective.  Nodes carry a region of code
+space, the cuts that carved it from its parent's region and the parent's
+optimal LP, which the node's own LP extends by those cuts and
+re-optimizes by dual simplex.  Node selection is best bound with FIFO
+tie-breaking, all arithmetic is rational, and an incumbent is only ever
+accepted when the relaxation optimum lands exactly on a code, which a
+valid formulation guarantees to be a true feasible point.  With
+debug_checks, oracle.check_branch_soundness audits every split.
 """
 
 import heapq
@@ -20,10 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .branching import BranchError, make_scheme
-from .formulation import BigMSystem, LinearFormulation
-from .lp import LpError, enumerate_vertices, lp_feasible, solve_lp
-from .numerics import _scaled, format_rational, vec
-from .oracle import VerificationReport
+from .lp import solve_lp
+from .numerics import _scaled, format_rational
+from .oracle import check_branch_soundness
 
 
 class SolveError(Exception):
@@ -76,8 +77,8 @@ def solve(
 ):
     """Optimize a linear objective over the region a formulation encodes.
 
-    source is a LinearFormulation or a BigMSystem, read only through its
-    codes and its assemble(), whose last r variables are z.  The
+    source is read only through its codes, its assemble(), whose last r
+    variables are z, and its readout(), which gives lam and x.  The
     objective covers the variables before z (lam or x); one entry short
     is padded with a 0 when the system's bounds fix that last variable at
     zero, the artificial component of a disconnected family.  It is read
@@ -90,7 +91,7 @@ def solve(
         scheme = make_scheme(scheme)
     if sense not in ("max", "min"):
         raise SolveError("sense must be 'max' or 'min'")
-    if not isinstance(source, (LinearFormulation, BigMSystem)):
+    if not hasattr(source, "readout"):
         raise SolveError("unknown source type %r" % type(source).__name__)
     encoding = source.codes
     if encoding is None:
@@ -189,16 +190,12 @@ def solve(
 
     remaining = None
     if heap:
+        status = "node_cap"
         key = min(h[0] for h in heap)
         if key[0] == 1:
             remaining = unscale * -key[1]
-
-    if heap:
-        status = "node_cap"
-    elif incumbent is None:
-        status = "infeasible"
     else:
-        status = "optimal"
+        status = "infeasible" if incumbent is None else "optimal"
 
     report = SolveReport(
         status,
@@ -212,92 +209,6 @@ def solve(
         val, point = incumbent
         report.value = unscale * val
         report.z = point[z_start:]
-        if isinstance(source, BigMSystem):
-            report.x = point[:z_start]
-        else:
-            lam = report.lam = point[:z_start]
-            if vertex_map is not None:
-                report.x = tuple(
-                    sum((w * p[k] for w, p in zip(lam, vertex_map)), Fraction(0))
-                    for k in range(vertex_map.m)
-                )
+        report.lam, report.x = source.readout(point[:z_start], vertex_map)
     return report
 
-
-def check_branch_soundness(scheme, encoding, Q, zhat, outcome=None):
-    """Audit one branching step against the four split conditions.
-
-    The split must exclude zhat from both children, keep the children
-    inside the parent, lose no code, and keep the children disjoint.
-    For interval schemes the children must additionally be exact hulls
-    of their codes, which forces finite termination.
-    """
-    zhat = vec(zhat)
-    if not Q.contains(zhat):
-        raise BranchError("zhat must lie in the audited region")
-    if outcome is None:
-        outcome = scheme.step(Q, zhat, encoding)
-    code_set = encoding.code_set
-    if outcome.verified:
-        ok = tuple(zhat) in code_set
-        return VerificationReport(
-            "branch",
-            ok,
-            [] if ok else [{"condition": "verify", "z": [str(v) for v in zhat]}],
-            {"tag": outcome.tag},
-        )
-
-    (cuts1, q1), (cuts2, q2) = outcome.children
-    failures = []
-    r = len(zhat)
-
-    # 1: zhat is gone from both children
-    if q1.contains(zhat):
-        failures.append({"condition": 1, "child": 1})
-    if q2.contains(zhat):
-        failures.append({"condition": 1, "child": 2})
-
-    # 2: children stay inside the parent
-    child_vertices = []
-    for idx, q in ((1, q1), (2, q2)):
-        try:
-            verts = enumerate_vertices(r, q.rows)
-        except LpError as exc:
-            failures.append({"condition": 2, "child": idx, "error": str(exc)})
-            child_vertices.append([])
-            continue
-        child_vertices.append(verts)
-        for v in verts:
-            if not Q.contains(v):
-                failures.append(
-                    {"condition": 2, "child": idx, "vertex": [str(t) for t in v]}
-                )
-
-    # 3: codes are preserved and never smuggled in
-    for h in encoding:
-        h = tuple(h)
-        in_q = Q.contains(h)
-        in1 = q1.contains(h)
-        in2 = q2.contains(h)
-        if in_q != (in1 or in2):
-            failures.append({"condition": 3, "code": [str(t) for t in h]})
-
-    # 4: children are disjoint
-    if lp_feasible(r, q1.rows + q2.rows):
-        failures.append({"condition": 4})
-
-    if getattr(scheme, "name", "") == "moment":
-        for idx, verts in ((1, child_vertices[0]), (2, child_vertices[1])):
-            for v in verts:
-                if tuple(v) not in code_set:
-                    failures.append(
-                        {
-                            "condition": "hull",
-                            "child": idx,
-                            "vertex": [str(t) for t in v],
-                        }
-                    )
-
-    return VerificationReport(
-        "branch", not failures, failures, {"tag": outcome.tag}
-    )

@@ -43,6 +43,7 @@ from cdcbranch.oracle import (
     brute_force_optimum,
     brute_force_optimum_hrep,
     certified_vertices,
+    check_branch_soundness,
     check_ideal,
     check_projection,
     check_valid,
@@ -50,7 +51,7 @@ from cdcbranch.oracle import (
     code_values,
     relaxation_vertices,
 )
-from cdcbranch.solver import check_branch_soundness, solve
+from cdcbranch.solver import solve
 from oracles import (
     canonical_inequality,
     faces_by_double_description,

@@ -169,6 +169,26 @@ def test_instance_json_round_trip():
     assert list(vm3) == list(vm)
 
 
+def test_instance_entries_must_be_ints():
+    # int() would truncate 3.9 to 3 and 2.5 to 2; a bool or a string is
+    # no index either
+    with pytest.raises(CdcError, match="n must be an int"):
+        instance_from_json({"n": 3.9, "sets": [[1, 2], [2, 3]]})
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(CdcError, match="indices must be ints"):
+            instance_from_json({"n": 3, "sets": [[1, bad], [2, 3]]})
+    for n in (True, "3"):
+        with pytest.raises(CdcError, match="n must be an int"):
+            CdcFamily(n, [(1,)])
+
+
+def test_instance_vertex_map_needs_one_vertex_per_component():
+    obj = instance_to_json(sos2_family(4), VertexMap([(k, k * k) for k in range(5)]))
+    for vertices in (obj["vertices"][:4], obj["vertices"] + [["0", "0"]]):
+        with pytest.raises(CdcError, match="one vertex per component"):
+            instance_from_json(dict(obj, vertices=vertices))
+
+
 def test_vertex_map_rejects_ragged():
     with pytest.raises(CdcError):
         VertexMap([(0, 0), (1,)])

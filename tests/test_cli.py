@@ -161,6 +161,31 @@ def test_solve_with_lam_objective(tmp_path):
     assert rat(doc["value"]) == 1
 
 
+def test_build_refuses_non_integer_instance_entries(tmp_path, capsys):
+    # truncated, each file would be the sos2 family for d = 3, which builds
+    inst = tmp_path / "instance.json"
+    for n, first, why in ((4.5, [1, 2], "n must be an int"),
+                          (4, [1, 2.5], "alternative indices must be ints")):
+        inst.write_text(json.dumps({"n": n, "sets": [first, [2, 3], [3, 4]]}))
+        assert run("build", "--instance", str(inst), "--encoding", "moment",
+                   "-o", str(tmp_path / "form.json")) == 2
+        assert capsys.readouterr().err == "error: %s\n" % why
+
+
+def test_solve_refuses_a_short_vertex_map(tmp_path, capsys):
+    # four vertices for five components: zip would drop the last lam
+    # component from x
+    inst = gen(tmp_path, "--family", "sos2", "--d", "4")
+    obj = json.loads(inst.read_text())
+    inst.write_text(json.dumps(dict(obj, vertices=[[k, k * k] for k in range(4)])))
+    objf = tmp_path / "obj.json"
+    objf.write_text(json.dumps({"lam": [0, 0, 0, 0, 7]}))
+    assert run("solve", "--instance", str(inst), "--encoding", "exotic",
+               "--scheme", "exotic", "--objective", str(objf),
+               "-o", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == "error: the vertex map needs one vertex per component\n"
+
+
 def test_solve_rejects_incompatible_scheme(tmp_path, capsys):
     inst = gen(tmp_path, "--family", "sos2", "--d", "8")
     assert run("solve", "--instance", str(inst), "--encoding", "gray",

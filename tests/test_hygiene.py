@@ -129,6 +129,25 @@ def package_imports(source):
     return names
 
 
+def sibling_imports(source):
+    """(module, name) for each name that a package module's source imports
+    from a sibling module, by a relative from-import or as an attribute of
+    a module imported with "from . import"."""
+    tree = ast.parse(source)
+    pairs, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                pairs |= {(node.module, alias.name) for alias in node.names}
+            else:
+                modules |= {alias.asname or alias.name for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                pairs.add((node.value.id, node.attr))
+    return pairs
+
+
 def float_uses(source):
     """(definition, use) for each float(...) call, float literal and math.
     attribute in source; definition is the name of the top-level function
@@ -239,6 +258,36 @@ def test_package_import_is_reported():
         "json.loads(numerics._nullspace, lp.solve_lp, d)\n"
     )
     assert package_imports(source) == {"rank", "dot", "numerics", "_nullspace", "solve_lp"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_names_are_imported_only_from_numerics(path):
+    # numerics is the shared kernel; any other module's private names stay
+    # inside it
+    pairs = sibling_imports(path.read_text())
+    assert {(m, name) for m, name in pairs if name.startswith("_") and m != "numerics"} == set()
+
+
+def test_the_solver_imports_nothing_from_formulation():
+    # a source reaches the solver through codes, assemble() and readout()
+    assert "formulation" not in {m for m, _ in sibling_imports((SRC / "solver.py").read_text())}
+
+
+def test_sibling_import_is_reported():
+    source = (
+        "from cdcbranch.lp import solve_lp\n"
+        "from .numerics import _scaled, vec as v\n"
+        "from . import branching\n"
+        "from .lp import _pivot\n"
+        "branching._psi(branching.psi, v)\n"
+    )
+    assert sibling_imports(source) == {
+        ("numerics", "_scaled"),
+        ("numerics", "vec"),
+        ("lp", "_pivot"),
+        ("branching", "_psi"),
+        ("branching", "psi"),
+    }
 
 
 def test_floats_enter_only_where_allowed():

@@ -30,13 +30,14 @@ from cdcbranch.lp import GE, LE
 from cdcbranch.oracle import (
     brute_force_optimum,
     brute_force_optimum_hrep,
+    check_branch_soundness,
     objective_from_vertex_map,
 )
 from cdcbranch import branching as branching_module
 from cdcbranch import lp as lp_module
 from cdcbranch import numerics
 from cdcbranch import solver as solver_module
-from cdcbranch.solver import SolveError, check_branch_soundness, solve
+from cdcbranch.solver import SolveError, solve
 
 
 def test_single_component_objective():
