@@ -226,8 +226,18 @@ def instance_to_json(family, vertex_map=None):
 
 def instance_from_json(obj):
     """Inverse of instance_to_json; returns (family, vertex_map).  The
-    vertex map, when given, holds one vertex per component."""
-    family = CdcFamily(obj["n"], [tuple(T) for T in obj["sets"]])
+    vertex map, when given, holds one vertex per component.  A file that
+    is not an object, lacks n or sets, or whose sets is not a list of
+    lists raises CdcError naming the field."""
+    if not isinstance(obj, dict):
+        raise CdcError("an instance must be a JSON object")
+    for key in ("n", "sets"):
+        if key not in obj:
+            raise CdcError("an instance needs the field %r" % key)
+    sets = obj["sets"]
+    if not isinstance(sets, list) or not all(isinstance(T, list) for T in sets):
+        raise CdcError("the field 'sets' must be a list of lists")
+    family = CdcFamily(obj["n"], [tuple(T) for T in sets])
     vertex_map = None
     if "vertices" in obj:
         if len(obj["vertices"]) != family.n:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from math import gcd
-from operator import add, attrgetter, itemgetter, mul
+from operator import add, attrgetter, floordiv, itemgetter, mul, sub
 
 from . import branching
 from .cdc import CdcFamily, annulus_family, edge_set, sos2_family
@@ -56,11 +56,12 @@ class TwoSidedRow:
     over one positive int den, divided by their common gcd.  Both sides have
     right-hand side 0, so den is read only to print the row.
 
-    The entries' types are scanned once: ints already coprime with den, as
-    the builders hand them over, are kept as the tuples given.  Other
-    entries are brought over one den (numerics._scaled), which reads a 'p/q'
-    string and raises TypeError on a float, and every entry is divided by
-    the gcd, so a whole Fraction is kept as an int."""
+    The gcd of den and the entries is also their type test, since math.gcd
+    takes only ints: ints already coprime with den, as the builders hand
+    them over, are kept as the tuples given.  Other entries are brought over
+    one den (numerics._scaled), which reads a 'p/q' string and raises
+    TypeError on a float, and every entry is divided by the gcd, so a whole
+    Fraction is kept as an int."""
 
     __slots__ = ("direction", "lower", "upper", "den")
 
@@ -69,13 +70,17 @@ class TwoSidedRow:
         if len(parts[1]) != len(parts[2]):
             raise FormulationError("lower and upper lengths differ")
         flat = parts[0] + parts[1] + parts[2]
-        ints = all(map(isinstance, flat, itertools.repeat(int)))
-        if not ints:
+        try:
+            g = gcd(den, *flat)
+            ints = True
+        except TypeError:
             scale, flat = _scaled(flat)
             den *= scale
+            ints = False
         if type(den) is not int or den < 1:
             raise FormulationError("den must be a positive int")
-        g = gcd(den, *flat)
+        if not ints:
+            g = gcd(den, *flat)
         if not ints or g > 1:
             flat = iter([x // g for x in flat])
             parts = [tuple(itertools.islice(flat, len(part))) for part in parts]
@@ -276,51 +281,58 @@ def _direction(v):
     """A nonzero int vector divided by the gcd of its entries, signed so
     that its first nonzero entry is positive: one key per direction."""
     g = gcd(*v)
-    if next(x for x in v if x) < 0:
+    if next(filter(None, v)) < 0:
         g = -g
-    return tuple(v) if g == 1 else tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple(map(floordiv, v, itertools.repeat(g)))
 
 
 def spanned_hyperplane_normals(C, ambient):
     """Normals of all hyperplanes of span(C) spanned by members of C, the
     members being vectors of length ambient, ints or Fractions.
 
-    The work is in ints, each member times its own lcm; a member of ints,
-    as the builders pass their code differences, is read as it is, with no
-    copy.  One nullspace of the distinct directions gives the orthogonal
-    complement of span(C) and so its dimension.  Each (dim-1)-subset of
-    the directions, together with that complement, leaves a
+    The work is in ints: members all of ints, as the builders pass their
+    code differences, are read as they are, with no copy, and otherwise
+    each member is taken times its own lcm.  The orthogonal complement of
+    span(C), and so its dimension, is the nullspace of the Gram matrix
+    D^T D of the distinct directions D: D^T D x = 0 exactly when D x = 0,
+    and both have the row space of D, so one ambient x ambient elimination
+    gives the same basis as one over every direction.  Each (dim-1)-subset
+    of the directions, together with that complement, leaves a
     one-dimensional nullspace exactly when it spans a hyperplane of
-    span(C); that nullspace is the normal.  When the
-    span is the whole plane, a hyperplane is the line of one direction
-    (p, q), and its normal is the perpendicular (q, -p), taken with no
-    further nullspace.  Normals are returned as pairs (s, b), deduped in
-    first-seen order, with no Fraction: b the coprime int normal and s its
-    first nonzero entry, positive, so b / s has first nonzero entry 1.  An
-    empty or all-zero C gives []; a one-dimensional span is rejected since
-    no hyperplane family exists there, and a ragged C raises ValueError.
+    span(C); that nullspace is the normal.  When the span is the whole
+    plane, a hyperplane is the line of one direction (p, q), and its normal
+    is the perpendicular (q, -p), signed so that its first nonzero entry is
+    positive, with no further nullspace.  Normals are returned as pairs
+    (s, b), deduped in first-seen order, with no Fraction: b the coprime
+    int normal and s its first nonzero entry, positive, so b / s has first
+    nonzero entry 1.  An empty or all-zero C gives []; a one-dimensional
+    span is rejected since no hyperplane family exists there, and a ragged
+    C raises ValueError.
     """
-    ints = [c if _whole(c) else _scaled(c)[1] for c in C]
+    ints = C if _whole(itertools.chain.from_iterable(C)) else [_scaled(c)[1] for c in C]
     if len(set(map(len, ints))) > 1:
         raise ValueError("ragged matrix")
-    dirs = list(dict.fromkeys(_direction(c) for c in ints if any(c)))
+    dirs = list(dict.fromkeys(map(_direction, filter(any, ints))))
     if not dirs:
         return []
     # a normal must be orthogonal to the complement to lie inside span(C)
-    complement = [v for v, _ in _nullspace(dirs)]
+    cols = list(zip(*dirs))
+    gram = [[sum(map(mul, u, v)) for v in cols] for u in cols]
+    complement = [v for v, _ in _nullspace(gram)]
     dim = ambient - len(complement)
     if dim == 1:
         raise FormulationError(_LINE_SPAN)
     if ambient == 2:
-        # one perpendicular per direction, so first-seen order is kept
-        normals = [_direction((q, -p)) for p, q in dirs]
-    else:
-        normals = {}
-        for subset in itertools.combinations(dirs, dim - 1):
-            null = _nullspace(list(subset) + complement)
-            if len(null) == 1:
-                normals[_direction(null[0][0])] = None
-    return [(next(x for x in b if x), b) for b in normals]
+        # (p, q) is coprime with first nonzero entry positive, so its
+        # perpendicular needs only a sign; one per direction keeps the order
+        normals = [(q, -p) if q > 0 else (-q, p) for p, q in dirs]
+        return [(x or y, (x, y)) for x, y in normals]
+    normals = {}
+    for subset in itertools.combinations(dirs, dim - 1):
+        null = _nullspace(list(subset) + complement)
+        if len(null) == 1:
+            normals[_direction(null[0][0])] = None
+    return [(next(filter(None, b)), b) for b in normals]
 
 
 def _rows_from_normals(family, codes, normals):
@@ -331,11 +343,13 @@ def _rows_from_normals(family, codes, normals):
 
     The work is in ints and by columns, on codes.scaled, the codes over
     their common denominator den: b . h for every code by one pass per
-    code coordinate, and the values at the r-th member of every component
-    by one itemgetter per rank r.  Components go most members first, so
-    rank r reads and updates only a prefix, those with more than r
-    members, and a normal costs the total member count.  The row is the
-    ints, back in component order, over s * den.
+    code coordinate, C-level maps of operator.mul over the repeated b_j
+    and of operator.add, so a zero normal gives a row of zeros; and the
+    values at the r-th member of every component by one itemgetter per
+    rank r.  Components go most members first, so rank r reads and
+    updates only a prefix, those with more than r members, and a normal
+    costs the total member count.  The row is the ints, back in component
+    order, over s * den.
     """
     den, H = codes.scaled
     members = [[i - 1 for i in family.members(v)] for v in range(1, family.n + 1)]
@@ -346,7 +360,7 @@ def _rows_from_normals(family, codes, normals):
     cols = list(zip(*H))
     rows = []
     for s, b in normals:
-        terms = [map(x.__mul__, col) for x, col in zip(b, cols)]
+        terms = [map(mul, itertools.repeat(x), col) for x, col in zip(b, cols)]
         values = list(reduce(partial(map, add), terms))
         lower = list(gets[0](values))
         upper = lower[:]
@@ -414,7 +428,7 @@ def build_general(family, codes):
         )
         edges, _ = edge_set(padded)
     H = enc.scaled[1]
-    C = [[b - a for a, b in zip(H[i - 1], H[j - 1])] for i, j in edges]
+    C = [tuple(map(sub, H[j - 1], H[i - 1])) for i, j in edges]
     normals = spanned_hyperplane_normals(C, enc.r)
     return _formulation(family, enc, normals, "general", padded)
 
@@ -432,7 +446,7 @@ def build_2d(family, codes):
         raise FormulationError("planar builder needs 2-dimensional codes")
     enc = _checked_codes(family, enc)
     H = enc.scaled[1]
-    C = [[b - a for a, b in zip(h, k)] for h, k in itertools.combinations(H, 2)]
+    C = [tuple(map(sub, k, h)) for h, k in itertools.combinations(H, 2)]
     return _formulation(family, enc, spanned_hyperplane_normals(C, 2), "2d")
 
 

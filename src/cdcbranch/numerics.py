@@ -18,12 +18,15 @@ from math import gcd, lcm
 
 
 def rat(x):
-    """Coerce an int, Fraction, or 'p/q' string to Fraction.  Floats are
-    rejected.  A Fraction is immutable, so it is returned as it is."""
+    """Coerce an int, Fraction, or 'p/q' string to Fraction.  Floats and
+    bools are rejected.  A Fraction is immutable, so it is returned as it
+    is."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError("floats are not accepted, convert explicitly")
+    if isinstance(x, bool):
+        raise TypeError("%r is a bool, not a rational" % (x,))
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):

@@ -189,6 +189,25 @@ def test_instance_vertex_map_needs_one_vertex_per_component():
             instance_from_json(dict(obj, vertices=vertices))
 
 
+def test_instance_vertex_map_refuses_a_bool():
+    obj = instance_to_json(sos2_family(2), VertexMap([(0, 0), (1, 1), (2, 4)]))
+    obj["vertices"][1][0] = True
+    with pytest.raises(TypeError, match="bool"):
+        instance_from_json(obj)
+
+
+def test_instance_from_json_names_the_malformed_field():
+    for obj, why in (
+        ([], "must be a JSON object"),
+        ({"sets": [[1, 2]]}, "needs the field 'n'"),
+        ({"n": 2}, "needs the field 'sets'"),
+        ({"n": 2, "sets": [1, 2]}, "'sets' must be a list of lists"),
+        ({"n": 2, "sets": {"1": 2}}, "'sets' must be a list of lists"),
+    ):
+        with pytest.raises(CdcError, match=why):
+            instance_from_json(obj)
+
+
 def test_vertex_map_rejects_ragged():
     with pytest.raises(CdcError):
         VertexMap([(0, 0), (1,)])

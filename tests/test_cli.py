@@ -186,6 +186,32 @@ def test_solve_refuses_a_short_vertex_map(tmp_path, capsys):
     assert capsys.readouterr().err == "error: the vertex map needs one vertex per component\n"
 
 
+def test_solve_refuses_a_bool_objective_entry(tmp_path, capsys):
+    # JSON true is a Python bool, an int subclass: read as 1 it would solve
+    inst = gen(tmp_path, "--family", "sos2", "--d", "4")
+    objf = tmp_path / "obj.json"
+    objf.write_text(json.dumps({"lam": [True, 0, 0, 0, 0]}))
+    assert run("solve", "--instance", str(inst), "--encoding", "exotic",
+               "--scheme", "exotic", "--objective", str(objf),
+               "-o", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == "error: True is a bool, not a rational\n"
+
+
+@pytest.mark.parametrize(
+    "obj, why",
+    [
+        ({"n": 2, "sets": [1, 2]}, "the field 'sets' must be a list of lists"),
+        ({"n": 2}, "an instance needs the field 'sets'"),
+    ],
+)
+def test_build_names_the_malformed_instance_field(tmp_path, capsys, obj, why):
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(obj))
+    assert run("build", "--instance", str(inst), "--encoding", "moment",
+               "-o", str(tmp_path / "form.json")) == 2
+    assert capsys.readouterr().err == "error: %s\n" % why
+
+
 def test_solve_rejects_incompatible_scheme(tmp_path, capsys):
     inst = gen(tmp_path, "--family", "sos2", "--d", "8")
     assert run("solve", "--instance", str(inst), "--encoding", "gray",

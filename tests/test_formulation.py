@@ -100,7 +100,9 @@ def test_normals_degenerate_spans():
 )
 def test_planar_normals_take_one_nullspace(monkeypatch, build, codes, calls):
     # in the plane each normal is its direction's perpendicular, so only
-    # the span's complement takes a nullspace; r = 6 keeps one per subset
+    # the span's complement takes a nullspace; r = 6 keeps one per subset.
+    # The complement comes from the r x r Gram matrix and a subset holds
+    # r - 1 rows, so no call eliminates more than r rows
     seen = []
     real = formulation._nullspace
 
@@ -111,6 +113,7 @@ def test_planar_normals_take_one_nullspace(monkeypatch, build, codes, calls):
     monkeypatch.setattr(formulation, "_nullspace", spy)
     build(sos2_family(64), codes)
     assert len(seen) == calls
+    assert max(map(len, seen)) <= codes.r
 
 
 def test_canonical_direction_examples():

@@ -39,6 +39,13 @@ def test_rat_rejects_floats():
         rat(0.5)
 
 
+def test_rat_rejects_bools():
+    # bool subclasses int, so an int check alone would read True as 1
+    for x in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            rat(x)
+
+
 def test_format_parse_round_trip():
     for q in (F(0), F(7), F(-3, 4), F(22, 7), F(-1000000007, 13)):
         assert rat(format_rational(q)) == q
